@@ -10,9 +10,8 @@ from .dynamics import (DecoherenceRates, PulseSpec, TimeSeries,
                        validate_density_matrix)
 from .errors import ConfigError, NumericFailure
 from .protocol import (CurrentTrace, InsideSpinState, ReadoutResult,
-                       SweepCell, TunnelEvent, TunnelingParams, classify,
-                       electron_cycle, fidelity_sweep, resonance_frequency,
-                       run_window, sample_dwell, source_emit)
+                       SweepCell, TunnelEvents, TunnelingParams, classify,
+                       fidelity_sweep, resonance_frequency, run_window)
 from .spin_core import (AnisotropyParams, EnergyLevel, MechanicsParams,
                         PhysicalConstants, SystemParams, Transition,
                         TransitionTable, build_hamiltonian,

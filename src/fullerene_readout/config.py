@@ -11,12 +11,13 @@ validation errors name the offending field.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .dynamics import DecoherenceRates, PulseSpec
 from .errors import ConfigError
-from .protocol import TunnelingParams
+from .protocol import MAX_CYCLES, TunnelingParams
 from .spin_core import (AnisotropyParams, MechanicsParams, PhysicalConstants,
                         SystemParams)
 
@@ -79,6 +80,12 @@ def _merge_section(name: str, raw: dict) -> dict:
             continue
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{name}.{key}: expected a number")
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:   # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise ConfigError(f"{name}.{key}: expected a finite number")
     return merged
 
 
@@ -135,6 +142,9 @@ def config_from_dict(raw: dict) -> SimulationConfig:
     for name, ok, why in field_checks:
         if not ok:
             raise ConfigError(f"tunneling.{name}: {why}")
+    if not tun_raw["window"] // tun_raw["cycle_period"] <= MAX_CYCLES:
+        raise ConfigError(f"tunneling.window: must hold at most {MAX_CYCLES} "
+                          "cycles of cycle_period")
     tunneling = TunnelingParams(**tun_raw)
     mechanics, _ = build("mechanics", MechanicsParams,
                          ("gradient", "spacing", "coulomb_shift"))

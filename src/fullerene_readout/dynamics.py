@@ -234,18 +234,18 @@ def rabi_pulse(rho: np.ndarray, pulse: PulseSpec, detuning: float,
     return u @ rho @ u.conj().T
 
 
-def flip_probability(omega0: float, detuning: float,
-                     effective_duration: float) -> float:
+def flip_probability(omega0, detuning, effective_duration):
     """Population transfer probability of the rotating-frame pulse.
 
-    (omega0^2 / Omega_R^2) * sin^2(pi * Omega_R * tau / 1000); scalar
-    closed form of rabi_pulse for population bookkeeping.
+    (omega0^2 / Omega_R^2) * sin^2(pi * Omega_R * tau / 1000), and 0 where
+    Omega_R = 0; closed form of rabi_pulse for population bookkeeping.
+    Arguments may be scalars or broadcastable arrays.
     """
-    omega_r = math.hypot(omega0, detuning)
-    if omega_r == 0.0:
-        return 0.0
-    half = math.pi * omega_r * effective_duration / 1000.0
-    return (omega0 / omega_r) ** 2 * math.sin(half) ** 2
+    omega_r = np.hypot(omega0, detuning)
+    # Omega_R = 0 only when omega0 = 0, so any nonzero divisor gives 0 there.
+    ratio = omega0 / np.where(omega_r == 0.0, 1.0, omega_r)
+    half = np.pi * omega_r * effective_duration / 1000.0
+    return ratio ** 2 * np.sin(half) ** 2
 
 
 def fig2_timeseries(alpha: float, rates: DecoherenceRates,

@@ -4,31 +4,50 @@ Seeded Monte Carlo of the current-based readout cycle.
 One electron tunnels onto the island per cycle period (Coulomb blockade),
 carrying spin-down unless the source filter leaks. An ESR pulse, tuned to the
 outside-spin flip frequency conditioned on the positive inside-spin state,
-rotates the electron spin; dwell-time jitter truncates or overshoots the
-rotation. The electron then dephases/relaxes for the residual dwell and is
+rotates the electron spin for a time scaled by the electron's dwell
+(`dwell * duration / t0`), so dwell-time jitter under- or over-rotates it.
+The electron then relaxes for the residual dwell after the pulse and is
 Bernoulli-sampled at the drain filter (a projective spin measurement). A
 window of cycles yields a detector count that classifies the inside spin.
 
-Population bookkeeping uses scalar closed forms of the rotating-frame pulse
-and the field-free master equation; those forms are cross-checked against
-the matrix operations in `dynamics` by the test suite.
+The electrons of a window are independent given the config, so a window is
+drawn as numpy arrays, `_BLOCK` electrons at a time, from one
+`numpy.random.Generator(PCG64(seed))`. Per block the draws are, in order: the
+source spin, the dwell (rejected entries redrawn until all lie in
+(0, cycle_period]) and the drain Bernoulli. Per-electron records, when asked
+for, are kept as columns (`TunnelEvents`), not one object per electron.
+
+Model assumption: the dwell is Normal(t0, (alpha t0)^2) truncated to
+(0, cycle_period]. With the defaults t0 == cycle_period the truncation cuts
+the normal at its mean: no electron outstays t0, every jittered pulse is
+under-rotated, and there is no overshoot.
+
+Population bookkeeping uses the closed forms of the rotating-frame pulse
+(`dynamics.flip_probability`) and of the field-free relaxation; the test
+suite cross-checks both against the matrix operations in `dynamics`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
-import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+
+import numpy as np
 
 from .dynamics import DecoherenceRates, PulseSpec, flip_probability
 from .spin_core import SystemParams, TransitionTable
 
-SPIN_DOWN = "down"
-SPIN_UP = "up"
-
 _ENCODING_M1 = {"outer": 1.5, "inner": 0.5}
+
+# Electrons drawn per block of a window. Keeps the sampler's working arrays
+# at a few hundred kB whatever the window length, while the per-block Python
+# overhead stays negligible.
+_BLOCK = 8192
+
+# Largest number of cycles a window may hold (15 s of readout at the default
+# 150 ns period); a larger window is refused, not run.
+MAX_CYCLES = 10**8
 
 
 @dataclass(frozen=True)
@@ -54,6 +73,8 @@ class TunnelingParams:
             raise ValueError("t0 cannot exceed cycle_period")
         if self.window < self.cycle_period:
             raise ValueError("window must cover at least one cycle")
+        if not self.window // self.cycle_period <= MAX_CYCLES:
+            raise ValueError(f"window must hold at most {MAX_CYCLES} cycles")
 
 
 @dataclass(frozen=True)
@@ -75,15 +96,20 @@ class InsideSpinState:
         return InsideSpinState(abs(self.m1), self.encoding)
 
 
-@dataclass(frozen=True)
-class TunnelEvent:
-    """Per-electron audit record."""
+@dataclass(frozen=True, eq=False)
+class TunnelEvents:
+    """Per-electron audit columns of one window; row i is cycle i."""
 
-    index: int
-    dwell: float
-    spin_in: str
-    flip_prob: float
-    passed_drain: bool
+    dwell: np.ndarray       # ns
+    spin_up: np.ndarray     # bool: the source filter passed a spin-up
+    flip_prob: np.ndarray   # pulse transfer probability, before relaxation
+    passed: np.ndarray      # bool: counted at the drain
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TunnelEvents):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -92,7 +118,7 @@ class CurrentTrace:
 
     n_cycles: int
     n_passed: int
-    events: tuple[TunnelEvent, ...] | None
+    events: TunnelEvents | None
     seed: int
 
 
@@ -120,23 +146,6 @@ class SweepCell:
         return self.misclassified / self.trials
 
 
-def sample_dwell(params: TunnelingParams, rng: random.Random) -> float:
-    """Dwell draw from Normal(t0, (alpha*t0)^2), resampled into
-    (0, cycle_period]. alpha = 0 returns exactly t0."""
-    if params.alpha == 0.0:
-        return params.t0
-    sigma = params.alpha * params.t0
-    while True:
-        d = rng.gauss(params.t0, sigma)
-        if 0.0 < d <= params.cycle_period:
-            return d
-
-
-def source_emit(params: TunnelingParams, rng: random.Random) -> str:
-    """Spin of the electron passing the source filter."""
-    return SPIN_UP if rng.random() < params.p_leak_source else SPIN_DOWN
-
-
 def outside_flip_frequency(sys: SystemParams, m1: float) -> float:
     """Outside-spin flip frequency conditioned on inside level m1, MHz."""
     return 2.0 * sys.nu2 + sys.J * m1
@@ -162,52 +171,57 @@ def resonance_frequency(inside: InsideSpinState,
     raise ValueError("transition table lacks the interrogation row")
 
 
-def electron_cycle(inside: InsideSpinState, pulse: PulseSpec,
-                   sys: SystemParams, params: TunnelingParams,
-                   rates: DecoherenceRates, rng: random.Random,
-                   index: int = 0) -> TunnelEvent:
-    """Simulate one blockaded electron: emit, dwell, pulse, decohere, drain."""
-    if pulse.frequency is None:
-        raise ValueError("pulse carrier frequency is unset")
-    if pulse.duration > params.cycle_period:
-        raise ValueError("pulse does not fit in the cycle period")
-    spin = source_emit(params, rng)
-    dwell = sample_dwell(params, rng)
-    if spin == SPIN_DOWN:
-        detuning = pulse.frequency - outside_flip_frequency(sys, inside.m1)
-    else:
-        detuning = pulse.frequency - leak_resonance_frequency(sys)
-    # Departure mid-pulse truncates the rotation: on resonance the angle is
-    # pi * dwell / t0.
-    effective = dwell * pulse.duration / params.t0
-    flip = flip_probability(pulse.omega0, detuning, effective)
-    p_up = flip if spin == SPIN_DOWN else 1.0 - flip
-    residual = max(dwell - pulse.duration, 0.0)
-    if residual > 0.0:
-        p_up *= math.exp(-rates.gamma0 * residual)
-    pass_prob = (1.0 - p_up) + params.p_leak_drain * p_up
-    passed = rng.random() < pass_prob
-    return TunnelEvent(index=index, dwell=dwell, spin_in=spin,
-                       flip_prob=flip, passed_drain=passed)
+def _draw_dwell(params: TunnelingParams, rng: np.random.Generator,
+                n: int) -> np.ndarray:
+    """n dwell draws from Normal(t0, (alpha*t0)^2), each rejected draw redrawn
+    until it lies in (0, cycle_period]. alpha = 0 gives exactly t0 and draws
+    nothing."""
+    if params.alpha == 0.0:
+        return np.full(n, float(params.t0))
+    sigma = params.alpha * params.t0
+    dwell = rng.normal(params.t0, sigma, n)
+    redraw = np.flatnonzero((dwell <= 0.0) | (dwell > params.cycle_period))
+    while redraw.size:
+        d = rng.normal(params.t0, sigma, redraw.size)
+        dwell[redraw] = d
+        redraw = redraw[(d <= 0.0) | (d > params.cycle_period)]
+    return dwell
 
 
 def run_window(inside: InsideSpinState, pulse: PulseSpec, sys: SystemParams,
                params: TunnelingParams, rates: DecoherenceRates, seed: int,
                collect_events: bool = False) -> CurrentTrace:
-    """One readout window: floor(window / cycle_period) sequential cycles
-    with a dedicated RNG. Deterministic for a fixed seed."""
+    """One readout window of floor(window / cycle_period) blockaded
+    electrons: emit, dwell, pulse, relax, drain. Drawn in blocks from a
+    dedicated PCG64 stream; deterministic for a fixed seed."""
+    if pulse.frequency is None:
+        raise ValueError("pulse carrier frequency is unset")
+    if pulse.duration > params.cycle_period:
+        raise ValueError("pulse does not fit in the cycle period")
     n_cycles = int(params.window // params.cycle_period)
-    rng = random.Random(seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    detuning_down = pulse.frequency - outside_flip_frequency(sys, inside.m1)
+    detuning_up = pulse.frequency - leak_resonance_frequency(sys)
     n_passed = 0
-    events: list[TunnelEvent] | None = [] if collect_events else None
-    for i in range(n_cycles):
-        ev = electron_cycle(inside, pulse, sys, params, rates, rng, index=i)
-        if ev.passed_drain:
-            n_passed += 1
-        if events is not None:
-            events.append(ev)
-    return CurrentTrace(n_cycles=n_cycles, n_passed=n_passed,
-                        events=tuple(events) if events is not None else None,
+    blocks = []
+    for start in range(0, n_cycles, _BLOCK):
+        n = min(_BLOCK, n_cycles - start)
+        spin_up = rng.random(n) < params.p_leak_source
+        dwell = _draw_dwell(params, rng, n)
+        detuning = np.where(spin_up, detuning_up, detuning_down)
+        # Departure mid-pulse truncates the rotation: on resonance the angle
+        # is pi * dwell / t0.
+        flip = flip_probability(pulse.omega0, detuning,
+                                dwell * pulse.duration / params.t0)
+        p_up = np.where(spin_up, 1.0 - flip, flip)
+        p_up *= np.exp(-rates.gamma0 * np.maximum(dwell - pulse.duration, 0.0))
+        passed = rng.random(n) < (1.0 - p_up) + params.p_leak_drain * p_up
+        n_passed += int(np.count_nonzero(passed))
+        if collect_events:
+            blocks.append((dwell, spin_up, flip, passed))
+    events = (TunnelEvents(*map(np.concatenate, zip(*blocks)))
+              if collect_events else None)
+    return CurrentTrace(n_cycles=n_cycles, n_passed=n_passed, events=events,
                         seed=seed)
 
 
@@ -283,10 +297,13 @@ def fidelity_sweep(encoding: str, sys: SystemParams, rates: DecoherenceRates,
 
 def write_events_csv(trace: CurrentTrace, path) -> None:
     """Per-electron audit log: cycle,dwell_ns,spin_in,flip_prob,passed."""
-    if trace.events is None:
+    ev = trace.events
+    if ev is None:
         raise ValueError("trace was recorded without event logging")
     with open(path, "w") as fh:
         fh.write("cycle,dwell_ns,spin_in,flip_prob,passed\n")
-        for ev in trace.events:
-            fh.write(f"{ev.index},{ev.dwell:.12g},{ev.spin_in},"
-                     f"{ev.flip_prob:.12g},{int(ev.passed_drain)}\n")
+        rows = zip(ev.dwell.tolist(), ev.spin_up.tolist(),
+                   ev.flip_prob.tolist(), ev.passed.tolist())
+        for i, (dwell, up, flip, passed) in enumerate(rows):
+            fh.write(f"{i},{dwell:.12g},{'up' if up else 'down'},"
+                     f"{flip:.12g},{int(passed)}\n")

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -219,6 +220,37 @@ class TestExitCodes:
 
     def test_negative_seed_rejected(self, tmp_path):
         assert run_cli("table", "--seed", "-1", "--out", str(tmp_path)) == 1
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("rates", "gamma0", "NaN"),
+        ("pulse", "omega0", "NaN"),
+        ("rates", "gammap", "Infinity"),
+        ("tunneling", "window", "Infinity"),
+        ("mechanics", "gradient", "NaN"),
+        ("system", "J", "1" + "0" * 400),
+    ])
+    def test_non_finite_number_rejected(self, section, key, value, tmp_path,
+                                        capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"{section}": {{"{key}": {value}}}}}')
+        assert run_cli("readout", "--config", str(cfg), "--out",
+                       str(tmp_path / "o")) == 1
+        assert (f"{section}.{key}: expected a finite number"
+                in capsys.readouterr().err)
+
+    def test_window_beyond_cycle_cap_rejected(self, tmp_path, capsys,
+                                              monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("run_window reached")
+
+        monkeypatch.setattr("fullerene_readout.cli.run_window", never)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tunneling": {"window": 1e300}}))
+        start = time.perf_counter()
+        assert run_cli("readout", "--config", str(cfg), "--out",
+                       str(tmp_path / "o")) == 1
+        assert time.perf_counter() - start < 0.5
+        assert "tunneling.window" in capsys.readouterr().err
 
 
 class TestOutputDirSelection:

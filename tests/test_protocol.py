@@ -1,20 +1,19 @@
 import math
-import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fullerene_readout.dynamics import (DecoherenceRates, PulseSpec,
-                                        analytic_free_evolution, rabi_pulse)
+                                        analytic_free_evolution,
+                                        flip_probability, rabi_pulse)
 from fullerene_readout.protocol import (CurrentTrace, InsideSpinState,
                                         TunnelingParams, classify,
-                                        electron_cycle, fidelity_sweep,
+                                        fidelity_sweep,
                                         leak_resonance_frequency,
                                         outside_flip_frequency,
                                         resonance_frequency, run_window,
-                                        sample_dwell, source_emit,
-                                        write_events_csv)
+                                        sweep_states, write_events_csv)
 from fullerene_readout.spin_core import SystemParams, transition_table
 
 SYS = SystemParams(nu1=10000.0, nu2=10063.5, J=50.0)
@@ -30,46 +29,53 @@ def outer_pulse():
     return PulseSpec.calibrated(resonance_frequency(OUTER_UP, TABLE))
 
 
+def window_events(params, n, seed, state=OUTER_UP, rates=RATES):
+    """Event columns of an n-electron window."""
+    trace = run_window(state, outer_pulse(), SYS,
+                       replace(params, window=n * params.cycle_period),
+                       rates, seed=seed, collect_events=True)
+    assert trace.n_cycles == n
+    return trace.events
+
+
 class TestSampleDwell:
+    """The dwell column of the array sampler."""
+
     def test_zero_alpha_is_exact(self):
-        rng = random.Random(0)
-        params = TunnelingParams(alpha=0.0)
-        assert all(sample_dwell(params, rng) == 150.0 for _ in range(100))
+        ev = window_events(TunnelingParams(alpha=0.0), 100, seed=0)
+        assert np.all(ev.dwell == 150.0)
 
     def test_statistics(self):
         # headroom above t0 so truncation does not bias the draw
-        params = TunnelingParams(alpha=0.1, cycle_period=1500.0, window=1e7)
-        rng = random.Random(123)
-        draws = np.array([sample_dwell(params, rng) for _ in range(100_000)])
+        params = TunnelingParams(alpha=0.1, cycle_period=1500.0)
+        draws = window_events(params, 100_000, seed=123).dwell
         assert draws.mean() == pytest.approx(150.0, abs=0.15)
         assert draws.std() == pytest.approx(15.0, abs=0.5)
 
     def test_bounded_by_cycle(self):
         params = TunnelingParams(alpha=0.3)
-        rng = random.Random(5)
-        for _ in range(10_000):
-            d = sample_dwell(params, rng)
-            assert 0.0 < d <= params.cycle_period
+        d = window_events(params, 10_000, seed=5).dwell
+        assert np.all((0.0 < d) & (d <= params.cycle_period))
 
     def test_deterministic_for_fixed_seed(self):
         params = TunnelingParams(alpha=0.1)
-        a = [sample_dwell(params, random.Random(42)) for _ in range(1)]
+        a = window_events(params, 1000, seed=42).dwell
         for _ in range(3):
-            rng = random.Random(42)
-            assert [sample_dwell(params, rng)] == a
+            assert np.array_equal(window_events(params, 1000, seed=42).dwell,
+                                  a)
 
 
 class TestSourceEmit:
+    """The spin column of the array sampler."""
+
     def test_perfect_filter(self):
-        rng = random.Random(0)
-        params = TunnelingParams()
-        assert all(source_emit(params, rng) == "down" for _ in range(1000))
+        ev = window_events(TunnelingParams(), 1000, seed=0)
+        assert not ev.spin_up.any()
 
     def test_leak_fraction(self):
         params = TunnelingParams(p_leak_source=0.05)
-        rng = random.Random(9)
-        ups = sum(source_emit(params, rng) == "up" for _ in range(100_000))
-        assert ups / 100_000 == pytest.approx(0.05, abs=0.003)
+        ups = window_events(params, 100_000, seed=9).spin_up
+        assert ups.mean() == pytest.approx(0.05, abs=0.003)
 
 
 class TestFrequencies:
@@ -105,61 +111,114 @@ class TestInsideSpinState:
 
 
 class TestElectronCycle:
+    """Per-electron outcomes of the array sampler."""
+
     def test_resonant_perfect_pulse_blocks(self):
         # gamma0 = 0 so the residual dwell cannot repopulate |down>
-        params = TunnelingParams(alpha=0.0)
-        rates = DecoherenceRates(0.0, RATES.gammap)
-        rng = random.Random(0)
-        for _ in range(200):
-            ev = electron_cycle(OUTER_UP, outer_pulse(), SYS, params, rates,
-                                rng)
-            assert ev.spin_in == "down"
-            assert ev.flip_prob == pytest.approx(1.0)
-            assert not ev.passed_drain
+        ev = window_events(TunnelingParams(alpha=0.0), 200, seed=0,
+                           rates=DecoherenceRates(0.0, RATES.gammap))
+        assert not ev.spin_up.any()
+        assert ev.flip_prob == pytest.approx(np.ones(200))
+        assert not ev.passed.any()
 
     def test_off_resonant_state_transmits(self):
-        params = TunnelingParams(alpha=0.0)
-        rng = random.Random(0)
-        evs = [electron_cycle(OUTER_DOWN, outer_pulse(), SYS, params, RATES,
-                              rng) for _ in range(2000)]
+        ev = window_events(TunnelingParams(alpha=0.0), 2000, seed=0,
+                           state=OUTER_DOWN)
         cap = outer_pulse().omega0 ** 2 / (outer_pulse().omega0 ** 2 + 150 ** 2)
-        assert all(ev.flip_prob <= cap + 1e-12 for ev in evs)
-        assert sum(ev.passed_drain for ev in evs) >= 0.999 * len(evs)
+        assert np.all(ev.flip_prob <= cap + 1e-12)
+        assert ev.passed.sum() >= 0.999 * ev.passed.size
 
     def test_matrix_path_agreement(self):
-        # the scalar bookkeeping must reproduce rabi_pulse followed by
+        # the array bookkeeping must reproduce rabi_pulse followed by
         # analytic_free_evolution
         pulse = outer_pulse()
         params = TunnelingParams(alpha=0.2)
         down = np.diag([0.0, 1.0]).astype(complex)
-        for dwell in (30.0, 120.0, 145.0, 150.0):
-            for m1 in (1.5, -1.5):
-                detuning = pulse.frequency - outside_flip_frequency(SYS, m1)
-                eff = dwell * pulse.duration / params.t0
-                rho = rabi_pulse(down, pulse, detuning, eff)
-                rho = analytic_free_evolution(
-                    rho, RATES, max(dwell - pulse.duration, 0.0))
-                # replicate the cycle with a stub RNG fixing spin and dwell
-                class Stub:
-                    def __init__(self):
-                        self.pass_draw = None
-                    def random(self):
-                        return 0.0
-                    def gauss(self, mu, sigma):
-                        return dwell
-                ev = electron_cycle(InsideSpinState(m1, "outer"), pulse, SYS,
-                                    replace(params, alpha=0.2), RATES, Stub())
-                p_up_expected = rho[0, 0].real
-                # flip_prob is pre-decoherence transfer probability
-                assert ev.flip_prob == pytest.approx(
-                    rabi_pulse(down, pulse, detuning, eff)[0, 0].real,
-                    abs=1e-12)
-                assert (1.0 - p_up_expected) > 0.0
+        dwell, m1 = (a.ravel() for a in np.meshgrid(
+            [30.0, 120.0, 145.0, 150.0], [1.5, -1.5]))
+        detuning = pulse.frequency - outside_flip_frequency(SYS, m1)
+        eff = dwell * pulse.duration / params.t0
+        flip = flip_probability(pulse.omega0, detuning, eff)
+        for i in range(dwell.size):
+            rho = rabi_pulse(down, pulse, detuning[i], eff[i])
+            # flip_prob is pre-decoherence transfer probability
+            assert flip[i] == pytest.approx(rho[0, 0].real, abs=1e-12)
+            rho = analytic_free_evolution(
+                rho, RATES, max(dwell[i] - pulse.duration, 0.0))
+            assert (1.0 - rho[0, 0].real) > 0.0
 
     def test_requires_carrier(self):
-        with pytest.raises(ValueError):
-            electron_cycle(OUTER_UP, PulseSpec.calibrated(None), SYS,
-                           TunnelingParams(), RATES, random.Random(0))
+        with pytest.raises(ValueError, match="carrier"):
+            run_window(OUTER_UP, PulseSpec.calibrated(None), SYS,
+                       TunnelingParams(), RATES, 0)
+        with pytest.raises(ValueError, match="cycle period"):
+            run_window(OUTER_UP, replace(outer_pulse(), duration=200.0,
+                                         period=300.0), SYS,
+                       TunnelingParams(), RATES, 0)
+
+
+def mean_pass_probability(state, params, rates=RATES):
+    """Exact mean drain-pass probability of one electron: quadrature of the
+    per-electron pass probability over the dwell density, Normal(t0,
+    (alpha t0)^2) truncated to (0, cycle_period], with the closed-form pulse
+    and relaxation written out independently of the package."""
+    pulse = PulseSpec.calibrated(None)
+    carrier = outside_flip_frequency(SYS, state.positive.m1)
+    t0, cp, sigma = params.t0, params.cycle_period, params.alpha * params.t0
+    if sigma == 0.0:
+        dwell, weight = np.array([t0]), np.array([1.0])
+    else:
+        # Simpson's rule on each side of the pulse end, where the
+        # relaxation term has a kink.
+        xs, ws = [], []
+        for lo, hi in ((0.0, pulse.duration), (pulse.duration, cp)):
+            x = np.linspace(lo, hi, 4001)
+            w = np.where(np.arange(x.size) % 2 == 1, 4.0, 2.0)
+            w[0] = w[-1] = 1.0
+            xs.append(x)
+            ws.append(w * (hi - lo) / (3 * (x.size - 1)))
+        dwell = np.concatenate(xs)
+        weight = np.concatenate(ws) * np.exp(-0.5 * ((dwell - t0) / sigma) ** 2)
+        weight /= weight.sum()
+    tau = dwell * pulse.duration / t0
+    decay = np.exp(-rates.gamma0 * np.maximum(dwell - pulse.duration, 0.0))
+    p_pass = 0.0
+    for spin_up, share in ((False, 1.0 - params.p_leak_source),
+                           (True, params.p_leak_source)):
+        det = carrier - (leak_resonance_frequency(SYS) if spin_up
+                         else outside_flip_frequency(SYS, state.m1))
+        omega_r = math.hypot(pulse.omega0, det)
+        flip = ((pulse.omega0 / omega_r) ** 2
+                * np.sin(math.pi * omega_r * tau / 1000.0) ** 2)
+        p_up = (1.0 - flip if spin_up else flip) * decay
+        p_pass += share * np.dot(weight, 1.0 - (1.0 - params.p_leak_drain)
+                                 * p_up)
+    return float(p_pass)
+
+
+class TestExactDistribution:
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.2])
+    @pytest.mark.parametrize("leak", [0.0, 0.05])
+    def test_counts_within_six_sigma_of_exact_mean(self, alpha, leak):
+        params = replace(MS_WINDOW, alpha=alpha, p_leak_source=leak,
+                         p_leak_drain=leak)
+        for state in sweep_states("both"):
+            pulse = PulseSpec.calibrated(
+                outside_flip_frequency(SYS, state.positive.m1))
+            p = mean_pass_probability(state, params)
+            for seed in range(3):
+                trace = run_window(state, pulse, SYS, params, RATES, seed)
+                n = trace.n_cycles
+                sigma = math.sqrt(n * p * (1.0 - p))
+                assert abs(trace.n_passed - n * p) <= 6.0 * sigma, (
+                    state, seed, trace.n_passed, n * p)
+
+    def test_quadrature_matches_small_alpha_law(self):
+        # on resonance, E[sin^2(pi (tau - t0) / (2 t0))] ~ pi^2 alpha^2 / 4
+        params = TunnelingParams(alpha=0.05)
+        p = mean_pass_probability(OUTER_UP, params,
+                                  DecoherenceRates(0.0, RATES.gammap))
+        assert p == pytest.approx(math.pi ** 2 * 0.05 ** 2 / 4, rel=0.02)
 
 
 class TestRunWindow:
@@ -199,9 +258,11 @@ class TestRunWindow:
         params = replace(MS_WINDOW, alpha=0.15, window=1e5)
         trace = run_window(OUTER_UP, outer_pulse(), SYS, params, RATES,
                            seed=1, collect_events=True)
-        assert [ev.index for ev in trace.events] == list(
-            range(trace.n_cycles))
-        assert all(0 < ev.dwell <= params.cycle_period for ev in trace.events)
+        ev = trace.events
+        assert all(len(col) == trace.n_cycles for col in (
+            ev.dwell, ev.spin_up, ev.flip_prob, ev.passed))
+        assert np.all((0 < ev.dwell) & (ev.dwell <= params.cycle_period))
+        assert ev.passed.sum() == trace.n_passed
 
     def test_on_resonance_transmission_small_alpha(self):
         # E[sin^2(pi (tau - t0) / (2 t0))] ~ pi^2 alpha^2 / 4
@@ -222,6 +283,15 @@ class TestRunWindow:
         lines = path.read_text().splitlines()
         assert lines[0] == "cycle,dwell_ns,spin_in,flip_prob,passed"
         assert len(lines) == trace.n_cycles + 1
+        rows = [line.split(",") for line in lines[1:]]
+        ev = trace.events
+        assert [int(r[0]) for r in rows] == list(range(trace.n_cycles))
+        assert [float(r[1]) for r in rows] == pytest.approx(ev.dwell,
+                                                            rel=1e-11)
+        assert [r[2] == "up" for r in rows] == ev.spin_up.tolist()
+        assert [float(r[3]) for r in rows] == pytest.approx(ev.flip_prob,
+                                                            rel=1e-11)
+        assert [r[4] for r in rows] == [str(int(p)) for p in ev.passed]
         with pytest.raises(ValueError):
             write_events_csv(replace(trace, events=None), path)
 
@@ -305,3 +375,5 @@ class TestTunnelingParams:
             TunnelingParams(t0=200.0, cycle_period=150.0)
         with pytest.raises(ValueError):
             TunnelingParams(window=10.0)
+        with pytest.raises(ValueError, match="cycles"):
+            TunnelingParams(window=1e300)
