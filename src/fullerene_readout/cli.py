@@ -26,6 +26,7 @@ from .dynamics import evolve_numeric, fig2_timeseries, imperfect_flip_state
 from .errors import ConfigError, NumericFailure
 from .protocol import (InsideSpinState, classify, fidelity_sweep,
                        resonance_frequency, run_window, write_events_csv)
+from .records import write_records
 from .spin_core import (check_weak_coupling, eigenenergies, transition_table,
                         vibration_shift, zeeman_separation)
 
@@ -33,10 +34,6 @@ OUTPUT_DIR_ENV = "SIM_OUTPUT_DIR"
 
 _STATE_NAMES = {"+3/2": 1.5, "3/2": 1.5, "-3/2": -1.5,
                 "+1/2": 0.5, "1/2": 0.5, "-1/2": -0.5}
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def _sha256(path: Path) -> str:
@@ -58,6 +55,12 @@ class Manifest:
 
     def add(self, path: Path) -> None:
         self.outputs.append(path)
+
+    def add_records(self, name: str, columns: dict) -> None:
+        """Write one CSV or JSONL output file and record it."""
+        path = self.out_dir / name
+        write_records(path, columns)
+        self.add(path)
 
     def write(self) -> None:
         doc = {
@@ -82,26 +85,22 @@ def _print_weak_coupling(config: SimulationConfig) -> None:
 
 
 def cmd_table(config: SimulationConfig, manifest: Manifest) -> None:
-    table = transition_table(config.system, config.aniso)
+    rows = transition_table(config.system, config.aniso).rows
     levels = eigenenergies(config.system, config.aniso)
-    tpath = manifest.out_dir / "transitions.csv"
-    with open(tpath, "w") as fh:
-        fh.write("row,kind,m1_initial,m2_initial,m1_final,m2_final,"
-                 "formula,frequency_mhz\n")
-        for i, r in enumerate(table.rows, start=1):
-            fh.write(f"{i},{r.kind},{_fmt(r.initial[0])},{_fmt(r.initial[1])},"
-                     f"{_fmt(r.final[0])},{_fmt(r.final[1])},"
-                     f"\"{r.formula}\",{_fmt(r.frequency)}\n")
-    manifest.add(tpath)
-    lpath = manifest.out_dir / "levels.csv"
-    with open(lpath, "w") as fh:
-        fh.write("m1,m2,energy_mhz\n")
-        for lv in levels:
-            fh.write(f"{_fmt(lv.m1)},{_fmt(lv.m2)},{_fmt(lv.energy)}\n")
-    manifest.add(lpath)
+    manifest.add_records("transitions.csv", {
+        "row": range(1, len(rows) + 1), "kind": [r.kind for r in rows],
+        "m1_initial": [r.initial[0] for r in rows],
+        "m2_initial": [r.initial[1] for r in rows],
+        "m1_final": [r.final[0] for r in rows],
+        "m2_final": [r.final[1] for r in rows],
+        "formula": [f'"{r.formula}"' for r in rows],
+        "frequency_mhz": [r.frequency for r in rows]})
+    manifest.add_records("levels.csv", {
+        "m1": [lv.m1 for lv in levels], "m2": [lv.m2 for lv in levels],
+        "energy_mhz": [lv.energy for lv in levels]})
     _print_weak_coupling(config)
-    print(f"wrote {tpath.name} ({len(table.rows)} rows), "
-          f"{lpath.name} ({len(levels)} levels)")
+    print(f"wrote transitions.csv ({len(rows)} rows), "
+          f"levels.csv ({len(levels)} levels)")
 
 
 def cmd_fig2(config: SimulationConfig, manifest: Manifest,
@@ -119,15 +118,10 @@ def cmd_fig2(config: SimulationConfig, manifest: Manifest,
         dev = np.max(np.abs(
             num - np.column_stack([series.P1, series.P2, series.P3])), axis=1)
         overall = max(overall, float(dev.max()))
-        path = manifest.out_dir / f"fig2_alpha_{alpha:g}.csv"
-        with open(path, "w") as fh:
-            fh.write("t_ns,P1,P2,P3,P1_numeric,P2_numeric,P3_numeric,"
-                     "max_abs_dev\n")
-            for i, t in enumerate(series.times):
-                fh.write(",".join(_fmt(v) for v in (
-                    t, series.P1[i], series.P2[i], series.P3[i],
-                    num[i, 0], num[i, 1], num[i, 2], dev[i])) + "\n")
-        manifest.add(path)
+        manifest.add_records(f"fig2_alpha_{alpha:g}.csv", {
+            "t_ns": series.times, "P1": series.P1, "P2": series.P2,
+            "P3": series.P3, "P1_numeric": num[:, 0], "P2_numeric": num[:, 1],
+            "P3_numeric": num[:, 2], "max_abs_dev": dev})
         print(f"alpha={alpha:g}: max analytic/numeric deviation "
               f"{dev.max():.3e}")
     manifest.extra["max_abs_deviation"] = overall
@@ -143,26 +137,14 @@ def cmd_readout(config: SimulationConfig, manifest: Manifest,
                        config.rates, config.seed, collect_events=events)
     result = classify(trace, config.tunneling, encoding)
     manifest.extra["interrogation_mhz"] = freq
-    path = manifest.out_dir / "readout.csv"
-    with open(path, "w") as fh:
-        fh.write("true_m1,encoding,interrogation_mhz,n_cycles,counts_on,"
-                 "baseline,threshold,classified_m1,contrast,seed\n")
-        fh.write(f"{_fmt(inside.m1)},{encoding},{_fmt(freq)},"
-                 f"{trace.n_cycles},{result.counts_on},"
-                 f"{_fmt(result.baseline)},{_fmt(result.threshold)},"
-                 f"{_fmt(result.classified.m1)},{_fmt(result.contrast)},"
-                 f"{trace.seed}\n")
-    manifest.add(path)
-    jpath = manifest.out_dir / "readout.jsonl"
-    with open(jpath, "w") as fh:
-        fh.write(json.dumps({
-            "true_m1": inside.m1, "encoding": encoding,
-            "interrogation_mhz": freq, "n_cycles": trace.n_cycles,
-            "counts_on": result.counts_on, "baseline": result.baseline,
-            "threshold": result.threshold,
-            "classified_m1": result.classified.m1,
-            "contrast": result.contrast, "seed": trace.seed}) + "\n")
-    manifest.add(jpath)
+    row = {"true_m1": [inside.m1], "encoding": [encoding],
+           "interrogation_mhz": [freq], "n_cycles": [trace.n_cycles],
+           "counts_on": [result.counts_on], "baseline": [result.baseline],
+           "threshold": [result.threshold],
+           "classified_m1": [result.classified.m1],
+           "contrast": [result.contrast], "seed": [trace.seed]}
+    manifest.add_records("readout.csv", row)
+    manifest.add_records("readout.jsonl", row)
     if events:
         epath = manifest.out_dir / "events.csv"
         write_events_csv(trace, epath)
@@ -175,32 +157,20 @@ def cmd_readout(config: SimulationConfig, manifest: Manifest,
 def cmd_sweep(config: SimulationConfig, manifest: Manifest,
               alphas: list[float], leaks: list[float], trials: int,
               encoding: str) -> None:
-    if not alphas or not leaks:
-        raise ConfigError("sweep: alpha and leak grids must be non-empty")
     cells = fidelity_sweep(encoding, config.system, config.rates, alphas,
                            leaks, trials, config.seed,
                            tunneling=config.tunneling,
                            pulse_duration=config.pulse.duration)
-    path = manifest.out_dir / "sweep.csv"
-    with open(path, "w") as fh:
-        fh.write("alpha,p_leak,encoding,true_m1,trials,misclassified,rate,"
-                 "base_seed\n")
-        for c in cells:
-            fh.write(f"{_fmt(c.alpha)},{_fmt(c.p_leak)},"
-                     f"{c.true_state.encoding},{_fmt(c.true_state.m1)},"
-                     f"{c.trials},{c.misclassified},{_fmt(c.rate)},"
-                     f"{config.seed}\n")
-    manifest.add(path)
-    jpath = manifest.out_dir / "sweep.jsonl"
-    with open(jpath, "w") as fh:
-        for c in cells:
-            fh.write(json.dumps({
-                "alpha": c.alpha, "p_leak": c.p_leak,
-                "encoding": c.true_state.encoding,
-                "true_m1": c.true_state.m1, "trials": c.trials,
-                "misclassified": c.misclassified, "rate": c.rate,
-                "base_seed": config.seed}) + "\n")
-    manifest.add(jpath)
+    rows = {"alpha": [c.alpha for c in cells],
+            "p_leak": [c.p_leak for c in cells],
+            "encoding": [c.true_state.encoding for c in cells],
+            "true_m1": [c.true_state.m1 for c in cells],
+            "trials": [c.trials for c in cells],
+            "misclassified": [c.misclassified for c in cells],
+            "rate": [c.rate for c in cells],
+            "base_seed": [config.seed] * len(cells)}
+    manifest.add_records("sweep.csv", rows)
+    manifest.add_records("sweep.jsonl", rows)
     worst = max(c.rate for c in cells)
     print(f"sweep: {len(cells)} cells, worst misclassification rate "
           f"{worst:.4g}")
@@ -267,8 +237,6 @@ def run(argv: list[str]) -> None:
     args = build_parser().parse_args(argv)
     config = parse_config(args.config)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("seed: expected a non-negative integer")
         config = dataclasses.replace(config, seed=args.seed)
     out_dir = Path(args.out or os.environ.get(OUTPUT_DIR_ENV)
                    or config.output_dir)
@@ -294,9 +262,6 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         run(argv)
-    except ConfigError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2

@@ -1,41 +1,41 @@
 """
 JSON configuration ingestion with strict schema checking.
 
-An empty document is a complete configuration: every field has a default
-mirroring the standard scenario (nu1 = 10 GHz, delta = 63.5 MHz, J = 50 MHz,
-1/gammap = 25 ns, 1/gamma0 = 2500 ns, 140/150 ns pulse train, 10 ms window,
-4e6 T/m gradient at 1.14 nm spacing). Unknown keys are rejected, and
-validation errors name the offending field.
+An empty document is a complete configuration of the standard scenario.
+The params dataclasses are the only source of the keys, their defaults and
+their checks; this module maps each section of the document onto them.
+Unknown keys are rejected, and validation errors name the offending field.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .dynamics import DecoherenceRates, PulseSpec
-from .errors import ConfigError
-from .protocol import MAX_CYCLES, TunnelingParams
+from .errors import ConfigError, require
+from .protocol import TunnelingParams
 from .spin_core import (AnisotropyParams, MechanicsParams, PhysicalConstants,
                         SystemParams)
 
-_SCHEMA = {
-    "system": {"nu1": 10000.0, "nu2": 10063.5, "J": 50.0,
-               "D2": 0.0, "D4": 0.0},
-    "constants": {"g": 2.0023, "muB_over_h": 13996.245, "muB": 9.274e-24,
-                  "k_spring": 70.0},
-    "rates": {"gamma0": 4e-4, "gammap": 0.04},
-    "pulse": {"omega0": None, "frequency": None,
-              "duration": 140.0, "period": 150.0},
-    "tunneling": {"t0": 150.0, "alpha": 0.0, "p_leak_source": 0.0,
-                  "p_leak_drain": 0.0, "cycle_period": 150.0, "window": 1e7},
-    "mechanics": {"gradient": 4e6, "spacing": 1.14e-9,
-                  "coulomb_shift": 4e-12},
-    "seed": 0,
-    "output_dir": "out",
+# Each section of the document and the dataclasses it fills, in manifest
+# order.
+_SECTIONS = {
+    "system": (SystemParams, AnisotropyParams),
+    "constants": (PhysicalConstants,),
+    "rates": (DecoherenceRates,),
+    "pulse": (PulseSpec,),
+    "tunneling": (TunnelingParams,),
+    "mechanics": (MechanicsParams,),
 }
+
+
+def _defaults(cls) -> dict:
+    """The fields of `cls` with a plain default: its config keys. A nested
+    dataclass (SystemParams.constants) is a section of its own."""
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
 
 
 @dataclass(frozen=True)
@@ -46,37 +46,42 @@ class SimulationConfig:
     pulse: PulseSpec
     tunneling: TunnelingParams
     mechanics: MechanicsParams
-    seed: int
-    output_dir: str
+    seed: int = 0
+    output_dir: str = "out"
+
+    def __post_init__(self):
+        require(type(self.seed) is int and self.seed >= 0, "seed",
+                "expected a non-negative integer")
+        require(isinstance(self.output_dir, str), "output_dir",
+                "expected a string")
+        require(self.pulse.duration <= self.tunneling.cycle_period,
+                "pulse.duration", "exceeds tunneling.cycle_period")
 
     def to_dict(self) -> dict:
-        out = {
-            "system": {"nu1": self.system.nu1, "nu2": self.system.nu2,
-                       "J": self.system.J, "D2": self.aniso.D2,
-                       "D4": self.aniso.D4},
-            "constants": asdict(self.system.constants),
-            "rates": asdict(self.rates),
-            "pulse": asdict(self.pulse),
-            "tunneling": asdict(self.tunneling),
-            "mechanics": asdict(self.mechanics),
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-        }
-        return out
+        """The resolved config, in the layout of a config document."""
+        objects = {type(o): o for o in (
+            self.system, self.aniso, self.system.constants, self.rates,
+            self.pulse, self.tunneling, self.mechanics)}
+        doc = {name: {key: getattr(objects[cls], key)
+                      for cls in classes for key in _defaults(cls)}
+               for name, classes in _SECTIONS.items()}
+        return doc | {key: getattr(self, key)
+                      for key in _defaults(SimulationConfig)}
 
 
-def _merge_section(name: str, raw: dict) -> dict:
-    defaults = _SCHEMA[name]
+def _section(name: str, raw: dict) -> dict:
+    """The keys a document sets in one section, type-checked."""
     section = raw.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"{name}: expected an object")
+    defaults = {}
+    for cls in _SECTIONS[name]:
+        defaults.update(_defaults(cls))
     unknown = set(section) - set(defaults)
     if unknown:
         raise ConfigError(f"{name}.{sorted(unknown)[0]}: unknown key")
-    merged = dict(defaults)
-    merged.update(section)
-    for key, value in merged.items():
-        if value is None:
+    for key, value in section.items():
+        if value is None and defaults[key] is None:
             continue
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{name}.{key}: expected a number")
@@ -86,81 +91,39 @@ def _merge_section(name: str, raw: dict) -> dict:
             finite = False
         if not finite:
             raise ConfigError(f"{name}.{key}: expected a finite number")
-    return merged
+    return section
 
 
 def config_from_dict(raw: dict) -> SimulationConfig:
     """Validate a raw document and apply defaults."""
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected an object")
-    unknown = set(raw) - set(_SCHEMA)
+    unknown = set(raw) - set(_SECTIONS) - set(_defaults(SimulationConfig))
     if unknown:
         raise ConfigError(f"{sorted(unknown)[0]}: unknown key")
+    sections = {name: _section(name, raw) for name in _SECTIONS}
 
-    def build(name, ctor, fields):
-        merged = _merge_section(name, raw)
+    def build(name, cls, **extra):
+        keys = _defaults(cls)
         try:
-            return ctor(**{k: merged[k] for k in fields}), merged
+            return cls(**{k: v for k, v in sections[name].items()
+                          if k in keys}, **extra)
         except ValueError as exc:
-            raise ConfigError(f"{name}: {exc}") from exc
+            raise ConfigError(f"{name}.{exc}") from exc
 
-    constants, _ = build("constants", PhysicalConstants,
-                         ("g", "muB_over_h", "muB", "k_spring"))
-    sys_raw = _merge_section("system", raw)
+    params = dict(
+        system=build("system", SystemParams,
+                     constants=build("constants", PhysicalConstants)),
+        aniso=build("system", AnisotropyParams),
+        rates=build("rates", DecoherenceRates),
+        pulse=build("pulse", PulseSpec),
+        tunneling=build("tunneling", TunnelingParams),
+        mechanics=build("mechanics", MechanicsParams))
+    top = {k: v for k, v in raw.items() if k not in _SECTIONS}
     try:
-        system = SystemParams(nu1=sys_raw["nu1"], nu2=sys_raw["nu2"],
-                              J=sys_raw["J"], constants=constants)
-        aniso = AnisotropyParams(D2=sys_raw["D2"], D4=sys_raw["D4"])
+        return SimulationConfig(**params, **top)
     except ValueError as exc:
-        raise ConfigError(f"system: {exc}") from exc
-    rates, _ = build("rates", DecoherenceRates, ("gamma0", "gammap"))
-
-    pulse_raw = _merge_section("pulse", raw)
-    try:
-        if pulse_raw["omega0"] is None:
-            pulse = PulseSpec.calibrated(pulse_raw["frequency"],
-                                         duration=pulse_raw["duration"],
-                                         period=pulse_raw["period"])
-        else:
-            pulse = PulseSpec(**pulse_raw)
-    except ValueError as exc:
-        raise ConfigError(f"pulse: {exc}") from exc
-
-    tun_raw = _merge_section("tunneling", raw)
-    field_checks = (
-        ("t0", tun_raw["t0"] > 0, "must be positive"),
-        ("alpha", 0 <= tun_raw["alpha"] < 1, "must lie in [0, 1)"),
-        ("p_leak_source", 0 <= tun_raw["p_leak_source"] < 1,
-         "must lie in [0, 1)"),
-        ("p_leak_drain", 0 <= tun_raw["p_leak_drain"] < 1,
-         "must lie in [0, 1)"),
-        ("cycle_period", tun_raw["cycle_period"] >= tun_raw["t0"],
-         "must be at least t0"),
-        ("window", tun_raw["window"] >= tun_raw["cycle_period"],
-         "must cover at least one cycle"),
-    )
-    for name, ok, why in field_checks:
-        if not ok:
-            raise ConfigError(f"tunneling.{name}: {why}")
-    if not tun_raw["window"] // tun_raw["cycle_period"] <= MAX_CYCLES:
-        raise ConfigError(f"tunneling.window: must hold at most {MAX_CYCLES} "
-                          "cycles of cycle_period")
-    tunneling = TunnelingParams(**tun_raw)
-    mechanics, _ = build("mechanics", MechanicsParams,
-                         ("gradient", "spacing", "coulomb_shift"))
-
-    seed = raw.get("seed", _SCHEMA["seed"])
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError("seed: expected a non-negative integer")
-    output_dir = raw.get("output_dir", _SCHEMA["output_dir"])
-    if not isinstance(output_dir, str):
-        raise ConfigError("output_dir: expected a string")
-    if pulse.duration > tunneling.cycle_period:
-        raise ConfigError("pulse.duration: exceeds tunneling.cycle_period")
-    return SimulationConfig(system=system, aniso=aniso, rates=rates,
-                            pulse=pulse, tunneling=tunneling,
-                            mechanics=mechanics, seed=seed,
-                            output_dir=output_dir)
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_config(path: str | Path | None) -> SimulationConfig:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericFailure
+from .errors import NumericFailure, require
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -43,8 +43,8 @@ class DecoherenceRates:
     gammap: float = 0.04   # dephasing, default 1/gammap = 25 ns
 
     def __post_init__(self):
-        if self.gamma0 < 0 or self.gammap < 0:
-            raise ValueError("decoherence rates must be non-negative")
+        require(self.gamma0 >= 0, "gamma0", "must be non-negative")
+        require(self.gammap >= 0, "gammap", "must be non-negative")
 
     @property
     def coherence_rate(self) -> float:
@@ -57,26 +57,28 @@ class PulseSpec:
     """A rectangular ESR pulse in the repetition train.
 
     omega0 is the Rabi amplitude (MHz), frequency the carrier as an ordinary
-    frequency (MHz). The calibrated pi-time is 500/omega0 ns.
+    frequency (MHz). The calibrated pi-time is 500/omega0 ns. omega0 = None
+    calibrates the amplitude so that a full-length resonant pulse is a pi
+    pulse. The pulse repeats every `TunnelingParams.cycle_period`.
     """
 
-    omega0: float
-    frequency: float | None
+    omega0: float | None = None
+    frequency: float | None = None
     duration: float = 140.0   # ns
-    period: float = 150.0     # ns
 
     def __post_init__(self):
-        if self.omega0 < 0:
-            raise ValueError("omega0 must be non-negative")
-        if not 0 < self.duration <= self.period:
-            raise ValueError("duration must lie in (0, period]")
+        require(self.duration > 0, "duration", "must be positive")
+        if self.omega0 is None:
+            object.__setattr__(self, "omega0", 500.0 / self.duration)
+        require(self.omega0 >= 0, "omega0", "must be non-negative")
+        require(self.frequency is None or math.isfinite(self.frequency),
+                "frequency", "must be finite")
 
     @classmethod
-    def calibrated(cls, frequency: float | None, duration: float = 140.0,
-                   period: float = 150.0) -> "PulseSpec":
-        """Amplitude chosen so a full-length resonant pulse is a pi pulse."""
-        return cls(omega0=500.0 / duration, frequency=frequency,
-                   duration=duration, period=period)
+    def calibrated(cls, frequency: float | None, **kwargs) -> "PulseSpec":
+        """Amplitude chosen so a full-length resonant pulse is a pi pulse;
+        kwargs are the other fields but omega0."""
+        return cls(omega0=None, frequency=frequency, **kwargs)
 
     @property
     def pi_time(self) -> float:
@@ -92,12 +94,6 @@ class TimeSeries:
     P1: np.ndarray
     P2: np.ndarray
     P3: np.ndarray
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t_ns,P1,P2,P3\n")
-            for t, a, b, c in zip(self.times, self.P1, self.P2, self.P3):
-                fh.write(f"{t:.12g},{a:.12g},{b:.12g},{c:.12g}\n")
 
 
 def validate_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> None:
@@ -206,7 +202,7 @@ def evolve_numeric(rho0: np.ndarray, rates: DecoherenceRates,
     if remainder > 1e-12:
         rho = _rk4_step(rho, rates, hamiltonian, remainder)
     drift = abs(np.trace(rho).real - trace0)
-    if drift > 1e-6:
+    if not drift <= 1e-6:
         raise NumericFailure(f"trace drifted by {drift:.3e} during integration")
     return rho
 

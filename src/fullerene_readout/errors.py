@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field check."""
 
 
 class ConfigError(ValueError):
@@ -7,3 +7,13 @@ class ConfigError(ValueError):
 
 class NumericFailure(RuntimeError):
     """An integrator diagnostic tripped (e.g. trace drift)."""
+
+
+def require(ok: bool, field: str, why: str) -> None:
+    """Raise ValueError("<field>: <why>") unless `ok`.
+
+    Write `ok` as the condition that must hold (`x >= 0`, not `not x < 0`),
+    so that a NaN fails it.
+    """
+    if not ok:
+        raise ValueError(f"{field}: {why}")

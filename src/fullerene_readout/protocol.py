@@ -36,6 +36,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .dynamics import DecoherenceRates, PulseSpec, flip_probability
+from .errors import require
+from .records import write_records
 from .spin_core import SystemParams, TransitionTable
 
 _ENCODING_M1 = {"outer": 1.5, "inner": 0.5}
@@ -48,6 +50,11 @@ _BLOCK = 8192
 # Largest number of cycles a window may hold (15 s of readout at the default
 # 150 ns period); a larger window is refused, not run.
 MAX_CYCLES = 10**8
+
+# Largest number of electrons one sweep may draw over all its cells and
+# trials: about 15-20 minutes at ~10^7 electrons/s. A larger sweep is
+# refused before anything is sampled.
+MAX_SWEEP_ELECTRONS = 10**10
 
 
 @dataclass(frozen=True)
@@ -62,19 +69,20 @@ class TunnelingParams:
     window: float = 1e7          # total readout duration (default 10 ms)
 
     def __post_init__(self):
-        if not self.t0 > 0:
-            raise ValueError("t0 must be positive")
-        if not 0 <= self.alpha < 1:
-            raise ValueError("alpha must lie in [0, 1)")
-        for name in ("p_leak_source", "p_leak_drain"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must lie in [0, 1)")
-        if self.t0 > self.cycle_period:
-            raise ValueError("t0 cannot exceed cycle_period")
-        if self.window < self.cycle_period:
-            raise ValueError("window must cover at least one cycle")
-        if not self.window // self.cycle_period <= MAX_CYCLES:
-            raise ValueError(f"window must hold at most {MAX_CYCLES} cycles")
+        require(self.t0 > 0, "t0", "must be positive")
+        for name in ("alpha", "p_leak_source", "p_leak_drain"):
+            require(0 <= getattr(self, name) < 1, name, "must lie in [0, 1)")
+        require(self.cycle_period >= self.t0, "cycle_period",
+                "must be at least t0")
+        require(self.window >= self.cycle_period, "window",
+                "must cover at least one cycle")
+        require(self.window // self.cycle_period <= MAX_CYCLES, "window",
+                f"must hold at most {MAX_CYCLES} cycles of cycle_period")
+
+    @property
+    def n_cycles(self) -> int:
+        """Electrons in one window: floor(window / cycle_period)."""
+        return int(self.window // self.cycle_period)
 
 
 @dataclass(frozen=True)
@@ -198,7 +206,7 @@ def run_window(inside: InsideSpinState, pulse: PulseSpec, sys: SystemParams,
         raise ValueError("pulse carrier frequency is unset")
     if pulse.duration > params.cycle_period:
         raise ValueError("pulse does not fit in the cycle period")
-    n_cycles = int(params.window // params.cycle_period)
+    n_cycles = params.n_cycles
     rng = np.random.Generator(np.random.PCG64(seed))
     detuning_down = pulse.frequency - outside_flip_frequency(sys, inside.m1)
     detuning_up = pulse.frequency - leak_resonance_frequency(sys)
@@ -261,18 +269,23 @@ def fidelity_sweep(encoding: str, sys: SystemParams, rates: DecoherenceRates,
                    alphas: list[float], leaks: list[float], trials: int,
                    seed: int,
                    tunneling: TunnelingParams | None = None,
-                   pulse_duration: float = 140.0) -> list[SweepCell]:
+                   pulse_duration: float = PulseSpec.duration
+                   ) -> list[SweepCell]:
     """Misclassification rates over an (alpha, leak) grid.
 
     Each cell runs `trials` independent windows per true state; leak sets
-    both filters. Fully deterministic given the base seed.
+    both filters. Fully deterministic given the base seed. A sweep of more
+    than MAX_SWEEP_ELECTRONS electrons is refused before any is drawn.
     """
-    if not alphas or not leaks:
-        raise ValueError("alpha and leak grids must be non-empty")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    require(len(alphas) > 0, "sweep.alphas", "must be non-empty")
+    require(len(leaks) > 0, "sweep.leaks", "must be non-empty")
+    require(trials >= 1, "sweep.trials", "must be >= 1")
     base = tunneling if tunneling is not None else TunnelingParams()
     states = sweep_states(encoding)
+    electrons = len(alphas) * len(leaks) * len(states) * trials * base.n_cycles
+    require(electrons <= MAX_SWEEP_ELECTRONS, "sweep.trials",
+            "cells x trials x cycles per window must be at most "
+            f"{MAX_SWEEP_ELECTRONS:.0e} electrons")
     cells: list[SweepCell] = []
     for a in alphas:
         for leak in leaks:
@@ -280,8 +293,7 @@ def fidelity_sweep(encoding: str, sys: SystemParams, rates: DecoherenceRates,
                              p_leak_drain=leak)
             for state in states:
                 freq = outside_flip_frequency(sys, state.positive.m1)
-                pulse = PulseSpec.calibrated(freq, duration=pulse_duration,
-                                             period=params.cycle_period)
+                pulse = PulseSpec.calibrated(freq, duration=pulse_duration)
                 bad = 0
                 for trial in range(trials):
                     s = derive_seed(seed, a, leak, state.m1, state.encoding,
@@ -300,10 +312,7 @@ def write_events_csv(trace: CurrentTrace, path) -> None:
     ev = trace.events
     if ev is None:
         raise ValueError("trace was recorded without event logging")
-    with open(path, "w") as fh:
-        fh.write("cycle,dwell_ns,spin_in,flip_prob,passed\n")
-        rows = zip(ev.dwell.tolist(), ev.spin_up.tolist(),
-                   ev.flip_prob.tolist(), ev.passed.tolist())
-        for i, (dwell, up, flip, passed) in enumerate(rows):
-            fh.write(f"{i},{dwell:.12g},{'up' if up else 'down'},"
-                     f"{flip:.12g},{int(passed)}\n")
+    write_records(path, {
+        "cycle": range(ev.dwell.size), "dwell_ns": ev.dwell,
+        "spin_in": np.where(ev.spin_up, "up", "down"),
+        "flip_prob": ev.flip_prob, "passed": ev.passed.astype(np.uint8)})

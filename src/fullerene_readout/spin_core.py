@@ -27,6 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import require
+
 M1_VALUES = (1.5, 0.5, -0.5, -1.5)
 M2_VALUES = (0.5, -0.5)
 
@@ -46,26 +48,22 @@ class PhysicalConstants:
 
     def __post_init__(self):
         for name in ("g", "muB_over_h", "muB", "k_spring"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+            require(getattr(self, name) > 0, name, "must be strictly positive")
 
 
 @dataclass(frozen=True)
 class SystemParams:
     """Static-problem parameters: Zeeman half-frequencies and coupling, MHz."""
 
-    nu1: float
-    nu2: float
-    J: float
+    nu1: float = 10000.0
+    nu2: float = 10063.5
+    J: float = 50.0
     constants: PhysicalConstants = field(default_factory=PhysicalConstants)
 
     def __post_init__(self):
-        if not self.nu1 > 0:
-            raise ValueError("nu1 must be positive")
-        if not self.nu2 > 0:
-            raise ValueError("nu2 must be positive")
-        if not math.isfinite(self.J):
-            raise ValueError("J must be finite")
+        require(self.nu1 > 0, "nu1", "must be positive")
+        require(self.nu2 > 0, "nu2", "must be positive")
+        require(math.isfinite(self.J), "J", "must be finite")
 
     @property
     def delta(self) -> float:
@@ -85,8 +83,8 @@ class AnisotropyParams:
     D4: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.D2) and math.isfinite(self.D4)):
-            raise ValueError("anisotropy coefficients must be finite")
+        require(math.isfinite(self.D2), "D2", "must be finite")
+        require(math.isfinite(self.D4), "D4", "must be finite")
 
     def __bool__(self) -> bool:
         return self.D2 != 0.0 or self.D4 != 0.0
@@ -104,12 +102,9 @@ class MechanicsParams:
     coulomb_shift: float = 4e-12  # reference displacement, m
 
     def __post_init__(self):
-        if self.gradient < 0:
-            raise ValueError("gradient must be non-negative")
-        if not self.spacing > 0:
-            raise ValueError("spacing must be positive")
-        if not self.coulomb_shift > 0:
-            raise ValueError("coulomb_shift must be positive")
+        require(self.gradient >= 0, "gradient", "must be non-negative")
+        require(self.spacing > 0, "spacing", "must be positive")
+        require(self.coulomb_shift > 0, "coulomb_shift", "must be positive")
 
 
 @dataclass(frozen=True)

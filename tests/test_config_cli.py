@@ -1,13 +1,24 @@
 import json
+import math
+import re
 import subprocess
 import sys
 import time
+from dataclasses import MISSING, fields
+from pathlib import Path
 
 import pytest
 
 from fullerene_readout.cli import main
 from fullerene_readout.config import config_from_dict, parse_config
+from fullerene_readout.dynamics import DecoherenceRates, PulseSpec
 from fullerene_readout.errors import ConfigError
+from fullerene_readout.protocol import TunnelingParams
+from fullerene_readout.spin_core import (AnisotropyParams, MechanicsParams,
+                                         PhysicalConstants, SystemParams)
+
+PARAMS = (SystemParams, AnisotropyParams, PhysicalConstants, DecoherenceRates,
+          PulseSpec, TunnelingParams, MechanicsParams)
 
 
 class TestConfig:
@@ -27,6 +38,8 @@ class TestConfig:
             config_from_dict({"sistem": {}})
         with pytest.raises(ConfigError, match="tunneling.t_zero"):
             config_from_dict({"tunneling": {"t_zero": 100.0}})
+        with pytest.raises(ConfigError, match="pulse.period: unknown key"):
+            config_from_dict({"pulse": {"period": 150.0}})
 
     def test_validation_names_field(self):
         with pytest.raises(ConfigError, match="tunneling.alpha"):
@@ -41,6 +54,8 @@ class TestConfig:
     def test_non_numeric_rejected(self):
         with pytest.raises(ConfigError, match="system.J"):
             config_from_dict({"system": {"J": "fifty"}})
+        with pytest.raises(ConfigError, match="tunneling.alpha"):
+            config_from_dict({"tunneling": {"alpha": None}})
 
     def test_missing_file_is_io_error(self):
         with pytest.raises(OSError):
@@ -61,7 +76,24 @@ class TestConfig:
 
     def test_pulse_must_fit_cycle(self):
         with pytest.raises(ConfigError, match="pulse.duration"):
-            config_from_dict({"pulse": {"duration": 300.0, "period": 300.0}})
+            config_from_dict({"pulse": {"duration": 300.0}})
+
+    def test_readme_config_block_is_the_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = json.loads(
+            re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+        assert config_from_dict(block) == config_from_dict({})
+        defaults = config_from_dict({}).to_dict()
+        defaults["pulse"]["omega0"] = None   # null: calibrated from duration
+        assert block == defaults
+
+
+@pytest.mark.parametrize("cls,name", [
+    (cls, f.name) for cls in PARAMS for f in fields(cls)
+    if f.default is not MISSING], ids=lambda v: getattr(v, "__name__", v))
+def test_nan_field_rejected(cls, name):
+    with pytest.raises(ValueError, match=f"^{name}: "):
+        cls(**{name: math.nan})
 
 
 def run_cli(*args):
@@ -251,6 +283,18 @@ class TestExitCodes:
                        str(tmp_path / "o")) == 1
         assert time.perf_counter() - start < 0.5
         assert "tunneling.window" in capsys.readouterr().err
+
+    def test_sweep_beyond_work_cap_rejected(self, tmp_path, capsys,
+                                            monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("run_window reached")
+
+        monkeypatch.setattr("fullerene_readout.protocol.run_window", never)
+        start = time.perf_counter()
+        assert run_cli("sweep", "--trials", "1000000000", "--out",
+                       str(tmp_path)) == 1
+        assert time.perf_counter() - start < 0.5
+        assert "sweep.trials" in capsys.readouterr().err
 
 
 class TestOutputDirSelection:

@@ -152,8 +152,7 @@ class TestElectronCycle:
             run_window(OUTER_UP, PulseSpec.calibrated(None), SYS,
                        TunnelingParams(), RATES, 0)
         with pytest.raises(ValueError, match="cycle period"):
-            run_window(OUTER_UP, replace(outer_pulse(), duration=200.0,
-                                         period=300.0), SYS,
+            run_window(OUTER_UP, replace(outer_pulse(), duration=200.0), SYS,
                        TunnelingParams(), RATES, 0)
 
 
