@@ -23,9 +23,10 @@ import numpy as np
 from . import __version__
 from .config import SimulationConfig, parse_config
 from .dynamics import evolve_numeric, fig2_timeseries, imperfect_flip_state
-from .errors import ConfigError, NumericFailure
-from .protocol import (InsideSpinState, classify, fidelity_sweep,
-                       resonance_frequency, run_window, write_events_csv)
+from .errors import ConfigError, NumericFailure, as_option, require
+from .protocol import (MAX_EVENT_CYCLES, InsideSpinState, classify,
+                       fidelity_sweep, resonance_frequency, run_window,
+                       write_events_csv)
 from .records import write_records
 from .spin_core import (check_weak_coupling, eigenenergies, transition_table,
                         vibration_shift, zeeman_separation)
@@ -73,9 +74,11 @@ class Manifest:
                         for p in self.outputs],
         }
         doc.update(self.extra)
-        with open(self.out_dir / "manifest.json", "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        try:
+            text = json.dumps(doc, indent=2, allow_nan=False)
+        except ValueError as exc:
+            raise NumericFailure(f"manifest.json: {exc}") from exc
+        (self.out_dir / "manifest.json").write_text(text + "\n")
 
 
 def _print_weak_coupling(config: SimulationConfig) -> None:
@@ -105,10 +108,12 @@ def cmd_table(config: SimulationConfig, manifest: Manifest) -> None:
 
 def cmd_fig2(config: SimulationConfig, manifest: Manifest,
              alphas: list[float], dt_numeric: float = 0.1) -> None:
+    require(len(alphas) > 0, "fig2.alphas", "must be non-empty")
+    with as_option("fig2.alphas"):
+        starts = [imperfect_flip_state(alpha, "+") for alpha in alphas]
     overall = 0.0
-    for alpha in alphas:
+    for alpha, rho in zip(alphas, starts):
         series = fig2_timeseries(alpha, config.rates, t_end=1000.0, dt=1.0)
-        rho = imperfect_flip_state(alpha, "+")
         num = np.empty((len(series.times), 3))
         num[0] = [rho[0, 0].real, abs(rho[0, 1]), rho[1, 1].real]
         for i in range(1, len(series.times)):
@@ -129,6 +134,10 @@ def cmd_fig2(config: SimulationConfig, manifest: Manifest,
 
 def cmd_readout(config: SimulationConfig, manifest: Manifest,
                 true_state: float, encoding: str, events: bool) -> None:
+    if events:
+        require(config.tunneling.n_cycles <= MAX_EVENT_CYCLES,
+                "tunneling.window", f"must hold at most {MAX_EVENT_CYCLES:.0e}"
+                " cycles of cycle_period with --events")
     inside = InsideSpinState(true_state, encoding)
     table = transition_table(config.system, config.aniso)
     freq = resonance_frequency(inside, table)
@@ -159,8 +168,7 @@ def cmd_sweep(config: SimulationConfig, manifest: Manifest,
               encoding: str) -> None:
     cells = fidelity_sweep(encoding, config.system, config.rates, alphas,
                            leaks, trials, config.seed,
-                           tunneling=config.tunneling,
-                           pulse_duration=config.pulse.duration)
+                           tunneling=config.tunneling, pulse=config.pulse)
     rows = {"alpha": [c.alpha for c in cells],
             "p_leak": [c.p_leak for c in cells],
             "encoding": [c.true_state.encoding for c in cells],

@@ -116,7 +116,7 @@ def config_from_dict(raw: dict) -> SimulationConfig:
                      constants=build("constants", PhysicalConstants)),
         aniso=build("system", AnisotropyParams),
         rates=build("rates", DecoherenceRates),
-        pulse=build("pulse", PulseSpec),
+        pulse=build("pulse", PulseSpec, frequency=None),
         tunneling=build("tunneling", TunnelingParams),
         mechanics=build("mechanics", MechanicsParams))
     top = {k: v for k, v in raw.items() if k not in _SECTIONS}

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericFailure, require
+from .spin_core import MAX_MHZ
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -56,21 +57,22 @@ class DecoherenceRates:
 class PulseSpec:
     """A rectangular ESR pulse in the repetition train.
 
-    omega0 is the Rabi amplitude (MHz), frequency the carrier as an ordinary
-    frequency (MHz). The calibrated pi-time is 500/omega0 ns. omega0 = None
-    calibrates the amplitude so that a full-length resonant pulse is a pi
-    pulse. The pulse repeats every `TunnelingParams.cycle_period`.
+    frequency is the carrier (MHz), set per interrogated state: it has no
+    default and is no config key. omega0 is the Rabi amplitude (MHz), pi-time
+    500/omega0 ns; None calibrates it so that a full-length resonant pulse is
+    a pi pulse. The pulse repeats every `TunnelingParams.cycle_period`.
     """
 
+    frequency: float | None
     omega0: float | None = None
-    frequency: float | None = None
     duration: float = 140.0   # ns
 
     def __post_init__(self):
         require(self.duration > 0, "duration", "must be positive")
         if self.omega0 is None:
             object.__setattr__(self, "omega0", 500.0 / self.duration)
-        require(self.omega0 >= 0, "omega0", "must be non-negative")
+        require(0 <= self.omega0 <= MAX_MHZ, "omega0",
+                f"must lie in [0, {MAX_MHZ:g}] MHz (null: 500 / duration)")
         require(self.frequency is None or math.isfinite(self.frequency),
                 "frequency", "must be finite")
 
@@ -113,8 +115,7 @@ def imperfect_flip_state(alpha: float, branch: str = "+") -> np.ndarray:
 
     -i cos(alpha*pi/2)|up>  -/+  sin(alpha*pi/2)|down>, branch '+' -> minus.
     """
-    if not 0 <= alpha < 1:
-        raise ValueError("alpha must lie in [0, 1)")
+    require(0 <= alpha < 1, "alpha", "must lie in [0, 1)")
     if branch not in ("+", "-"):
         raise ValueError("branch must be '+' or '-'")
     sign = -1.0 if branch == "+" else 1.0

@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the field check."""
 
+from contextlib import contextmanager
+
 
 class ConfigError(ValueError):
     """A configuration document violated the schema or an invariant."""
@@ -17,3 +19,13 @@ def require(ok: bool, field: str, why: str) -> None:
     """
     if not ok:
         raise ValueError(f"{field}: {why}")
+
+
+@contextmanager
+def as_option(option: str):
+    """Re-raise a field check that fails in the block, "<field>: <why>", as
+    "<option>: <why>", naming the option that supplied the value."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{option}: {str(exc).partition(': ')[2]}") from exc

@@ -36,9 +36,10 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .dynamics import DecoherenceRates, PulseSpec, flip_probability
-from .errors import require
+from .errors import NumericFailure, as_option, require
 from .records import write_records
-from .spin_core import SystemParams, TransitionTable
+from .spin_core import (SystemParams, TransitionTable, outside_flip_frequency,
+                        transition_table)
 
 _ENCODING_M1 = {"outer": 1.5, "inner": 0.5}
 
@@ -50,6 +51,10 @@ _BLOCK = 8192
 # Largest number of cycles a window may hold (15 s of readout at the default
 # 150 ns period); a larger window is refused, not run.
 MAX_CYCLES = 10**8
+
+# Largest window `sim readout --events` may log: the event columns take
+# ~50 B per electron in memory, so ~0.5 GB at this cap.
+MAX_EVENT_CYCLES = 10**7
 
 # Largest number of electrons one sweep may draw over all its cells and
 # trials: about 15-20 minutes at ~10^7 electrons/s. A larger sweep is
@@ -154,11 +159,6 @@ class SweepCell:
         return self.misclassified / self.trials
 
 
-def outside_flip_frequency(sys: SystemParams, m1: float) -> float:
-    """Outside-spin flip frequency conditioned on inside level m1, MHz."""
-    return 2.0 * sys.nu2 + sys.J * m1
-
-
 def leak_resonance_frequency(sys: SystemParams) -> float:
     """Resonance relevant to a leaked spin-up electron, 2 nu1 + J/2 (MHz).
 
@@ -221,6 +221,9 @@ def run_window(inside: InsideSpinState, pulse: PulseSpec, sys: SystemParams,
         # is pi * dwell / t0.
         flip = flip_probability(pulse.omega0, detuning,
                                 dwell * pulse.duration / params.t0)
+        if not np.isfinite(flip).all():
+            raise NumericFailure("pulse phase overflows: the pulse lasts "
+                                 "too long for its Rabi frequency")
         p_up = np.where(spin_up, 1.0 - flip, flip)
         p_up *= np.exp(-rates.gamma0 * np.maximum(dwell - pulse.duration, 0.0))
         passed = rng.random(n) < (1.0 - p_up) + params.p_leak_drain * p_up
@@ -267,38 +270,45 @@ def sweep_states(encoding: str) -> list[InsideSpinState]:
 
 def fidelity_sweep(encoding: str, sys: SystemParams, rates: DecoherenceRates,
                    alphas: list[float], leaks: list[float], trials: int,
-                   seed: int,
-                   tunneling: TunnelingParams | None = None,
-                   pulse_duration: float = PulseSpec.duration
-                   ) -> list[SweepCell]:
+                   seed: int, tunneling: TunnelingParams = TunnelingParams(),
+                   pulse: PulseSpec = PulseSpec(None)) -> list[SweepCell]:
     """Misclassification rates over an (alpha, leak) grid.
 
-    Each cell runs `trials` independent windows per true state; leak sets
-    both filters. Fully deterministic given the base seed. A sweep of more
-    than MAX_SWEEP_ELECTRONS electrons is refused before any is drawn.
+    Each cell runs `trials` independent windows per true state, each with
+    `pulse` at the state's `resonance_frequency` as `sim readout` does; leak
+    sets both filters. Fully deterministic given the base seed. Every grid
+    value is checked, and a sweep of more than MAX_SWEEP_ELECTRONS electrons
+    refused, before the grid is built or any electron drawn.
     """
     require(len(alphas) > 0, "sweep.alphas", "must be non-empty")
     require(len(leaks) > 0, "sweep.leaks", "must be non-empty")
     require(trials >= 1, "sweep.trials", "must be >= 1")
-    base = tunneling if tunneling is not None else TunnelingParams()
+    with as_option("sweep.alphas"):
+        for a in alphas:
+            replace(tunneling, alpha=a)
+    with as_option("sweep.leaks"):
+        for leak in leaks:
+            replace(tunneling, p_leak_source=leak, p_leak_drain=leak)
     states = sweep_states(encoding)
-    electrons = len(alphas) * len(leaks) * len(states) * trials * base.n_cycles
+    electrons = (len(alphas) * len(leaks) * len(states) * trials
+                 * tunneling.n_cycles)
     require(electrons <= MAX_SWEEP_ELECTRONS, "sweep.trials",
             "cells x trials x cycles per window must be at most "
             f"{MAX_SWEEP_ELECTRONS:.0e} electrons")
+    table = transition_table(sys)
+    pulses = [replace(pulse, frequency=resonance_frequency(state, table))
+              for state in states]
     cells: list[SweepCell] = []
     for a in alphas:
         for leak in leaks:
-            params = replace(base, alpha=a, p_leak_source=leak,
+            params = replace(tunneling, alpha=a, p_leak_source=leak,
                              p_leak_drain=leak)
-            for state in states:
-                freq = outside_flip_frequency(sys, state.positive.m1)
-                pulse = PulseSpec.calibrated(freq, duration=pulse_duration)
+            for state, tuned in zip(states, pulses):
                 bad = 0
                 for trial in range(trials):
                     s = derive_seed(seed, a, leak, state.m1, state.encoding,
                                     trial)
-                    trace = run_window(state, pulse, sys, params, rates, s)
+                    trace = run_window(state, tuned, sys, params, rates, s)
                     result = classify(trace, params, state.encoding)
                     if result.classified.m1 != state.m1:
                         bad += 1

@@ -32,6 +32,11 @@ from .errors import require
 M1_VALUES = (1.5, 0.5, -0.5, -1.5)
 M2_VALUES = (0.5, -0.5)
 
+# Largest magnitude of a Zeeman, coupling or anisotropy frequency, MHz: far
+# above any ESR line, and small enough that every level energy, line and
+# detuning derived from the parameters is finite.
+MAX_MHZ = 1e9
+
 
 class WeakCouplingWarning(UserWarning):
     """Raised when the secular approximation behind the model is strained."""
@@ -51,6 +56,11 @@ class PhysicalConstants:
             require(getattr(self, name) > 0, name, "must be strictly positive")
 
 
+def _require_mhz(params, name: str) -> None:
+    require(abs(getattr(params, name)) <= MAX_MHZ, name,
+            f"must lie in [-{MAX_MHZ:g}, {MAX_MHZ:g}] MHz")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Static-problem parameters: Zeeman half-frequencies and coupling, MHz."""
@@ -61,9 +71,10 @@ class SystemParams:
     constants: PhysicalConstants = field(default_factory=PhysicalConstants)
 
     def __post_init__(self):
-        require(self.nu1 > 0, "nu1", "must be positive")
-        require(self.nu2 > 0, "nu2", "must be positive")
-        require(math.isfinite(self.J), "J", "must be finite")
+        for name in ("nu1", "nu2"):
+            require(0 < getattr(self, name) <= MAX_MHZ, name,
+                    f"must lie in (0, {MAX_MHZ:g}] MHz")
+        _require_mhz(self, "J")
 
     @property
     def delta(self) -> float:
@@ -83,8 +94,8 @@ class AnisotropyParams:
     D4: float = 0.0
 
     def __post_init__(self):
-        require(math.isfinite(self.D2), "D2", "must be finite")
-        require(math.isfinite(self.D4), "D4", "must be finite")
+        _require_mhz(self, "D2")
+        _require_mhz(self, "D4")
 
     def __bool__(self) -> bool:
         return self.D2 != 0.0 or self.D4 != 0.0
@@ -228,6 +239,11 @@ def _signed_term(coeff: float, symbol: str) -> str:
     return f" {sign} {mag}"
 
 
+def outside_flip_frequency(params: SystemParams, m1: float) -> float:
+    """Outside-spin flip line for inside level m1, 2 nu2 + J m1 (MHz)."""
+    return 2.0 * params.nu2 + params.J * m1
+
+
 def transition_table(params: SystemParams,
                      aniso: AnisotropyParams = ANISO_OFF) -> TransitionTable:
     """The ten allowed lines, ordered as: outside flips for m1 = 3/2 ... -3/2,
@@ -239,7 +255,7 @@ def transition_table(params: SystemParams,
     """
     rows: list[Transition] = []
     for m1 in M1_VALUES:
-        freq = 2.0 * params.nu2 + params.J * m1
+        freq = outside_flip_frequency(params, m1)
         formula = "2*nu1 + 2*delta" + _signed_term(m1, "J")
         rows.append(Transition((m1, 0.5), (m1, -0.5), "outside-flip",
                                freq, formula))

@@ -13,7 +13,7 @@ from fullerene_readout.cli import main
 from fullerene_readout.config import config_from_dict, parse_config
 from fullerene_readout.dynamics import DecoherenceRates, PulseSpec
 from fullerene_readout.errors import ConfigError
-from fullerene_readout.protocol import TunnelingParams
+from fullerene_readout.protocol import MAX_EVENT_CYCLES, TunnelingParams
 from fullerene_readout.spin_core import (AnisotropyParams, MechanicsParams,
                                          PhysicalConstants, SystemParams)
 
@@ -40,12 +40,21 @@ class TestConfig:
             config_from_dict({"tunneling": {"t_zero": 100.0}})
         with pytest.raises(ConfigError, match="pulse.period: unknown key"):
             config_from_dict({"pulse": {"period": 150.0}})
+        with pytest.raises(ConfigError, match="pulse.frequency: unknown key"):
+            config_from_dict({"pulse": {"frequency": 12345.0}})
 
     def test_validation_names_field(self):
         with pytest.raises(ConfigError, match="tunneling.alpha"):
             config_from_dict({"tunneling": {"alpha": 1.5}})
         with pytest.raises(ConfigError, match="system"):
             config_from_dict({"system": {"nu1": -5.0}})
+        # values whose levels or pi-time would overflow to inf
+        with pytest.raises(ConfigError, match="^system.nu1: "):
+            config_from_dict({"system": {"nu1": 1e308, "nu2": 1e308}})
+        with pytest.raises(ConfigError, match="^pulse.omega0: "):
+            config_from_dict({"pulse": {"omega0": 1e308}})
+        with pytest.raises(ConfigError, match="^pulse.omega0: "):
+            config_from_dict({"pulse": {"duration": 5e-324}})
 
     def test_negative_delta_accepted(self):
         cfg = config_from_dict({"system": {"nu1": 10063.5, "nu2": 10000.0}})
@@ -88,16 +97,29 @@ class TestConfig:
         assert block == defaults
 
 
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    exec(example, {})
+    assert "classified=InsideSpinState(m1=1.5" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("cls,name", [
     (cls, f.name) for cls in PARAMS for f in fields(cls)
-    if f.default is not MISSING], ids=lambda v: getattr(v, "__name__", v))
+    if f.default_factory is MISSING], ids=lambda v: getattr(v, "__name__", v))
 def test_nan_field_rejected(cls, name):
+    required = {f.name: 1.0 for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING}
     with pytest.raises(ValueError, match=f"^{name}: "):
-        cls(**{name: math.nan})
+        cls(**{**required, name: math.nan})
 
 
 def run_cli(*args):
     return main(list(args))
+
+
+def never(*args, **kwargs):
+    raise AssertionError("run_window reached")
 
 
 SMALL = {"tunneling": {"window": 3e5, "alpha": 0.1}}
@@ -166,6 +188,14 @@ class TestFig2Command:
         devs = [float(ln.split(",")[-1]) for ln in lines[1:]]
         assert max(devs) < 1e-8
 
+    @pytest.mark.parametrize("alphas,why", [
+        (",", "must be non-empty"), ("0.1,1.5", r"must lie in \[0, 1\)")])
+    def test_bad_grid_rejected(self, alphas, why, tmp_path, capsys):
+        assert run_cli("fig2", "--alphas", alphas, "--out",
+                       str(tmp_path)) == 1
+        assert re.search(f"fig2.alphas: {why}", capsys.readouterr().err)
+        assert not list(tmp_path.iterdir())
+
     def test_alpha_02_initial_population(self, tmp_path):
         assert run_cli("fig2", "--alphas", "0.2", "--out", str(tmp_path)) == 0
         lines = (tmp_path / "fig2_alpha_0.2.csv").read_text().splitlines()
@@ -208,6 +238,36 @@ class TestReadoutCommand:
 
 
 class TestSweepCommand:
+    def test_sweep_uses_configured_pulse(self, tmp_path, capsys):
+        # omega0 = 0 is no pulse at all: nothing is ever blocked, so every
+        # state reads as negative, in the sweep as in a single readout
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pulse": {"omega0": 0},
+                                   "tunneling": {"window": 3e5}}))
+        assert run_cli("readout", "--true-state=+3/2", "--config", str(cfg),
+                       "--out", str(tmp_path / "r")) == 0
+        assert "classified m1 = -1.5" in capsys.readouterr().out
+        out = tmp_path / "s"
+        assert run_cli("sweep", "--alphas", "0", "--leaks", "0", "--trials",
+                       "1", "--config", str(cfg), "--out", str(out)) == 0
+        rows = [json.loads(line)
+                for line in (out / "sweep.jsonl").read_text().splitlines()]
+        assert len(rows) == 4
+        for row in rows:
+            assert row["rate"] == (1.0 if row["true_m1"] > 0 else 0.0)
+
+    @pytest.mark.parametrize("option,grid", [
+        ("alphas", "0,0.1,1.5"), ("leaks", "1"), ("leaks", "0,nan")])
+    def test_grid_checked_before_sampling(self, option, grid, tmp_path,
+                                          capsys, monkeypatch):
+        monkeypatch.setattr("fullerene_readout.protocol.run_window", never)
+        start = time.perf_counter()
+        assert run_cli("sweep", f"--{option}", grid, "--out",
+                       str(tmp_path)) == 1
+        assert time.perf_counter() - start < 0.5
+        assert (f"sweep.{option}: must lie in [0, 1)"
+                in capsys.readouterr().err)
+
     def test_grid_shape_and_zero_misclassification(self, small_cfg,
                                                    tmp_path):
         out = tmp_path / "o"
@@ -230,6 +290,14 @@ class TestMechanicsCommand:
         assert "2.122e-18" in out
         assert "5.306e-07" in out
         assert "127.8" in out and ">=127 MHz satisfied" in out
+
+    def test_overflow_is_numeric_failure(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"constants": {"muB_over_h": 1e308},
+                                   "mechanics": {"spacing": 1.0}}))
+        assert run_cli("mechanics", "--config", str(cfg), "--out",
+                       str(tmp_path)) == 3
+        assert "manifest.json" in capsys.readouterr().err
 
     def test_zero_gradient(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -272,9 +340,6 @@ class TestExitCodes:
 
     def test_window_beyond_cycle_cap_rejected(self, tmp_path, capsys,
                                               monkeypatch):
-        def never(*args, **kwargs):
-            raise AssertionError("run_window reached")
-
         monkeypatch.setattr("fullerene_readout.cli.run_window", never)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"tunneling": {"window": 1e300}}))
@@ -284,11 +349,31 @@ class TestExitCodes:
         assert time.perf_counter() - start < 0.5
         assert "tunneling.window" in capsys.readouterr().err
 
+    def test_events_window_capped(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("fullerene_readout.cli.run_window", never)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"tunneling": {"window": 150.0 * (MAX_EVENT_CYCLES + 1)}}))
+        start = time.perf_counter()
+        assert run_cli("readout", "--events", "--config", str(cfg), "--out",
+                       str(tmp_path / "o")) == 1
+        assert time.perf_counter() - start < 0.5
+        assert "tunneling.window" in capsys.readouterr().err
+
+    def test_overflowing_pulse_is_numeric_failure(self, tmp_path, capsys):
+        # dwell * duration overflows: the flip probability would be NaN and
+        # every electron silently blocked
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "tunneling": {"t0": 1e300, "cycle_period": 1e300,
+                          "window": 1e300},
+            "pulse": {"duration": 1e300}}))
+        assert run_cli("readout", "--true-state=-3/2", "--config", str(cfg),
+                       "--out", str(tmp_path / "o")) == 3
+        assert "pulse phase overflows" in capsys.readouterr().err
+
     def test_sweep_beyond_work_cap_rejected(self, tmp_path, capsys,
                                             monkeypatch):
-        def never(*args, **kwargs):
-            raise AssertionError("run_window reached")
-
         monkeypatch.setattr("fullerene_readout.protocol.run_window", never)
         start = time.perf_counter()
         assert run_cli("sweep", "--trials", "1000000000", "--out",

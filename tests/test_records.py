@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
+import pytest
 
 from fullerene_readout import records
+from fullerene_readout.errors import NumericFailure
 from fullerene_readout.records import write_records
 
 
@@ -27,3 +31,12 @@ def test_jsonl_rows(tmp_path):
     write_records(path, {"x": [0.1 + 0.2, 1.5], "n": [3, 4]})
     assert path.read_text() == ('{"x": 0.30000000000000004, "n": 3}\n'
                                 '{"x": 1.5, "n": 4}\n')
+
+
+@pytest.mark.parametrize("name", ["r.csv", "r.jsonl"])
+@pytest.mark.parametrize("column", [[1.0, math.inf], np.array([math.nan])])
+def test_non_finite_float_column_refused(tmp_path, name, column):
+    path = tmp_path / name
+    with pytest.raises(NumericFailure, match=f"{name}: x is not finite"):
+        write_records(path, {"i": range(len(column)), "x": column})
+    assert not path.exists()

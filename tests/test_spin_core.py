@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fullerene_readout.spin_core import (AnisotropyParams,
+from fullerene_readout import protocol
+from fullerene_readout.spin_core import (MAX_MHZ, AnisotropyParams,
                                          MechanicsParams, PhysicalConstants,
                                          SystemParams, WeakCouplingWarning,
                                          build_hamiltonian,
                                          check_weak_coupling,
                                          dipolar_coupling_at, eigenenergies,
-                                         level_energy, spin_ladder_operators,
+                                         level_energy, outside_flip_frequency,
+                                         spin_ladder_operators,
                                          spin_z_operator, transition_table,
                                          vibration_shift, zeeman_separation)
 
@@ -115,6 +117,12 @@ class TestTransitionTable:
         assert len(t.rows) == 10
         assert len(t.outside_rows()) == 4
         assert len(t.inside_rows()) == 6
+
+    def test_outside_rows_are_the_flip_line(self):
+        p = SystemParams(nu1=9000.0, nu2=9100.25, J=-30.0)
+        for row in transition_table(p).outside_rows():
+            assert row.frequency == outside_flip_frequency(p, row.initial[0])
+        assert protocol.outside_flip_frequency is outside_flip_frequency
 
     def test_reference_frequencies(self):
         t = transition_table(STD)
@@ -235,6 +243,18 @@ class TestValidation:
     def test_aniso_finite(self):
         with pytest.raises(ValueError):
             AnisotropyParams(D2=math.nan)
+
+    @pytest.mark.parametrize("cls,name", [
+        (SystemParams, "nu1"), (SystemParams, "nu2"), (SystemParams, "J"),
+        (AnisotropyParams, "D2"), (AnisotropyParams, "D4")])
+    def test_frequencies_bounded(self, cls, name):
+        # 1e308 MHz would make the level energies and lines overflow to inf
+        cls(**{name: MAX_MHZ})
+        with pytest.raises(ValueError, match=f"^{name}: must lie in"):
+            cls(**{name: 1e308})
+        if name in ("J", "D2", "D4"):
+            with pytest.raises(ValueError, match=f"^{name}: "):
+                cls(**{name: -1e308})
 
     def test_delta_definition(self):
         assert STD.delta == 63.5
