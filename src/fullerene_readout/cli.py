@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -81,12 +82,6 @@ class Manifest:
         (self.out_dir / "manifest.json").write_text(text + "\n")
 
 
-def _print_weak_coupling(config: SimulationConfig) -> None:
-    check = check_weak_coupling(config.system)
-    status = "ok" if check.ok else "VIOLATED"
-    print(f"weak-coupling |J|/|nu2-nu1| = {check.ratio:.4g} ({status})")
-
-
 def cmd_table(config: SimulationConfig, manifest: Manifest) -> None:
     rows = transition_table(config.system, config.aniso).rows
     levels = eigenenergies(config.system, config.aniso)
@@ -101,7 +96,9 @@ def cmd_table(config: SimulationConfig, manifest: Manifest) -> None:
     manifest.add_records("levels.csv", {
         "m1": [lv.m1 for lv in levels], "m2": [lv.m2 for lv in levels],
         "energy_mhz": [lv.energy for lv in levels]})
-    _print_weak_coupling(config)
+    check = check_weak_coupling(config.system)
+    print(f"weak-coupling |J|/|nu2-nu1| = {check.ratio:.4g} "
+          f"({'ok' if check.ok else 'VIOLATED'})")
     print(f"wrote transitions.csv ({len(rows)} rows), "
           f"levels.csv ({len(levels)} levels)")
 
@@ -113,7 +110,7 @@ def cmd_fig2(config: SimulationConfig, manifest: Manifest,
         starts = [imperfect_flip_state(alpha, "+") for alpha in alphas]
     overall = 0.0
     for alpha, rho in zip(alphas, starts):
-        series = fig2_timeseries(alpha, config.rates, t_end=1000.0, dt=1.0)
+        series = fig2_timeseries(alpha, config.rates)
         num = np.empty((len(series.times), 3))
         num[0] = [rho[0, 0].real, abs(rho[0, 1]), rho[1, 1].real]
         for i in range(1, len(series.times)):
@@ -133,20 +130,18 @@ def cmd_fig2(config: SimulationConfig, manifest: Manifest,
 
 
 def cmd_readout(config: SimulationConfig, manifest: Manifest,
-                true_state: float, encoding: str, events: bool) -> None:
+                inside: InsideSpinState, events: bool) -> None:
     if events:
         require(config.tunneling.n_cycles <= MAX_EVENT_CYCLES,
                 "tunneling.window", f"must hold at most {MAX_EVENT_CYCLES:.0e}"
                 " cycles of cycle_period with --events")
-    inside = InsideSpinState(true_state, encoding)
-    table = transition_table(config.system, config.aniso)
-    freq = resonance_frequency(inside, table)
+    freq = resonance_frequency(inside, config.system)
     pulse = dataclasses.replace(config.pulse, frequency=freq)
     trace = run_window(inside, pulse, config.system, config.tunneling,
                        config.rates, config.seed, collect_events=events)
-    result = classify(trace, config.tunneling, encoding)
+    result = classify(trace, config.tunneling, inside.encoding)
     manifest.extra["interrogation_mhz"] = freq
-    row = {"true_m1": [inside.m1], "encoding": [encoding],
+    row = {"true_m1": [inside.m1], "encoding": [inside.encoding],
            "interrogation_mhz": [freq], "n_cycles": [trace.n_cycles],
            "counts_on": [result.counts_on], "baseline": [result.baseline],
            "threshold": [result.threshold],
@@ -158,7 +153,7 @@ def cmd_readout(config: SimulationConfig, manifest: Manifest,
         epath = manifest.out_dir / "events.csv"
         write_events_csv(trace, epath)
         manifest.add(epath)
-    print(f"classified m1 = {result.classified.m1:+g} ({encoding}), "
+    print(f"classified m1 = {result.classified.m1:+g} ({inside.encoding}), "
           f"counts {result.counts_on}/{trace.n_cycles}, "
           f"contrast {result.contrast:.6f}")
 
@@ -185,8 +180,13 @@ def cmd_sweep(config: SimulationConfig, manifest: Manifest,
 
 
 def cmd_mechanics(config: SimulationConfig, manifest: Manifest) -> None:
-    shift = vibration_shift(config.system.constants, config.mechanics)
-    sep = zeeman_separation(config.system.constants, config.mechanics)
+    shift = vibration_shift(config.constants, config.mechanics)
+    sep = zeeman_separation(config.constants, config.mechanics)
+    report = {"vibration_shift_m": shift.shift, "shift_ratio": shift.ratio,
+              "zeeman_separation_mhz": sep}
+    for name, value in report.items():
+        if not math.isfinite(value):
+            raise NumericFailure(f"manifest.json: {name} is {value}")
     ok = sep >= 127.0
     print(f"vibration shift dz = {shift.shift:.4g} m "
           f"({shift.shift * 1e12:.4g} pm)")
@@ -195,9 +195,7 @@ def cmd_mechanics(config: SimulationConfig, manifest: Manifest) -> None:
     print(f"ratio dz / reference = {shift.ratio:.4g}")
     print(f"Zeeman separation = {sep:.4g} MHz "
           f"({'>=127 MHz satisfied' if ok else 'below 127 MHz'})")
-    manifest.extra.update({
-        "vibration_shift_m": shift.shift, "shift_ratio": shift.ratio,
-        "zeeman_separation_mhz": sep, "separation_ok": ok})
+    manifest.extra.update(report, separation_ok=ok)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--true-state", default="+3/2",
                    choices=sorted(_STATE_NAMES))
-    p.add_argument("--encoding", default=None, choices=["outer", "inner"])
     p.add_argument("--events", action="store_true",
                    help="write per-electron event log")
     p = sub.add_parser("sweep", help="misclassification-rate grid")
@@ -256,8 +253,8 @@ def run(argv: list[str]) -> None:
         cmd_fig2(config, manifest, _parse_grid(args.alphas))
     elif args.command == "readout":
         m1 = _STATE_NAMES[args.true_state]
-        encoding = args.encoding or ("outer" if abs(m1) == 1.5 else "inner")
-        cmd_readout(config, manifest, m1, encoding, args.events)
+        inside = InsideSpinState(m1, "outer" if abs(m1) == 1.5 else "inner")
+        cmd_readout(config, manifest, inside, args.events)
     elif args.command == "sweep":
         cmd_sweep(config, manifest, _parse_grid(args.alphas),
                   _parse_grid(args.leaks), args.trials, args.encoding)

@@ -33,8 +33,7 @@ _SECTIONS = {
 
 
 def _defaults(cls) -> dict:
-    """The fields of `cls` with a plain default: its config keys. A nested
-    dataclass (SystemParams.constants) is a section of its own."""
+    """The fields of `cls` that have a default: its config keys."""
     return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
 
 
@@ -42,6 +41,7 @@ def _defaults(cls) -> dict:
 class SimulationConfig:
     system: SystemParams
     aniso: AnisotropyParams
+    constants: PhysicalConstants
     rates: DecoherenceRates
     pulse: PulseSpec
     tunneling: TunnelingParams
@@ -60,7 +60,7 @@ class SimulationConfig:
     def to_dict(self) -> dict:
         """The resolved config, in the layout of a config document."""
         objects = {type(o): o for o in (
-            self.system, self.aniso, self.system.constants, self.rates,
+            self.system, self.aniso, self.constants, self.rates,
             self.pulse, self.tunneling, self.mechanics)}
         doc = {name: {key: getattr(objects[cls], key)
                       for cls in classes for key in _defaults(cls)}
@@ -112,9 +112,9 @@ def config_from_dict(raw: dict) -> SimulationConfig:
             raise ConfigError(f"{name}.{exc}") from exc
 
     params = dict(
-        system=build("system", SystemParams,
-                     constants=build("constants", PhysicalConstants)),
+        system=build("system", SystemParams),
         aniso=build("system", AnisotropyParams),
+        constants=build("constants", PhysicalConstants),
         rates=build("rates", DecoherenceRates),
         pulse=build("pulse", PulseSpec, frequency=None),
         tunneling=build("tunneling", TunnelingParams),

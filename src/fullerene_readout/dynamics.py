@@ -156,20 +156,22 @@ def lindblad_rhs(rho: np.ndarray, rates: DecoherenceRates,
 
 
 def analytic_free_evolution(rho0: np.ndarray, rates: DecoherenceRates,
-                            t: float) -> np.ndarray:
+                            t: float | np.ndarray) -> np.ndarray:
     """Closed-form solution of the field-free master equation (dim 2).
 
     rho_uu(t) = rho_uu(0) e^{-gamma0 t}, rho_dd = 1 - rho_uu,
     rho_ud(t) = rho_ud(0) e^{-(gamma0/2 + 4 gammap) t}.
+    t may be an array of times; the result then has shape t.shape + (2, 2).
     """
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if (t < 0).any():
         raise ValueError("t must be non-negative")
     if rho0.shape != (2, 2):
         raise ValueError("analytic solution is for the reduced 2x2 state")
-    p_up = rho0[0, 0].real * math.exp(-rates.gamma0 * t)
-    coh = rho0[0, 1] * math.exp(-rates.coherence_rate * t)
-    return np.array([[p_up, coh], [coh.conjugate(), 1.0 - p_up]],
-                    dtype=complex)
+    p_up = rho0[0, 0].real * np.exp(-rates.gamma0 * t)
+    coh = rho0[0, 1] * np.exp(-rates.coherence_rate * t)
+    return np.stack([np.stack([p_up, coh], -1),
+                     np.stack([coh.conjugate(), 1.0 - p_up], -1)], -2)
 
 
 def _rk4_step(rho: np.ndarray, rates: DecoherenceRates,
@@ -248,8 +250,8 @@ def flip_probability(omega0, detuning, effective_duration):
 def fig2_timeseries(alpha: float, rates: DecoherenceRates,
                     t_end: float = 1000.0, dt: float = 1.0) -> TimeSeries:
     """Free decay of the imperfect-flip state on a uniform grid."""
-    rho0 = imperfect_flip_state(alpha, "+")
     times = np.arange(0.0, t_end + 0.5 * dt, dt)
-    p1 = rho0[0, 0].real * np.exp(-rates.gamma0 * times)
-    p2 = abs(rho0[0, 1]) * np.exp(-rates.coherence_rate * times)
-    return TimeSeries(times=times, P1=p1, P2=p2, P3=1.0 - p1)
+    rho = analytic_free_evolution(imperfect_flip_state(alpha, "+"), rates,
+                                  times)
+    return TimeSeries(times=times, P1=rho[:, 0, 0].real,
+                      P2=np.abs(rho[:, 0, 1]), P3=rho[:, 1, 1].real)

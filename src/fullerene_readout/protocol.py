@@ -38,8 +38,7 @@ import numpy as np
 from .dynamics import DecoherenceRates, PulseSpec, flip_probability
 from .errors import NumericFailure, as_option, require
 from .records import write_records
-from .spin_core import (SystemParams, TransitionTable, outside_flip_frequency,
-                        transition_table)
+from .spin_core import SystemParams, outside_flip_frequency
 
 _ENCODING_M1 = {"outer": 1.5, "inner": 0.5}
 
@@ -98,11 +97,11 @@ class InsideSpinState:
     encoding: str   # "outer" (|±3/2>) or "inner" (|±1/2>)
 
     def __post_init__(self):
-        if self.encoding not in _ENCODING_M1:
-            raise ValueError("encoding must be 'outer' or 'inner'")
-        if abs(self.m1) != _ENCODING_M1[self.encoding]:
-            raise ValueError(
-                f"m1={self.m1} inconsistent with encoding '{self.encoding}'")
+        require(self.encoding in _ENCODING_M1, "encoding",
+                "must be 'outer' or 'inner'")
+        require(abs(self.m1) == _ENCODING_M1[self.encoding], "m1",
+                f"must be +/-{_ENCODING_M1[self.encoding]:g} for encoding "
+                f"'{self.encoding}'")
 
     @property
     def positive(self) -> "InsideSpinState":
@@ -168,15 +167,10 @@ def leak_resonance_frequency(sys: SystemParams) -> float:
     return 2.0 * sys.nu1 + 0.5 * sys.J
 
 
-def resonance_frequency(inside: InsideSpinState,
-                        table: TransitionTable) -> float:
-    """Interrogation frequency: the outside-flip row for the positive-m1
-    level of the encoding, regardless of the true state."""
-    m1_ref = _ENCODING_M1[inside.encoding]
-    for row in table.outside_rows():
-        if row.initial[0] == m1_ref:
-            return row.frequency
-    raise ValueError("transition table lacks the interrogation row")
+def resonance_frequency(inside: InsideSpinState, sys: SystemParams) -> float:
+    """Interrogation frequency: the outside-flip line of the encoding's
+    positive-m1 level, regardless of the true state."""
+    return outside_flip_frequency(sys, _ENCODING_M1[inside.encoding])
 
 
 def _draw_dwell(params: TunnelingParams, rng: np.random.Generator,
@@ -218,9 +212,10 @@ def run_window(inside: InsideSpinState, pulse: PulseSpec, sys: SystemParams,
         dwell = _draw_dwell(params, rng, n)
         detuning = np.where(spin_up, detuning_up, detuning_down)
         # Departure mid-pulse truncates the rotation: on resonance the angle
-        # is pi * dwell / t0.
-        flip = flip_probability(pulse.omega0, detuning,
-                                dwell * pulse.duration / params.t0)
+        # is pi * dwell / t0. An overflowing phase is reported just below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            flip = flip_probability(pulse.omega0, detuning,
+                                    dwell * pulse.duration / params.t0)
         if not np.isfinite(flip).all():
             raise NumericFailure("pulse phase overflows: the pulse lasts "
                                  "too long for its Rabi frequency")
@@ -295,8 +290,7 @@ def fidelity_sweep(encoding: str, sys: SystemParams, rates: DecoherenceRates,
     require(electrons <= MAX_SWEEP_ELECTRONS, "sweep.trials",
             "cells x trials x cycles per window must be at most "
             f"{MAX_SWEEP_ELECTRONS:.0e} electrons")
-    table = transition_table(sys)
-    pulses = [replace(pulse, frequency=resonance_frequency(state, table))
+    pulses = [replace(pulse, frequency=resonance_frequency(state, sys))
               for state in states]
     cells: list[SweepCell] = []
     for a in alphas:

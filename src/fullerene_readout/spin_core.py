@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -68,7 +68,6 @@ class SystemParams:
     nu1: float = 10000.0
     nu2: float = 10063.5
     J: float = 50.0
-    constants: PhysicalConstants = field(default_factory=PhysicalConstants)
 
     def __post_init__(self):
         for name in ("nu1", "nu2"):
@@ -187,7 +186,7 @@ def check_weak_coupling(params: SystemParams) -> WeakCouplingCheck:
     """|J| / |nu2 - nu1|; the secular model needs ratio < 1."""
     if params.J == 0:
         return WeakCouplingCheck(0.0, True)
-    denom = abs(params.nu2 - params.nu1)
+    denom = abs(params.delta)
     if denom == 0:
         return WeakCouplingCheck(math.inf, False)
     ratio = abs(params.J) / denom

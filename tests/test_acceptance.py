@@ -159,12 +159,11 @@ def test_criterion_06_integrator_oracle():
 
 def truth_table(p_leak, alpha=0.1, window=1e6, seeds=range(20)):
     """Run every true state x encoding x seed; return per-case results."""
-    table = transition_table(STD)
     params = TunnelingParams(alpha=alpha, p_leak_source=p_leak,
                              p_leak_drain=p_leak, window=window)
     cases = []
     for state in sweep_states("both"):
-        freq = resonance_frequency(state, table)
+        freq = resonance_frequency(state, STD)
         pulse = PulseSpec.calibrated(freq)
         for seed in seeds:
             trace = run_window(state, pulse, STD, params, RATES, seed)

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -236,6 +237,21 @@ class TestReadoutCommand:
         doc = json.loads((out / "manifest.json").read_text())
         assert doc["interrogation_mhz"] == pytest.approx(20152.0)
 
+    def test_interrogation_reads_no_transition_table(self, small_cfg,
+                                                     tmp_path, monkeypatch):
+        # the interrogation line is the flip-line formula, not a table row
+        def no_table(*args, **kwargs):
+            raise AssertionError("transition_table reached")
+
+        for module in ("spin_core", "protocol", "cli"):
+            monkeypatch.setattr(f"fullerene_readout.{module}.transition_table",
+                                no_table, raising=False)
+        assert run_cli("readout", "--config", small_cfg, "--true-state=+1/2",
+                       "--out", str(tmp_path / "r")) == 0
+        assert run_cli("sweep", "--config", small_cfg, "--alphas", "0.1",
+                       "--leaks", "0", "--trials", "1", "--out",
+                       str(tmp_path / "s")) == 0
+
 
 class TestSweepCommand:
     def test_sweep_uses_configured_pulse(self, tmp_path, capsys):
@@ -297,7 +313,9 @@ class TestMechanicsCommand:
                                    "mechanics": {"spacing": 1.0}}))
         assert run_cli("mechanics", "--config", str(cfg), "--out",
                        str(tmp_path)) == 3
-        assert "manifest.json" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert "manifest.json" in err
+        assert out == ""
 
     def test_zero_gradient(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -368,9 +386,12 @@ class TestExitCodes:
             "tunneling": {"t0": 1e300, "cycle_period": 1e300,
                           "window": 1e300},
             "pulse": {"duration": 1e300}}))
-        assert run_cli("readout", "--true-state=-3/2", "--config", str(cfg),
-                       "--out", str(tmp_path / "o")) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("readout", "--true-state=-3/2", "--config",
+                           str(cfg), "--out", str(tmp_path / "o")) == 3
         assert "pulse phase overflows" in capsys.readouterr().err
+        assert caught == []
 
     def test_sweep_beyond_work_cap_rejected(self, tmp_path, capsys,
                                             monkeypatch):

@@ -78,8 +78,6 @@ def command_lines(draw):
         argv += ["--true-state=" + draw(st.sampled_from(
             ["+3/2", "-3/2", "+1/2", "-1/2"]))]
         argv += draw(st.sampled_from([[], ["--events"]]))
-        argv += draw(st.sampled_from(
-            [[], ["--encoding", "outer"], ["--encoding", "inner"]]))
     elif command == "sweep":
         argv += ["--alphas", draw(GRIDS), "--leaks", draw(GRIDS),
                  "--trials", str(draw(st.integers(-1, 2))),

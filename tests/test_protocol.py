@@ -14,11 +14,10 @@ from fullerene_readout.protocol import (CurrentTrace, InsideSpinState,
                                         outside_flip_frequency,
                                         resonance_frequency, run_window,
                                         sweep_states, write_events_csv)
-from fullerene_readout.spin_core import SystemParams, transition_table
+from fullerene_readout.spin_core import SystemParams
 
 SYS = SystemParams(nu1=10000.0, nu2=10063.5, J=50.0)
 RATES = DecoherenceRates()
-TABLE = transition_table(SYS)
 OUTER_UP = InsideSpinState(1.5, "outer")
 OUTER_DOWN = InsideSpinState(-1.5, "outer")
 INNER_UP = InsideSpinState(0.5, "inner")
@@ -26,7 +25,7 @@ MS_WINDOW = TunnelingParams(window=1e6)  # 6666 cycles
 
 
 def outer_pulse():
-    return PulseSpec.calibrated(resonance_frequency(OUTER_UP, TABLE))
+    return PulseSpec.calibrated(resonance_frequency(OUTER_UP, SYS))
 
 
 def window_events(params, n, seed, state=OUTER_UP, rates=RATES):
@@ -80,33 +79,35 @@ class TestSourceEmit:
 
 class TestFrequencies:
     def test_interrogation_rows(self):
-        assert resonance_frequency(OUTER_UP, TABLE) == pytest.approx(20202.0)
-        assert resonance_frequency(INNER_UP, TABLE) == pytest.approx(20152.0)
+        assert resonance_frequency(OUTER_UP, SYS) == pytest.approx(20202.0)
+        assert resonance_frequency(INNER_UP, SYS) == pytest.approx(20152.0)
 
     def test_negative_state_interrogates_positive_row(self):
-        assert resonance_frequency(OUTER_DOWN, TABLE) == pytest.approx(
+        assert resonance_frequency(OUTER_DOWN, SYS) == pytest.approx(
             20202.0)
 
     def test_uncoupled_frequencies_coincide(self):
         p = SystemParams(nu1=10000.0, nu2=10063.5, J=0.0)
-        t = transition_table(p)
-        assert resonance_frequency(OUTER_UP, t) == resonance_frequency(
-            InsideSpinState(0.5, "inner"), t)
+        assert resonance_frequency(OUTER_UP, p) == resonance_frequency(
+            InsideSpinState(0.5, "inner"), p)
 
     def test_leak_resonance_is_far_detuned(self):
         for state in (OUTER_UP, INNER_UP):
-            detuning = (resonance_frequency(state, TABLE)
+            detuning = (resonance_frequency(state, SYS)
                         - leak_resonance_frequency(SYS))
             assert detuning >= 2 * SYS.delta - 1e-9
 
 
 class TestInsideSpinState:
     def test_encoding_consistency(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^m1: must be \+/-0.5 for "
+                           "encoding 'inner'$"):
             InsideSpinState(1.5, "inner")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^m1: must be \+/-1.5 for "
+                           "encoding 'outer'$"):
             InsideSpinState(0.5, "outer")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="^encoding: must be 'outer' or 'inner'$"):
             InsideSpinState(1.5, "sideways")
 
 
