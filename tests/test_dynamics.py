@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fullerene_readout.dynamics import (DecoherenceRates, PulseSpec,
-                                        analytic_free_evolution,
+from fullerene_readout.dynamics import (SIGMA_X, DecoherenceRates,
+                                        PulseSpec, analytic_free_evolution,
                                         evolve_numeric, fig2_timeseries,
                                         flip_probability,
                                         imperfect_flip_state, lindblad_rhs,
@@ -20,6 +20,20 @@ def random_density_2x2(rng):
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     rho = a @ a.conj().T
     return rho / np.trace(rho)
+
+
+def random_hermitian(rng, dim):
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return a + a.conj().T
+
+
+def explicit_rk4_step(rho, rates, h, dt):
+    """The classical four-stage RK4 step, written out from lindblad_rhs."""
+    k1 = lindblad_rhs(rho, rates, h)
+    k2 = lindblad_rhs(rho + 0.5 * dt * k1, rates, h)
+    k3 = lindblad_rhs(rho + 0.5 * dt * k2, rates, h)
+    k4 = lindblad_rhs(rho + dt * k3, rates, h)
+    return rho + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 class TestImperfectFlip:
@@ -171,6 +185,53 @@ class TestNumericEvolution:
         down = np.diag([0.0, 1.0]).astype(complex)
         out = evolve_numeric(down, DecoherenceRates(0.0, 0.0), h, 140.0, 0.01)
         assert out[0, 0].real == pytest.approx(1.0, abs=1e-8)
+
+
+class TestTransferMap:
+    """evolve_numeric applies RK4 as a cached matrix; check it against the
+    four-stage step itself."""
+
+    @pytest.mark.parametrize("dim, driven", [(2, False), (2, True),
+                                             (8, False), (8, True)])
+    def test_one_step_is_explicit_rk4(self, dim, driven):
+        rng = np.random.default_rng(dim + 10 * driven)
+        a = random_hermitian(rng, dim)
+        rho = a @ a / np.trace(a @ a)
+        h = 10.0 * random_hermitian(rng, dim) if driven else None
+        out = evolve_numeric(rho, RATES, h, 0.1, 0.1)
+        ref = explicit_rk4_step(rho, RATES, h, 0.1)
+        assert np.max(np.abs(out - ref)) <= 1e-14
+
+    def test_cache_keys_on_hamiltonian_content(self):
+        rho = imperfect_flip_state(0.3)
+        h = 5.0 * SIGMA_X
+        first = evolve_numeric(rho, RATES, h, 0.1, 0.1)
+        h *= 3.0   # same object, new content
+        second = evolve_numeric(rho, RATES, h, 0.1, 0.1)
+        assert np.max(np.abs(first - second)) > 1e-6
+        assert np.max(np.abs(
+            second - explicit_rk4_step(rho, RATES, h, 0.1))) <= 1e-14
+        undriven = evolve_numeric(rho, RATES, None, 0.1, 0.1)
+        assert np.max(np.abs(undriven - first)) > 1e-6
+
+    def test_cache_keys_on_rates(self):
+        rho = imperfect_flip_state(0.3)
+        slow, fast = DecoherenceRates(1e-4, 0.01), DecoherenceRates(1e-3, 0.1)
+        a = evolve_numeric(rho, slow, None, 0.1, 0.1)
+        b = evolve_numeric(rho, fast, None, 0.1, 0.1)
+        assert np.max(np.abs(a - b)) > 1e-4
+        assert np.max(np.abs(
+            b - explicit_rk4_step(rho, fast, None, 0.1))) <= 1e-14
+
+    def test_ten_million_steps_match_closed_form(self):
+        # slow rates, so that the state at t = 1e6 ns is far from |down>
+        rates = DecoherenceRates(1e-6, 2.5e-7)
+        rho0 = imperfect_flip_state(0.3)
+        out = evolve_numeric(rho0, rates, None, 1e6, 0.1)
+        ana = analytic_free_evolution(rho0, rates, 1e6)
+        assert ana[0, 0].real == pytest.approx(math.exp(-1.0) *
+                                               rho0[0, 0].real)
+        assert np.max(np.abs(out - ana)) <= 1e-8
 
 
 class TestRabiPulse:

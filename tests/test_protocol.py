@@ -4,9 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fullerene_readout.dynamics import (DecoherenceRates, PulseSpec,
-                                        analytic_free_evolution,
-                                        flip_probability, rabi_pulse)
+from fullerene_readout.dynamics import (SIGMA_X, DecoherenceRates,
+                                        PulseSpec, analytic_free_evolution,
+                                        evolve_numeric, flip_probability,
+                                        rabi_pulse)
 from fullerene_readout.protocol import (CurrentTrace, InsideSpinState,
                                         TunnelingParams, classify,
                                         fidelity_sweep,
@@ -324,6 +325,30 @@ class TestClassify:
         trace = CurrentTrace(n_cycles=0, n_passed=0, events=None, seed=0)
         with pytest.raises(ValueError):
             classify(trace, TunnelingParams(), "outer")
+
+    def test_unknown_encoding_names_field(self):
+        trace = CurrentTrace(n_cycles=1000, n_passed=0, events=None, seed=0)
+        with pytest.raises(ValueError, match=r"^encoding: "):
+            classify(trace, TunnelingParams(), "sideways")
+
+
+class TestIdealPulseAssumption:
+    """run_window's pulse is the unitary flip_probability. The master
+    equation with the drive on shows what that leaves out: at the default
+    rates a calibrated resonant pi pulse is overdamped."""
+
+    @pytest.mark.parametrize("gammap, rho_uu", [(0.04, 0.1699),
+                                                (0.004, 0.6328),
+                                                (0.0004, 0.9273)])
+    def test_damped_pi_pulse_transfer(self, gammap, rho_uu):
+        pulse = PulseSpec.calibrated(None)
+        down = np.diag([0.0, 1.0]).astype(complex)
+        out = evolve_numeric(down, DecoherenceRates(4e-4, gammap),
+                             0.5 * pulse.omega0 * SIGMA_X, pulse.duration,
+                             0.05)
+        assert out[0, 0].real == pytest.approx(rho_uu, abs=1e-3)
+        assert flip_probability(pulse.omega0, 0.0, pulse.duration) == (
+            pytest.approx(1.0))
 
 
 class TestFidelitySweep:
