@@ -198,6 +198,16 @@ def _rk4_map(rates: DecoherenceRates, dim: int, dt: float,
     return step
 
 
+@functools.lru_cache(maxsize=16)
+def _rk4_power(rates: DecoherenceRates, dim: int, dt: float,
+               h_key: tuple | None, n: int) -> np.ndarray:
+    """n RK4 steps of dt as one matrix, `_rk4_map(...)^n`, cached: a fig2
+    run evolves its 4,000 samples over the same n steps."""
+    power = np.linalg.matrix_power(_rk4_map(rates, dim, dt, h_key), n)
+    power.setflags(write=False)
+    return power
+
+
 def evolve_numeric(rho0: np.ndarray, rates: DecoherenceRates,
                    hamiltonian: np.ndarray | None, t: float,
                    dt: float) -> np.ndarray:
@@ -205,9 +215,9 @@ def evolve_numeric(rho0: np.ndarray, rates: DecoherenceRates,
 
     floor(t / dt) steps of dt, then one step of the remainder when it
     exceeds 1e-12 ns. Each step is applied as a cached transfer matrix
-    (`_rk4_map`), and the full steps as one matrix power. Re-Hermitizes the
-    result once, at the end. Raises NumericFailure if the trace drifts by
-    more than 1e-6.
+    (`_rk4_map`), and the full steps as one cached matrix power
+    (`_rk4_power`). Re-Hermitizes the result once, at the end. Raises
+    NumericFailure if the trace drifts by more than 1e-6.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -222,8 +232,7 @@ def evolve_numeric(rho0: np.ndarray, rates: DecoherenceRates,
     trace0 = np.trace(rho).real
     n_full = int(t // dt)
     remainder = t - n_full * dt
-    vec = np.linalg.matrix_power(_rk4_map(rates, dim, dt, h_key),
-                                 n_full) @ rho.ravel()
+    vec = _rk4_power(rates, dim, dt, h_key, n_full) @ rho.ravel()
     if remainder > 1e-12:
         vec = _rk4_map(rates, dim, remainder, h_key) @ vec
     rho = vec.reshape(rho.shape)

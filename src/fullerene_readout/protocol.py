@@ -265,6 +265,8 @@ def derive_seed(base: int, *parts) -> int:
 
 
 def sweep_states(encoding: str) -> list[InsideSpinState]:
+    require(encoding == "both" or encoding in _ENCODING_M1, "encoding",
+            "must be 'outer', 'inner' or 'both'")
     if encoding == "both":
         return [InsideSpinState(m, e)
                 for e, mref in _ENCODING_M1.items() for m in (mref, -mref)]

@@ -223,6 +223,30 @@ class TestTransferMap:
         assert np.max(np.abs(
             b - explicit_rk4_step(rho, fast, None, 0.1))) <= 1e-14
 
+    @pytest.mark.parametrize("rates", [RATES, DecoherenceRates(1e-3, 0.1)])
+    @pytest.mark.parametrize("driven", [False, True])
+    def test_power_cache_keys_on_step_count(self, rates, driven):
+        rho = imperfect_flip_state(0.3)
+        h = 5.0 * SIGMA_X if driven else None
+        for steps in (3, 5, 3, 1):
+            ref = rho
+            for _ in range(steps):
+                ref = explicit_rk4_step(ref, rates, h, 0.125)
+            out = evolve_numeric(rho, rates, h, steps * 0.125, 0.125)
+            assert np.max(np.abs(out - ref)) <= 1e-14
+
+    def test_power_cache_keys_on_hamiltonian_content(self):
+        rho = imperfect_flip_state(0.3)
+        h = 5.0 * SIGMA_X
+        first = evolve_numeric(rho, RATES, h, 0.5, 0.125)
+        h *= 3.0   # same object, new content
+        second = evolve_numeric(rho, RATES, h, 0.5, 0.125)
+        ref = rho
+        for _ in range(4):
+            ref = explicit_rk4_step(ref, RATES, h, 0.125)
+        assert np.max(np.abs(first - second)) > 1e-6
+        assert np.max(np.abs(second - ref)) <= 1e-14
+
     def test_ten_million_steps_match_closed_form(self):
         # slow rates, so that the state at t = 1e6 ns is far from |down>
         rates = DecoherenceRates(1e-6, 2.5e-7)

@@ -387,6 +387,12 @@ class TestFidelitySweep:
         with pytest.raises(ValueError):
             fidelity_sweep("both", SYS, RATES, [0.0], [0.0], 0, 0)
 
+    def test_unknown_encoding_names_the_field(self):
+        with pytest.raises(ValueError, match="^encoding: "):
+            sweep_states("sideways")
+        with pytest.raises(ValueError, match="^encoding: "):
+            fidelity_sweep("sideways", SYS, RATES, [0.0], [0.0], 1, 0)
+
 
 class TestTunnelingParams:
     def test_invariants(self):

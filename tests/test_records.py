@@ -1,11 +1,106 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fullerene_readout import records
 from fullerene_readout.errors import NumericFailure
 from fullerene_readout.records import write_records
+
+
+def template_csv(path, columns):
+    """The row-template writer the block encoder replaced, kept as its
+    oracle: one `%.12g`/`%s` line template filled per row."""
+    def spec(column):
+        if isinstance(column, np.ndarray):
+            floats = column.dtype.kind == "f"
+        else:
+            floats = all(isinstance(v, float) for v in column)
+        return "%.12g" if floats else "%s"
+
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        line = ",".join(spec(c) for c in columns.values()) + "\n"
+        block = [c.tolist() if isinstance(c, np.ndarray) else c
+                 for c in columns.values()]
+        fh.writelines(map(line.__mod__, zip(*block)))
+
+
+def assert_same_bytes(columns):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp, "got.csv"), Path(tmp, "want.csv")
+        write_records(got, columns)
+        template_csv(want, columns)
+        assert got.read_bytes() == want.read_bytes()
+
+
+# Where `%.12g` changes shape, rounds to a tie, or leaves the exact powers.
+EDGES = [0.0, -0.0, 5e-324, 1e-5, 9.99999999999e-5, 1e-4, 1e11,
+         999999999999.5, 1e12, 1e16, 1e22, 1e23, 1e308, -1e-300]
+# Values a hair off a decimal tie, where x * 10^(11 - X) rounds onto .5.
+NEAR_TIES = [54.37207168585, 70902041.66475, 1.438819396545e-07,
+             728660.7912865]
+# Around powers of ten (log10 may round across them), and the ends of the
+# exact-power range: X = -11 and 33 are encoded, -12 and 34 are not.
+BOUNDS = [float(np.nextafter(10.0**k, d)) for k in (-5, 0, 15, 33)
+          for d in (0, np.inf)] + [1e-11, 9.99999999999e-12, 1e33,
+                                   9.9999999999995e33, 1e34]
+
+
+def test_float_edges_match_template():
+    values = EDGES + NEAR_TIES + BOUNDS
+    values = np.array(values + [-v for v in values])
+    assert_same_bytes({"x": values, "y": values.tolist()})
+    text = [("%.12g" % v) for v in values.tolist()]
+    assert text[:3] == ["0", "-0", "4.94065645841e-324"]
+    assert text[6:10] == ["100000000000", "1e+12", "1e+12", "1e+16"]
+
+
+def test_integer_edges_match_template():
+    signed = np.array([-2**63, -1000, -999, -1, 0, 1, 999, 1000, 2**63 - 1])
+    unsigned = np.array([0, 2**64 - 1] * 4 + [1], np.uint64)
+    assert_same_bytes({"k": signed, "u": unsigned, "r": range(-4, 5)})
+
+
+@st.composite
+def column_sets(draw):
+    n = draw(st.integers(0, 12))
+    finite = st.floats(allow_nan=False, allow_infinity=False,
+                       allow_subnormal=True)
+    ascii_text = st.text(st.characters(min_codepoint=1, max_codepoint=127),
+                         max_size=5)
+    any_text = st.text(st.characters(exclude_categories=("Cs",),
+                                     exclude_characters="\0"), max_size=5)
+    start = draw(st.integers(-2**63, 2**63 - 1 - n))
+    return {
+        "i": range(start, start + n),
+        "x": draw(arrays(np.float64, n, elements=finite)),
+        "y": draw(st.lists(finite, min_size=n, max_size=n)),
+        "k": draw(arrays(np.int64, n,
+                         elements=st.integers(-2**63, 2**63 - 1))),
+        "seed": draw(st.lists(st.integers(2**63, 2**64 - 1), min_size=n,
+                              max_size=n)),
+        "a": np.array(draw(st.lists(ascii_text, min_size=n, max_size=n)),
+                      dtype=str),
+        "u": np.array(draw(st.lists(any_text, min_size=n, max_size=n)),
+                      dtype=str),
+        "w": draw(st.lists(any_text, min_size=n, max_size=n)),
+        "b": draw(arrays(np.bool_, n)),
+        "p": draw(arrays(np.uint8, n)),
+    }
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(columns=column_sets(), rows=st.integers(1, 5))
+def test_blocks_match_template(columns, rows):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(records, "_ROWS", rows)
+        assert_same_bytes(columns)
 
 
 def test_csv_fields_by_column_type(tmp_path):
