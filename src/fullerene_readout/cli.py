@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -38,10 +37,6 @@ _STATE_NAMES = {"+3/2": 1.5, "3/2": 1.5, "-3/2": -1.5,
                 "+1/2": 0.5, "1/2": 0.5, "-1/2": -0.5}
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 class Manifest:
     """Collects outputs for the per-invocation manifest.json."""
 
@@ -51,18 +46,17 @@ class Manifest:
         self.argv = argv
         self.config = config
         self.out_dir = out_dir
-        self.outputs: list[Path] = []
+        self.outputs: list[tuple[Path, str]] = []
         self.extra: dict = {}
         self._start = time.monotonic()
 
-    def add(self, path: Path) -> None:
-        self.outputs.append(path)
+    def add(self, path: Path, sha256: str) -> None:
+        self.outputs.append((path, sha256))
 
     def add_records(self, name: str, columns: dict) -> None:
         """Write one CSV or JSONL output file and record it."""
         path = self.out_dir / name
-        write_records(path, columns)
-        self.add(path)
+        self.add(path, write_records(path, columns))
 
     def write(self) -> None:
         doc = {
@@ -71,8 +65,8 @@ class Manifest:
             "argv": self.argv,
             "config": self.config.to_dict(),
             "duration_s": time.monotonic() - self._start,
-            "outputs": [{"path": p.name, "sha256": _sha256(p)}
-                        for p in self.outputs],
+            "outputs": [{"path": p.name, "sha256": digest}
+                        for p, digest in self.outputs],
         }
         doc.update(self.extra)
         try:
@@ -83,7 +77,7 @@ class Manifest:
 
 
 def cmd_table(config: SimulationConfig, manifest: Manifest) -> None:
-    rows = transition_table(config.system, config.aniso).rows
+    rows = transition_table(config.system, config.aniso)
     levels = eigenenergies(config.system, config.aniso)
     manifest.add_records("transitions.csv", {
         "row": range(1, len(rows) + 1), "kind": [r.kind for r in rows],
@@ -108,8 +102,13 @@ def cmd_fig2(config: SimulationConfig, manifest: Manifest,
     require(len(alphas) > 0, "fig2.alphas", "must be non-empty")
     with as_option("fig2.alphas"):
         starts = [imperfect_flip_state(alpha, "+") for alpha in alphas]
+    names = [f"fig2_alpha_{alpha:g}.csv" for alpha in alphas]
+    for i, name in enumerate(names):
+        require(name not in names[:i], "fig2.alphas",
+                f"two values would write {name}: they must differ in their "
+                "first 6 significant digits")
     overall = 0.0
-    for alpha, rho in zip(alphas, starts):
+    for alpha, name, rho in zip(alphas, names, starts):
         series = fig2_timeseries(alpha, config.rates)
         num = np.empty((len(series.times), 3))
         num[0] = [rho[0, 0].real, abs(rho[0, 1]), rho[1, 1].real]
@@ -120,7 +119,7 @@ def cmd_fig2(config: SimulationConfig, manifest: Manifest,
         dev = np.max(np.abs(
             num - np.column_stack([series.P1, series.P2, series.P3])), axis=1)
         overall = max(overall, float(dev.max()))
-        manifest.add_records(f"fig2_alpha_{alpha:g}.csv", {
+        manifest.add_records(name, {
             "t_ns": series.times, "P1": series.P1, "P2": series.P2,
             "P3": series.P3, "P1_numeric": num[:, 0], "P2_numeric": num[:, 1],
             "P3_numeric": num[:, 2], "max_abs_dev": dev})
@@ -151,8 +150,7 @@ def cmd_readout(config: SimulationConfig, manifest: Manifest,
     manifest.add_records("readout.jsonl", row)
     if events:
         epath = manifest.out_dir / "events.csv"
-        write_events_csv(trace, epath)
-        manifest.add(epath)
+        manifest.add(epath, write_events_csv(trace, epath))
     print(f"classified m1 = {result.classified.m1:+g} ({inside.encoding}), "
           f"counts {result.counts_on}/{trace.n_cycles}, "
           f"contrast {result.contrast:.6f}")

@@ -4,8 +4,9 @@ Open-system dynamics of the mobile (outside) spin.
 Covers the phenomenological master equation with relaxation rate gamma0 and
 dephasing rate gammap (analytic closed form, and a fixed-step RK4 integrator
 applied as a cached transfer matrix), the post-pulse imperfect-flip state
-produced by dwell-time jitter, detuned Rabi pulse propagation in the rotating
-frame, and the population/coherence time series used for plotting.
+produced by dwell-time jitter, the closed-form transfer probability of a
+detuned rotating-frame Rabi pulse, and the population/coherence time series
+used for plotting.
 
 Basis: index 0 = |up>, index 1 = |down>. The dephasing operator is the Pauli
 sigma_z (eigenvalues +/-1), so the coherence dephases at gamma0/2 + 4*gammap.
@@ -25,7 +26,6 @@ from .errors import NumericFailure, require
 from .spin_core import MAX_MHZ
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 SIGMA_PLUS = SIGMA_MINUS.conj().T
 
@@ -83,11 +83,6 @@ class PulseSpec:
         kwargs are the other fields but omega0."""
         return cls(omega0=None, frequency=frequency, **kwargs)
 
-    @property
-    def pi_time(self) -> float:
-        """Resonant pi-rotation time, ns."""
-        return 500.0 / self.omega0
-
 
 @dataclass(frozen=True)
 class TimeSeries:
@@ -97,18 +92,6 @@ class TimeSeries:
     P1: np.ndarray
     P2: np.ndarray
     P3: np.ndarray
-
-
-def validate_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> None:
-    """Assert Hermiticity, unit trace, and positivity within tolerance."""
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("density matrix must be square")
-    if np.max(np.abs(rho - rho.conj().T)) > tol:
-        raise ValueError("density matrix not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
-        raise ValueError("density matrix trace differs from 1")
-    if np.min(np.linalg.eigvalsh(rho)) < -tol:
-        raise ValueError("density matrix has a negative eigenvalue")
 
 
 def imperfect_flip_state(alpha: float, branch: str = "+") -> np.ndarray:
@@ -125,26 +108,17 @@ def imperfect_flip_state(alpha: float, branch: str = "+") -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def _outside_ops(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sigma-, sigma+, sigma_z) acting on the outside-spin factor."""
-    if dim == 2:
-        return SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z
-    if dim == 8:
-        i4 = np.eye(4, dtype=complex)
-        return (np.kron(i4, SIGMA_MINUS), np.kron(i4, SIGMA_PLUS),
-                np.kron(i4, SIGMA_Z))
-    raise ValueError("density matrix dimension must be 2 or 8")
-
-
 def lindblad_rhs(rho: np.ndarray, rates: DecoherenceRates,
                  hamiltonian: np.ndarray | None = None) -> np.ndarray:
     """Right-hand side of the master equation, 1/ns.
 
     (gamma0/2)(2 s- rho s+ - s+ s- rho - rho s+ s-) - gammap [sz, [sz, rho]]
     - i (2*pi/1000) [H, rho], the last term only when a Hamiltonian (MHz)
-    is supplied.
+    is supplied. rho is the 2x2 state of the outside spin alone.
     """
-    sm, sp, sz = _outside_ops(rho.shape[0])
+    if rho.shape != (2, 2):
+        raise ValueError("density matrix must be the 2x2 outside-spin state")
+    sm, sp, sz = SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z
     n = sp @ sm
     out = rates.gamma0 / 2.0 * (2.0 * (sm @ rho @ sp) - n @ rho - rho @ n)
     inner = sz @ rho - rho @ sz
@@ -243,34 +217,14 @@ def evolve_numeric(rho0: np.ndarray, rates: DecoherenceRates,
     return rho
 
 
-def rabi_pulse(rho: np.ndarray, pulse: PulseSpec, detuning: float,
-               effective_duration: float) -> np.ndarray:
-    """Rotating-frame unitary for a rectangular pulse segment (dim 2).
-
-    Rotation by 2*pi*sqrt(omega0^2 + detuning^2)*tau/1000 radians about the
-    axis (omega0, 0, detuning)/Omega_R; no dissipation during the pulse.
-    On resonance the angle is pi * effective_duration / pi_time.
-    """
-    if effective_duration < 0:
-        raise ValueError("effective_duration must be non-negative")
-    if rho.shape != (2, 2):
-        raise ValueError("rabi_pulse acts on the reduced 2x2 state")
-    omega_r = math.hypot(pulse.omega0, detuning)
-    if omega_r == 0.0 or effective_duration == 0.0:
-        return rho.astype(complex)
-    half = math.pi * omega_r * effective_duration / 1000.0  # phi/2
-    nx = pulse.omega0 / omega_r
-    nz = detuning / omega_r
-    u = (math.cos(half) * np.eye(2, dtype=complex)
-         - 1j * math.sin(half) * (nx * SIGMA_X + nz * SIGMA_Z))
-    return u @ rho @ u.conj().T
-
-
 def flip_probability(omega0, detuning, effective_duration):
     """Population transfer probability of the rotating-frame pulse.
 
     (omega0^2 / Omega_R^2) * sin^2(pi * Omega_R * tau / 1000), and 0 where
-    Omega_R = 0; closed form of rabi_pulse for population bookkeeping.
+    Omega_R = 0, with Omega_R = sqrt(omega0^2 + detuning^2): the |up>
+    population after a rotation by 2 pi Omega_R tau / 1000 about the axis
+    (omega0, 0, detuning) / Omega_R, starting from |down>, with no
+    dissipation during the pulse.
     Arguments may be scalars or broadcastable arrays.
     """
     omega_r = np.hypot(omega0, detuning)

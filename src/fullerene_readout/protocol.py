@@ -24,7 +24,7 @@ under-rotated, and there is no overshoot.
 
 Population bookkeeping uses the closed forms of the rotating-frame pulse
 (`dynamics.flip_probability`) and of the field-free relaxation; the test
-suite cross-checks both against the matrix operations in `dynamics`.
+suite cross-checks both against the matrix forms in its reference module.
 
 Model assumption: the pulse is ideal. `run_window` treats it as the unitary
 rotation `flip_probability`, with neither gamma0 nor gammap acting during
@@ -322,12 +322,13 @@ def fidelity_sweep(encoding: str, sys: SystemParams, rates: DecoherenceRates,
     return cells
 
 
-def write_events_csv(trace: CurrentTrace, path) -> None:
-    """Per-electron audit log: cycle,dwell_ns,spin_in,flip_prob,passed."""
+def write_events_csv(trace: CurrentTrace, path) -> str:
+    """Per-electron audit log: cycle,dwell_ns,spin_in,flip_prob,passed.
+    Returns the sha256 hex digest of the file."""
     ev = trace.events
     if ev is None:
         raise ValueError("trace was recorded without event logging")
-    write_records(path, {
+    return write_records(path, {
         "cycle": range(ev.dwell.size), "dwell_ns": ev.dwell,
         "spin_in": np.where(ev.spin_up, "up", "down"),
         "flip_prob": ev.flip_prob, "passed": ev.passed.astype(np.uint8)})

@@ -4,7 +4,8 @@ Records arrive as named columns of equal length (lists, ranges or numpy
 arrays). A CSV field is `'%.12g' % v` for a float column (a float array, or
 a list of floats only) and `str(v)` for any other. JSONL rows are
 `json.dumps` of Python values. A float column with a NaN or an infinity is
-refused before the file is opened.
+refused before the file is opened. The sha256 of the file is taken from the
+bytes as they are written, so no output is read back to be hashed.
 
 CSV text is built `_ROWS` rows at a time in numpy: each column block becomes
 a NUL-padded `uint8` matrix with one row per value, the blocks are joined
@@ -30,6 +31,7 @@ power of ten where log10 rounds up across it.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -208,26 +210,37 @@ def _csv_column(column):
     return column
 
 
-def write_records(path: str | Path, columns: dict) -> None:
+def _csv_chunks(names, columns):
+    """The CSV text as bytes: the header row, then one chunk per block of
+    `_ROWS` rows."""
+    yield (",".join(names) + "\n").encode()
+    for start in range(0, len(columns[0]), _ROWS):
+        fields = [_encode(c[start:start + _ROWS]) for c in columns]
+        comma, newline = (np.full((len(fields[0]), 1), ord(c), np.uint8)
+                          for c in ",\n")
+        parts = [comma] * (2 * len(fields))
+        parts[::2] = fields
+        parts[-1] = newline
+        yield np.concatenate(parts, 1).tobytes().translate(None, b"\0")
+
+
+def write_records(path: str | Path, columns: dict) -> str:
     """Write the columns as CSV, with a header row of their names, or, when
-    `path` ends in `.jsonl`, as one JSON object per row."""
+    `path` ends in `.jsonl`, as one JSON object per row. Returns the sha256
+    hex digest of the file."""
     csv_columns = [_csv_column(c) for c in columns.values()]
     for name, column in zip(columns, csv_columns):
         if isinstance(column, np.ndarray) and column.dtype.kind == "f" \
                 and not np.isfinite(column).all():
             raise NumericFailure(f"{Path(path).name}: {name} is not finite")
     if Path(path).suffix == ".jsonl":
-        with open(path, "w") as fh:
-            for row in zip(*columns.values()):
-                fh.write(json.dumps(dict(zip(columns, row))) + "\n")
-        return
+        chunks = (json.dumps(dict(zip(columns, row))).encode() + b"\n"
+                  for row in zip(*columns.values()))
+    else:
+        chunks = _csv_chunks(list(columns), csv_columns)
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write((",".join(columns) + "\n").encode())
-        for start in range(0, len(csv_columns[0]), _ROWS):
-            fields = [_encode(c[start:start + _ROWS]) for c in csv_columns]
-            comma, newline = (np.full((len(fields[0]), 1), ord(c), np.uint8)
-                              for c in ",\n")
-            parts = [comma] * (2 * len(fields))
-            parts[::2] = fields
-            parts[-1] = newline
-            fh.write(np.concatenate(parts, 1).tobytes().translate(None, b"\0"))
+        for chunk in chunks:
+            digest.update(chunk)
+            fh.write(chunk)
+    return digest.hexdigest()

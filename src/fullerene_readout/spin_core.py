@@ -1,18 +1,17 @@
 """
 Static two-spin problem for the coupled fullerene pair.
 
-Builds spin operators and the diagonal two-spin Hamiltonian (inside spin
-S=3/2, outside spin S=1/2, secular dipolar coupling), produces the exact
-eigenenergies and the ten selection-rule-allowed ESR transition frequencies,
-and provides small helpers for the dipolar coupling strength at a given
-distance, the gradient-induced Zeeman separation between the two sites, and
-the spin-vibration decoupling estimate.
+Closed forms of the diagonal two-spin Hamiltonian (inside spin S=3/2,
+outside spin S=1/2, secular dipolar coupling): the exact product-level
+energies, the ten selection-rule-allowed ESR transition frequencies, the
+weak-coupling check, the gradient-induced Zeeman separation between the two
+sites, and the spin-vibration decoupling estimate.
 
 Conventions
 -----------
-- Sz operators carry magnetic quantum numbers m (eigenvalues ±3/2, ±1/2 for
-  the inside spin, ±1/2 for the outside spin), not Pauli ±1.
-- Basis ordering is descending lexicographic in (m1, m2):
+- Levels are labelled by magnetic quantum numbers m (±3/2, ±1/2 for the
+  inside spin, ±1/2 for the outside spin), not Pauli ±1.
+- Level ordering is descending lexicographic in (m1, m2):
   (3/2,1/2), (3/2,-1/2), (1/2,1/2), ...
 - All frequencies are ordinary frequencies in MHz; times in ns. Phase
   accumulation multiplies by 2*pi at the point of use.
@@ -21,11 +20,8 @@ Conventions
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import require
 
@@ -36,10 +32,6 @@ M2_VALUES = (0.5, -0.5)
 # above any ESR line, and small enough that every level energy, line and
 # detuning derived from the parameters is finite.
 MAX_MHZ = 1e9
-
-
-class WeakCouplingWarning(UserWarning):
-    """Raised when the secular approximation behind the model is strained."""
 
 
 @dataclass(frozen=True)
@@ -137,39 +129,6 @@ class Transition:
     formula: str                   # closed form in nu1, delta, J, D2, D4
 
 
-@dataclass(frozen=True)
-class TransitionTable:
-    """The ten allowed resonance lines, in fixed order (outside flips first)."""
-
-    rows: tuple[Transition, ...]
-
-    def outside_rows(self) -> tuple[Transition, ...]:
-        return tuple(r for r in self.rows if r.kind == "outside-flip")
-
-    def inside_rows(self) -> tuple[Transition, ...]:
-        return tuple(r for r in self.rows if r.kind == "inside-flip")
-
-
-def spin_z_operator(multiplicity: int) -> np.ndarray:
-    """Sz in the descending-m basis: diag(s, s-1, ..., -s)."""
-    if multiplicity < 2:
-        raise ValueError("multiplicity must be >= 2")
-    s = (multiplicity - 1) / 2
-    return np.diag([s - k for k in range(multiplicity)]).astype(complex)
-
-
-def spin_ladder_operators(multiplicity: int) -> tuple[np.ndarray, np.ndarray]:
-    """Standard (S+, S-) with matrix elements sqrt(s(s+1) - m(m+1))."""
-    if multiplicity < 2:
-        raise ValueError("multiplicity must be >= 2")
-    s = (multiplicity - 1) / 2
-    sp = np.zeros((multiplicity, multiplicity), dtype=complex)
-    for k in range(1, multiplicity):
-        m = s - k  # the state being raised
-        sp[k - 1, k] = math.sqrt(s * (s + 1) - m * (m + 1))
-    return sp, sp.conj().T
-
-
 def level_energy(m1: float, m2: float, params: SystemParams,
                  aniso: AnisotropyParams = ANISO_OFF) -> float:
     """Closed-form product-level energy, MHz."""
@@ -191,32 +150,6 @@ def check_weak_coupling(params: SystemParams) -> WeakCouplingCheck:
         return WeakCouplingCheck(math.inf, False)
     ratio = abs(params.J) / denom
     return WeakCouplingCheck(ratio, ratio < 1)
-
-
-def build_hamiltonian(params: SystemParams,
-                      aniso: AnisotropyParams = ANISO_OFF) -> np.ndarray:
-    """8x8 diagonal Hamiltonian in MHz, basis descending (m1, m2).
-
-    H = 2 nu1 Sz1 x I2 + 2 nu2 I1 x Sz2 + J Sz1 x Sz2
-        + D2 Sz1^2 x I2 + D4 Sz1^4 x I2
-    """
-    check = check_weak_coupling(params)
-    if not check.ok:
-        warnings.warn(
-            f"weak-coupling condition |J| < |nu2 - nu1| violated "
-            f"(ratio {check.ratio:.3g})", WeakCouplingWarning, stacklevel=2)
-    sz1 = spin_z_operator(4)
-    sz2 = spin_z_operator(2)
-    i1 = np.eye(4, dtype=complex)
-    i2 = np.eye(2, dtype=complex)
-    h = (2.0 * params.nu1 * np.kron(sz1, i2)
-         + 2.0 * params.nu2 * np.kron(i1, sz2)
-         + params.J * np.kron(sz1, sz2))
-    if aniso:
-        sz1_sq = sz1 @ sz1
-        h = h + aniso.D2 * np.kron(sz1_sq, i2)
-        h = h + aniso.D4 * np.kron(sz1_sq @ sz1_sq, i2)
-    return h
 
 
 def eigenenergies(params: SystemParams,
@@ -244,7 +177,8 @@ def outside_flip_frequency(params: SystemParams, m1: float) -> float:
 
 
 def transition_table(params: SystemParams,
-                     aniso: AnisotropyParams = ANISO_OFF) -> TransitionTable:
+                     aniso: AnisotropyParams = ANISO_OFF
+                     ) -> tuple[Transition, ...]:
     """The ten allowed lines, ordered as: outside flips for m1 = 3/2 ... -3/2,
     then inside flips for m2 = +1/2, then m2 = -1/2.
 
@@ -272,17 +206,7 @@ def transition_table(params: SystemParams,
                 formula += _signed_term(d4, "D4")
             rows.append(Transition((hi, m2), (lo, m2), "inside-flip",
                                    freq, formula))
-    return TransitionTable(tuple(rows))
-
-
-def dipolar_coupling_at(r: float) -> float:
-    """Dipole-dipole coupling J at center distance r (meters), MHz.
-
-    Normalized to 50 MHz at 1 nm, scaling as r^-3.
-    """
-    if not r > 0:
-        raise ValueError("distance must be positive")
-    return 50.0 * (r / 1e-9) ** -3
+    return tuple(rows)
 
 
 def zeeman_separation(constants: PhysicalConstants,

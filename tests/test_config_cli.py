@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -190,7 +191,8 @@ class TestFig2Command:
         assert max(devs) < 1e-8
 
     @pytest.mark.parametrize("alphas,why", [
-        (",", "must be non-empty"), ("0.1,1.5", r"must lie in \[0, 1\)")])
+        (",", "must be non-empty"), ("0.1,1.5", r"must lie in \[0, 1\)"),
+        ("0.1,0.1000001", r"two values would write fig2_alpha_0\.1\.csv")])
     def test_bad_grid_rejected(self, alphas, why, tmp_path, capsys):
         assert run_cli("fig2", "--alphas", alphas, "--out",
                        str(tmp_path)) == 1
@@ -401,6 +403,23 @@ class TestExitCodes:
                        str(tmp_path)) == 1
         assert time.perf_counter() - start < 0.5
         assert "sweep.trials" in capsys.readouterr().err
+
+
+class TestManifest:
+    @pytest.mark.parametrize("argv", [
+        ["table"], ["fig2", "--alphas", "0.1"],
+        ["readout", "--true-state=-3/2", "--events"],
+        ["sweep", "--trials", "1"]], ids=lambda argv: argv[0])
+    def test_digests_match_files(self, argv, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMALL))
+        out = tmp_path / "o"
+        assert run_cli(*argv, "--config", str(cfg), "--out", str(out)) == 0
+        doc = json.loads((out / "manifest.json").read_text())
+        assert doc["outputs"]
+        for entry in doc["outputs"]:
+            data = (out / entry["path"]).read_bytes()
+            assert entry["sha256"] == hashlib.sha256(data).hexdigest()
 
 
 class TestOutputDirSelection:

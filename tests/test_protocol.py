@@ -1,13 +1,13 @@
+import hashlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fullerene_readout.dynamics import (SIGMA_X, DecoherenceRates,
-                                        PulseSpec, analytic_free_evolution,
-                                        evolve_numeric, flip_probability,
-                                        rabi_pulse)
+from fullerene_readout.dynamics import (DecoherenceRates, PulseSpec,
+                                        analytic_free_evolution,
+                                        evolve_numeric, flip_probability)
 from fullerene_readout.protocol import (CurrentTrace, InsideSpinState,
                                         TunnelingParams, classify,
                                         fidelity_sweep,
@@ -16,6 +16,7 @@ from fullerene_readout.protocol import (CurrentTrace, InsideSpinState,
                                         resonance_frequency, run_window,
                                         sweep_states, write_events_csv)
 from fullerene_readout.spin_core import SystemParams
+from reference import SIGMA_X, rabi_pulse
 
 SYS = SystemParams(nu1=10000.0, nu2=10063.5, J=50.0)
 RATES = DecoherenceRates()
@@ -280,7 +281,8 @@ class TestRunWindow:
         trace = run_window(OUTER_UP, outer_pulse(), SYS, params, RATES,
                            seed=2, collect_events=True)
         path = tmp_path / "events.csv"
-        write_events_csv(trace, path)
+        digest = write_events_csv(trace, path)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
         lines = path.read_text().splitlines()
         assert lines[0] == "cycle,dwell_ns,spin_in,flip_prob,passed"
         assert len(lines) == trace.n_cycles + 1
