@@ -217,6 +217,23 @@ def evolve_numeric(rho0: np.ndarray, rates: DecoherenceRates,
     return rho
 
 
+def rabi_factors(omega0, detuning):
+    """The detuning-only factors of `flip_probability`: the amplitude
+    (omega0 / Omega_R)^2, 0 where Omega_R = 0, and the rate pi * Omega_R,
+    with Omega_R = sqrt(omega0^2 + detuning^2). A caller that applies one
+    line to many durations computes them once."""
+    omega_r = np.hypot(omega0, detuning)
+    # Omega_R = 0 only when omega0 = 0, so any nonzero divisor gives 0 there.
+    ratio = omega0 / np.where(omega_r == 0.0, 1.0, omega_r)
+    return ratio ** 2, np.pi * omega_r
+
+
+def rabi_transfer(amplitude, rate, effective_duration):
+    """The time-dependent part of `flip_probability`:
+    amplitude * sin^2(rate * tau / 1000), from `rabi_factors`."""
+    return amplitude * np.sin(rate * effective_duration / 1000.0) ** 2
+
+
 def flip_probability(omega0, detuning, effective_duration):
     """Population transfer probability of the rotating-frame pulse.
 
@@ -227,11 +244,7 @@ def flip_probability(omega0, detuning, effective_duration):
     dissipation during the pulse.
     Arguments may be scalars or broadcastable arrays.
     """
-    omega_r = np.hypot(omega0, detuning)
-    # Omega_R = 0 only when omega0 = 0, so any nonzero divisor gives 0 there.
-    ratio = omega0 / np.where(omega_r == 0.0, 1.0, omega_r)
-    half = np.pi * omega_r * effective_duration / 1000.0
-    return ratio ** 2 * np.sin(half) ** 2
+    return rabi_transfer(*rabi_factors(omega0, detuning), effective_duration)
 
 
 def fig2_timeseries(alpha: float, rates: DecoherenceRates,

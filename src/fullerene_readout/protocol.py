@@ -17,14 +17,26 @@ source spin, the dwell (rejected entries redrawn until all lie in
 (0, cycle_period]) and the drain Bernoulli. Per-electron records, when asked
 for, are kept as columns (`TunnelEvents`), not one object per electron.
 
+An electron's detuning takes one of two values per window: the interrogated
+line for a spin-down electron, the leak line for a leaked spin-up one. So the
+pulse's detuning-only factors (`dynamics.rabi_factors`) are computed once per
+window, on the two lines, and gathered per electron by spin; only the
+time-dependent part (`dynamics.rabi_transfer`) is evaluated per electron.
+With alpha = 0 every dwell is exactly t0, so the flip and drain-pass
+probabilities take one value per line as well: they are evaluated once per
+window, and a block draws its two uniform arrays and gathers. Both give the
+same floats as evaluating every electron on its own; the test suite holds
+the window to that per-electron loop, kept in its reference module.
+
 Model assumption: the dwell is Normal(t0, (alpha t0)^2) truncated to
 (0, cycle_period]. With the defaults t0 == cycle_period the truncation cuts
 the normal at its mean: no electron outstays t0, every jittered pulse is
 under-rotated, and there is no overshoot.
 
 Population bookkeeping uses the closed forms of the rotating-frame pulse
-(`dynamics.flip_probability`) and of the field-free relaxation; the test
-suite cross-checks both against the matrix forms in its reference module.
+(`dynamics.flip_probability`, in its two factors) and of the field-free
+relaxation; the test suite cross-checks both against the matrix forms in its
+reference module.
 
 Model assumption: the pulse is ideal. `run_window` treats it as the unitary
 rotation `flip_probability`, with neither gamma0 nor gammap acting during
@@ -45,7 +57,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .dynamics import DecoherenceRates, PulseSpec, flip_probability
+from .dynamics import (DecoherenceRates, PulseSpec, rabi_factors,
+                       rabi_transfer)
 from .errors import NumericFailure, as_option, require
 from .records import write_records
 from .spin_core import SystemParams, outside_flip_frequency
@@ -185,19 +198,34 @@ def resonance_frequency(inside: InsideSpinState, sys: SystemParams) -> float:
 
 def _draw_dwell(params: TunnelingParams, rng: np.random.Generator,
                 n: int) -> np.ndarray:
-    """n dwell draws from Normal(t0, (alpha*t0)^2), each rejected draw redrawn
-    until it lies in (0, cycle_period]. alpha = 0 gives exactly t0 and draws
-    nothing."""
-    if params.alpha == 0.0:
-        return np.full(n, float(params.t0))
-    sigma = params.alpha * params.t0
-    dwell = rng.normal(params.t0, sigma, n)
-    redraw = np.flatnonzero((dwell <= 0.0) | (dwell > params.cycle_period))
+    """n dwell draws from Normal(t0, (alpha*t0)^2), alpha > 0, each rejected
+    draw redrawn until it lies in (0, cycle_period]."""
+    t0, cycle_period = params.t0, params.cycle_period
+    sigma = params.alpha * t0
+    dwell = rng.normal(t0, sigma, n)
+    redraw = np.flatnonzero((dwell <= 0.0) | (dwell > cycle_period))
     while redraw.size:
-        d = rng.normal(params.t0, sigma, redraw.size)
-        dwell[redraw] = d
-        redraw = redraw[(d <= 0.0) | (d > params.cycle_period)]
+        dwell[redraw] = d = rng.normal(t0, sigma, redraw.size)
+        redraw = redraw.compress((d <= 0.0) | (d > cycle_period))
     return dwell
+
+
+def _outcomes(spin_up: np.ndarray, dwell: np.ndarray, factors: tuple,
+              pulse: PulseSpec, params: TunnelingParams,
+              rates: DecoherenceRates) -> tuple[np.ndarray, np.ndarray]:
+    """Flip and drain-pass probabilities of electrons with these spins and
+    dwells; `factors` are the `rabi_factors` of the two lines, spin-down
+    first."""
+    line = spin_up.view(np.uint8)
+    amplitude, rate = (f.take(line) for f in factors)
+    # Departure mid-pulse truncates the rotation: on resonance the angle is
+    # pi * dwell / t0. An overflowing phase is left to the caller to report.
+    with np.errstate(over="ignore", invalid="ignore"):
+        flip = rabi_transfer(amplitude, rate,
+                             dwell * pulse.duration / params.t0)
+    p_up = np.where(spin_up, 1.0 - flip, flip)
+    p_up *= np.exp(-rates.gamma0 * np.maximum(dwell - pulse.duration, 0.0))
+    return flip, (1.0 - p_up) + params.p_leak_drain * p_up
 
 
 def run_window(inside: InsideSpinState, pulse: PulseSpec, sys: SystemParams,
@@ -212,28 +240,36 @@ def run_window(inside: InsideSpinState, pulse: PulseSpec, sys: SystemParams,
         raise ValueError("pulse does not fit in the cycle period")
     n_cycles = params.n_cycles
     rng = np.random.Generator(np.random.PCG64(seed))
-    detuning_down = pulse.frequency - outside_flip_frequency(sys, inside.m1)
-    detuning_up = pulse.frequency - leak_resonance_frequency(sys)
+    factors = rabi_factors(pulse.omega0, np.array([
+        pulse.frequency - outside_flip_frequency(sys, inside.m1),
+        pulse.frequency - leak_resonance_frequency(sys)]))
+    constant_dwell = params.alpha == 0.0
+    if constant_dwell:
+        # Every dwell is t0: one flip and one pass probability per line.
+        line_flip, line_pass = _outcomes(np.array([False, True]),
+                                         np.full(2, float(params.t0)),
+                                         factors, pulse, params, rates)
     n_passed = 0
     blocks = []
     for start in range(0, n_cycles, _BLOCK):
         n = min(_BLOCK, n_cycles - start)
         spin_up = rng.random(n) < params.p_leak_source
-        dwell = _draw_dwell(params, rng, n)
-        detuning = np.where(spin_up, detuning_up, detuning_down)
-        # Departure mid-pulse truncates the rotation: on resonance the angle
-        # is pi * dwell / t0. An overflowing phase is reported just below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            flip = flip_probability(pulse.omega0, detuning,
-                                    dwell * pulse.duration / params.t0)
+        if constant_dwell:
+            line = spin_up.view(np.uint8)
+            dwell = None
+            flip, p_pass = line_flip.take(line), line_pass.take(line)
+        else:
+            dwell = _draw_dwell(params, rng, n)
+            flip, p_pass = _outcomes(spin_up, dwell, factors, pulse, params,
+                                     rates)
         if not np.isfinite(flip).all():
             raise NumericFailure("pulse phase overflows: the pulse lasts "
                                  "too long for its Rabi frequency")
-        p_up = np.where(spin_up, 1.0 - flip, flip)
-        p_up *= np.exp(-rates.gamma0 * np.maximum(dwell - pulse.duration, 0.0))
-        passed = rng.random(n) < (1.0 - p_up) + params.p_leak_drain * p_up
+        passed = rng.random(n) < p_pass
         n_passed += int(np.count_nonzero(passed))
         if collect_events:
+            if dwell is None:
+                dwell = np.full(n, float(params.t0))
             blocks.append((dwell, spin_up, flip, passed))
     events = (TunnelEvents(*map(np.concatenate, zip(*blocks)))
               if collect_events else None)
@@ -283,8 +319,10 @@ def fidelity_sweep(encoding: str, sys: SystemParams, rates: DecoherenceRates,
     Each cell runs `trials` independent windows per true state, each with
     `pulse` at the state's `resonance_frequency` as `sim readout` does; leak
     sets both filters. Fully deterministic given the base seed. Every grid
-    value is checked, and a sweep of more than MAX_SWEEP_ELECTRONS electrons
-    refused, before the grid is built or any electron drawn.
+    value is checked, a grid that repeats a value (whose cells would rerun
+    the same seeds) refused, and so is a sweep of more than
+    MAX_SWEEP_ELECTRONS electrons, before the grid is built or any electron
+    drawn.
     """
     require(len(alphas) > 0, "sweep.alphas", "must be non-empty")
     require(len(leaks) > 0, "sweep.leaks", "must be non-empty")
@@ -295,6 +333,10 @@ def fidelity_sweep(encoding: str, sys: SystemParams, rates: DecoherenceRates,
     with as_option("sweep.leaks"):
         for leak in leaks:
             replace(tunneling, p_leak_source=leak, p_leak_drain=leak)
+    for option, grid in (("sweep.alphas", alphas), ("sweep.leaks", leaks)):
+        require(len(set(grid)) == len(grid), option,
+                "must not repeat a value: its cells would be drawn again "
+                "from the same seeds")
     states = sweep_states(encoding)
     electrons = (len(alphas) * len(leaks) * len(states) * trials
                  * tunneling.n_cycles)

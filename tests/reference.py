@@ -1,8 +1,10 @@
-"""Matrix forms that the tests hold the closed-form production code against.
+"""Forms that the tests hold the production code against.
 
 `fullerene_readout` computes level energies, lines and pulse transfer from
-closed forms; the operators here build the same physics as matrices. Test
-modules import them with `from reference import ...`.
+closed forms; the operators here build the same physics as matrices.
+`run_window_reference` is the readout window's per-electron block loop, the
+stream `protocol.run_window` must reproduce bit for bit. Test modules import
+them with `from reference import ...`.
 """
 
 from __future__ import annotations
@@ -11,9 +13,13 @@ import math
 
 import numpy as np
 
-from fullerene_readout.dynamics import SIGMA_Z, PulseSpec
+from fullerene_readout.dynamics import SIGMA_Z, DecoherenceRates, PulseSpec
+from fullerene_readout.errors import NumericFailure
+from fullerene_readout.protocol import (_BLOCK, CurrentTrace, InsideSpinState,
+                                        TunnelEvents, TunnelingParams,
+                                        leak_resonance_frequency)
 from fullerene_readout.spin_core import (ANISO_OFF, AnisotropyParams,
-                                         SystemParams)
+                                         SystemParams, outside_flip_frequency)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -80,3 +86,61 @@ def rabi_pulse(rho: np.ndarray, pulse: PulseSpec, detuning: float,
     u = (math.cos(half) * np.eye(2, dtype=complex)
          - 1j * math.sin(half) * (nx * SIGMA_X + nz * SIGMA_Z))
     return u @ rho @ u.conj().T
+
+
+def _flip_probability(omega0, detuning, effective_duration):
+    """The pulse transfer formula, evaluated per electron."""
+    omega_r = np.hypot(omega0, detuning)
+    ratio = omega0 / np.where(omega_r == 0.0, 1.0, omega_r)
+    half = np.pi * omega_r * effective_duration / 1000.0
+    return ratio ** 2 * np.sin(half) ** 2
+
+
+def _draw_dwell(params: TunnelingParams, rng: np.random.Generator,
+                n: int) -> np.ndarray:
+    if params.alpha == 0.0:
+        return np.full(n, float(params.t0))
+    sigma = params.alpha * params.t0
+    dwell = rng.normal(params.t0, sigma, n)
+    redraw = np.flatnonzero((dwell <= 0.0) | (dwell > params.cycle_period))
+    while redraw.size:
+        d = rng.normal(params.t0, sigma, redraw.size)
+        dwell[redraw] = d
+        redraw = redraw[(d <= 0.0) | (d > params.cycle_period)]
+    return dwell
+
+
+def run_window_reference(inside: InsideSpinState, pulse: PulseSpec,
+                         sys: SystemParams, params: TunnelingParams,
+                         rates: DecoherenceRates, seed: int,
+                         collect_events: bool = False) -> CurrentTrace:
+    """`protocol.run_window` with every electron's flip, pass probability
+    and dwell computed on its own: the same draws, in the same order, and
+    the same float operations per electron."""
+    n_cycles = params.n_cycles
+    rng = np.random.Generator(np.random.PCG64(seed))
+    detuning_down = pulse.frequency - outside_flip_frequency(sys, inside.m1)
+    detuning_up = pulse.frequency - leak_resonance_frequency(sys)
+    n_passed = 0
+    blocks = []
+    for start in range(0, n_cycles, _BLOCK):
+        n = min(_BLOCK, n_cycles - start)
+        spin_up = rng.random(n) < params.p_leak_source
+        dwell = _draw_dwell(params, rng, n)
+        detuning = np.where(spin_up, detuning_up, detuning_down)
+        with np.errstate(over="ignore", invalid="ignore"):
+            flip = _flip_probability(pulse.omega0, detuning,
+                                     dwell * pulse.duration / params.t0)
+        if not np.isfinite(flip).all():
+            raise NumericFailure("pulse phase overflows: the pulse lasts "
+                                 "too long for its Rabi frequency")
+        p_up = np.where(spin_up, 1.0 - flip, flip)
+        p_up *= np.exp(-rates.gamma0 * np.maximum(dwell - pulse.duration, 0.0))
+        passed = rng.random(n) < (1.0 - p_up) + params.p_leak_drain * p_up
+        n_passed += int(np.count_nonzero(passed))
+        if collect_events:
+            blocks.append((dwell, spin_up, flip, passed))
+    events = (TunnelEvents(*map(np.concatenate, zip(*blocks)))
+              if collect_events else None)
+    return CurrentTrace(n_cycles=n_cycles, n_passed=n_passed, events=events,
+                        seed=seed)

@@ -286,6 +286,17 @@ class TestSweepCommand:
         assert (f"sweep.{option}: must lie in [0, 1)"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("option,grid", [("alphas", "0.1,0.1"),
+                                             ("leaks", "0,0.0")])
+    def test_repeated_grid_value_rejected(self, option, grid, tmp_path,
+                                          capsys, monkeypatch):
+        monkeypatch.setattr("fullerene_readout.protocol.run_window", never)
+        assert run_cli("sweep", f"--{option}", grid, "--trials", "2",
+                       "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err.startswith(
+            f"validation error: sweep.{option}: must not repeat a value")
+        assert not list(tmp_path.iterdir())
+
     def test_grid_shape_and_zero_misclassification(self, small_cfg,
                                                    tmp_path):
         out = tmp_path / "o"

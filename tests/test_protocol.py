@@ -1,6 +1,7 @@
 import hashlib
 import math
-from dataclasses import replace
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,15 +9,16 @@ import pytest
 from fullerene_readout.dynamics import (DecoherenceRates, PulseSpec,
                                         analytic_free_evolution,
                                         evolve_numeric, flip_probability)
-from fullerene_readout.protocol import (CurrentTrace, InsideSpinState,
-                                        TunnelingParams, classify,
-                                        fidelity_sweep,
+from fullerene_readout.errors import NumericFailure
+from fullerene_readout.protocol import (_BLOCK, CurrentTrace, InsideSpinState,
+                                        TunnelEvents, TunnelingParams,
+                                        classify, fidelity_sweep,
                                         leak_resonance_frequency,
                                         outside_flip_frequency,
                                         resonance_frequency, run_window,
                                         sweep_states, write_events_csv)
 from fullerene_readout.spin_core import SystemParams
-from reference import SIGMA_X, rabi_pulse
+from reference import SIGMA_X, rabi_pulse, run_window_reference
 
 SYS = SystemParams(nu1=10000.0, nu2=10063.5, J=50.0)
 RATES = DecoherenceRates()
@@ -299,6 +301,85 @@ class TestRunWindow:
             write_events_csv(replace(trace, events=None), path)
 
 
+class TestStreamGuard:
+    """run_window draws the same numbers in the same order, and computes the
+    same floats, as the per-electron block loop of the reference module."""
+
+    @staticmethod
+    def assert_same_window(state, pulse, params, seed):
+        got = run_window(state, pulse, SYS, params, RATES, seed,
+                         collect_events=True)
+        want = run_window_reference(state, pulse, SYS, params, RATES, seed,
+                                    collect_events=True)
+        assert got.n_cycles == want.n_cycles
+        assert got.n_passed == want.n_passed, (state, params)
+        for f in fields(TunnelEvents):
+            a, b = getattr(got.events, f.name), getattr(want.events, f.name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (
+                f.name, state, params)
+        assert run_window(state, pulse, SYS, params, RATES,
+                          seed).n_passed == want.n_passed
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.5])
+    @pytest.mark.parametrize("leak", [0.0, 0.05, 0.3])
+    @pytest.mark.parametrize("t0, omega0", [(150.0, None), (140.0, None),
+                                            (150.0, 0.0)],
+                             ids=["t0=cycle", "t0<cycle", "omega0=0"])
+    def test_matches_per_electron_loop(self, alpha, leak, t0, omega0):
+        # two blocks, the second partial; dwells up to cycle_period = 150
+        params = TunnelingParams(t0=t0, alpha=alpha, p_leak_source=leak,
+                                 p_leak_drain=leak,
+                                 window=(_BLOCK + 123) * 150.0)
+        for state in sweep_states("both"):
+            pulse = PulseSpec(resonance_frequency(state, SYS), omega0=omega0)
+            self.assert_same_window(state, pulse, params, seed=17)
+
+    def test_overflow_on_a_line_no_electron_takes(self):
+        # tau = 4e305 ns: the interrogated line's phase stays finite, the
+        # leak line's overflows. Only a leaked electron may fail the window.
+        params = TunnelingParams(t0=1.0, cycle_period=4e305, window=4e307)
+        pulse = PulseSpec.calibrated(resonance_frequency(OUTER_UP, SYS),
+                                     duration=4e305)
+        self.assert_same_window(OUTER_UP, pulse, params, seed=0)
+        leaky = replace(params, p_leak_source=0.5)
+        for run in (run_window, run_window_reference):
+            with pytest.raises(NumericFailure, match="pulse phase overflows"):
+                run(OUTER_UP, pulse, SYS, leaky, RATES, 0)
+
+    # n_passed as drawn at the per-electron kernel, so that neither the
+    # kernel nor its reference can drift with the other.
+    @pytest.mark.parametrize("m1, encoding, tunneling, seed, n_passed", [
+        (-1.5, "outer", dict(alpha=0.1, p_leak_source=0.05,
+                             p_leak_drain=0.05, window=3e7), 3, 190549),
+        (1.5, "outer", dict(alpha=0.2, p_leak_source=0.05,
+                            p_leak_drain=0.05), 11, 8683),
+        (0.5, "inner", dict(alpha=0.0, p_leak_source=0.05,
+                            p_leak_drain=0.05), 11, 3626),
+        (-0.5, "inner", dict(t0=140.0, cycle_period=150.0, alpha=0.3,
+                             p_leak_source=0.3, p_leak_drain=0.3,
+                             window=1_002_550.0), 5, 5243)])
+    def test_pinned_counts(self, m1, encoding, tunneling, seed, n_passed):
+        state = InsideSpinState(m1, encoding)
+        pulse = PulseSpec.calibrated(resonance_frequency(state, SYS))
+        params = TunnelingParams(**tunneling)
+        for run in (run_window, run_window_reference):
+            assert run(state, pulse, SYS, params, RATES,
+                       seed).n_passed == n_passed
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    def test_phase_overflow_is_numeric_failure(self, alpha):
+        # dwell * duration overflows on both lines, with constant dwell and
+        # with jitter alike; no RuntimeWarning may escape first
+        params = TunnelingParams(t0=1e300, cycle_period=1e300, window=1e300,
+                                 alpha=alpha)
+        pulse = PulseSpec.calibrated(resonance_frequency(OUTER_UP, SYS),
+                                     duration=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericFailure, match="pulse phase overflows"):
+                run_window(OUTER_DOWN, pulse, SYS, params, RATES, 0)
+
+
 class TestClassify:
     def test_suppressed_current_is_positive_state(self):
         trace = CurrentTrace(n_cycles=66_666, n_passed=5, events=None, seed=0)
@@ -382,6 +463,19 @@ class TestFidelitySweep:
             results[leak] = classify(trace, params, "outer")
         assert results[0.05].contrast < results[0.0].contrast
         assert results[0.05].classified.m1 == results[0.0].classified.m1 == 1.5
+
+    @pytest.mark.parametrize("alphas, leaks, option", [
+        ([0.1, 0.1], [0.0], "alphas"), ([0.1], [0, 0.0], "leaks")],
+        ids=["alphas", "leaks"])
+    def test_repeated_value_rejected(self, alphas, leaks, option,
+                                     monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("run_window reached")
+
+        monkeypatch.setattr("fullerene_readout.protocol.run_window", never)
+        with pytest.raises(ValueError,
+                           match=f"^sweep.{option}: must not repeat"):
+            fidelity_sweep("both", SYS, RATES, alphas, leaks, 1, 0)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
