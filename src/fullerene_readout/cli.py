@@ -33,6 +33,8 @@ from .spin_core import (check_weak_coupling, eigenenergies, transition_table,
 
 OUTPUT_DIR_ENV = "SIM_OUTPUT_DIR"
 
+_FIG2_DT = 0.1   # ns, RK4 step of fig2's numeric cross-check
+
 _STATE_NAMES = {"+3/2": 1.5, "3/2": 1.5, "-3/2": -1.5,
                 "+1/2": 0.5, "1/2": 0.5, "-1/2": -0.5}
 
@@ -98,10 +100,10 @@ def cmd_table(config: SimulationConfig, manifest: Manifest) -> None:
 
 
 def cmd_fig2(config: SimulationConfig, manifest: Manifest,
-             alphas: list[float], dt_numeric: float = 0.1) -> None:
+             alphas: list[float]) -> None:
     require(len(alphas) > 0, "fig2.alphas", "must be non-empty")
     with as_option("fig2.alphas"):
-        starts = [imperfect_flip_state(alpha, "+") for alpha in alphas]
+        starts = [imperfect_flip_state(alpha) for alpha in alphas]
     names = [f"fig2_alpha_{alpha:g}.csv" for alpha in alphas]
     for i, name in enumerate(names):
         require(name not in names[:i], "fig2.alphas",
@@ -114,7 +116,7 @@ def cmd_fig2(config: SimulationConfig, manifest: Manifest,
         num[0] = [rho[0, 0].real, abs(rho[0, 1]), rho[1, 1].real]
         for i in range(1, len(series.times)):
             step = series.times[i] - series.times[i - 1]
-            rho = evolve_numeric(rho, config.rates, None, step, dt_numeric)
+            rho = evolve_numeric(rho, config.rates, t=step, dt=_FIG2_DT)
             num[i] = [rho[0, 0].real, abs(rho[0, 1]), rho[1, 1].real]
         dev = np.max(np.abs(
             num - np.column_stack([series.P1, series.P2, series.P3])), axis=1)

@@ -1,11 +1,11 @@
 """
 Open-system dynamics of the mobile (outside) spin.
 
-Covers the phenomenological master equation with relaxation rate gamma0 and
-dephasing rate gammap (analytic closed form, and a fixed-step RK4 integrator
-applied as a cached transfer matrix), the post-pulse imperfect-flip state
-produced by dwell-time jitter, the closed-form transfer probability of a
-detuned rotating-frame Rabi pulse, and the population/coherence time series
+Covers the field-free phenomenological master equation with relaxation rate
+gamma0 and dephasing rate gammap (analytic closed form, and a fixed-step RK4
+integrator applied as a cached transfer matrix), the post-pulse imperfect-flip
+state produced by dwell-time jitter, the closed-form transfer probability of
+a detuned rotating-frame Rabi pulse, and the population/coherence time series
 used for plotting.
 
 Basis: index 0 = |up>, index 1 = |down>. The dephasing operator is the Pauli
@@ -28,10 +28,6 @@ from .spin_core import MAX_MHZ
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 SIGMA_PLUS = SIGMA_MINUS.conj().T
-
-# Ordinary-frequency (MHz) times time (ns) to phase (rad).
-_PHASE = 2.0 * math.pi / 1000.0
-
 
 @dataclass(frozen=True)
 class DecoherenceRates:
@@ -94,27 +90,21 @@ class TimeSeries:
     P3: np.ndarray
 
 
-def imperfect_flip_state(alpha: float, branch: str = "+") -> np.ndarray:
-    """Pure post-pulse state for a dwell time t0*(1 +/- alpha).
-
-    -i cos(alpha*pi/2)|up>  -/+  sin(alpha*pi/2)|down>, branch '+' -> minus.
-    """
+def imperfect_flip_state(alpha: float) -> np.ndarray:
+    """Pure post-pulse state for a dwell time t0*(1 + alpha),
+    -i cos(alpha*pi/2)|up> - sin(alpha*pi/2)|down>. A dwell of t0*(1 - alpha)
+    only flips the sign of rho_ud, which fig2 does not write."""
     require(0 <= alpha < 1, "alpha", "must lie in [0, 1)")
-    if branch not in ("+", "-"):
-        raise ValueError("branch must be '+' or '-'")
-    sign = -1.0 if branch == "+" else 1.0
     psi = np.array([-1j * math.cos(alpha * math.pi / 2),
-                    sign * math.sin(alpha * math.pi / 2)], dtype=complex)
+                    -math.sin(alpha * math.pi / 2)], dtype=complex)
     return np.outer(psi, psi.conj())
 
 
-def lindblad_rhs(rho: np.ndarray, rates: DecoherenceRates,
-                 hamiltonian: np.ndarray | None = None) -> np.ndarray:
-    """Right-hand side of the master equation, 1/ns.
+def lindblad_rhs(rho: np.ndarray, rates: DecoherenceRates) -> np.ndarray:
+    """Right-hand side of the field-free master equation, 1/ns.
 
-    (gamma0/2)(2 s- rho s+ - s+ s- rho - rho s+ s-) - gammap [sz, [sz, rho]]
-    - i (2*pi/1000) [H, rho], the last term only when a Hamiltonian (MHz)
-    is supplied. rho is the 2x2 state of the outside spin alone.
+    (gamma0/2)(2 s- rho s+ - s+ s- rho - rho s+ s-) - gammap [sz, [sz, rho]],
+    with rho the 2x2 state of the outside spin alone.
     """
     if rho.shape != (2, 2):
         raise ValueError("density matrix must be the 2x2 outside-spin state")
@@ -123,16 +113,12 @@ def lindblad_rhs(rho: np.ndarray, rates: DecoherenceRates,
     out = rates.gamma0 / 2.0 * (2.0 * (sm @ rho @ sp) - n @ rho - rho @ n)
     inner = sz @ rho - rho @ sz
     out -= rates.gammap * (sz @ inner - inner @ sz)
-    if hamiltonian is not None:
-        if hamiltonian.shape != rho.shape:
-            raise ValueError("hamiltonian dimension mismatch")
-        out = out - 1j * _PHASE * (hamiltonian @ rho - rho @ hamiltonian)
     return out
 
 
 def analytic_free_evolution(rho0: np.ndarray, rates: DecoherenceRates,
                             t: float | np.ndarray) -> np.ndarray:
-    """Closed-form solution of the field-free master equation (dim 2).
+    """Closed-form solution of the field-free master equation.
 
     rho_uu(t) = rho_uu(0) e^{-gamma0 t}, rho_dd = 1 - rho_uu,
     rho_ud(t) = rho_ud(0) e^{-(gamma0/2 + 4 gammap) t}.
@@ -150,68 +136,51 @@ def analytic_free_evolution(rho0: np.ndarray, rates: DecoherenceRates,
 
 
 @functools.lru_cache(maxsize=16)
-def _rk4_map(rates: DecoherenceRates, dim: int, dt: float,
-             h_key: tuple | None) -> np.ndarray:
-    """One RK4 step of the master equation as a matrix on vec(rho).
+def _rk4_map(rates: DecoherenceRates, dt: float, n: int = 1) -> np.ndarray:
+    """n RK4 steps of dt of the master equation as one matrix on vec(rho),
+    cached: a fig2 run evolves its 4,000 samples over the same steps.
 
-    The generator is linear and time-independent, so its d^2 x d^2 matrix L
-    comes from `lindblad_rhs` applied to the d^2 basis matrices, and one RK4
-    step is exactly sum_{k<=4} (dt L)^k / k!. h_key is None or the
-    Hamiltonian's (shape, complex128 bytes), a content key for the cache.
+    The generator is linear and time-independent, so its 4x4 matrix L comes
+    from `lindblad_rhs` applied to the four basis matrices, and one RK4 step
+    is exactly sum_{k<=4} (dt L)^k / k!.
     """
-    h = None if h_key is None else np.frombuffer(
-        h_key[1], dtype=complex).reshape(h_key[0])
-    basis = np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim)
-    dt_gen = dt * np.stack([lindblad_rhs(e, rates, h).ravel()
-                            for e in basis], -1)
-    term = step = np.eye(dim * dim, dtype=complex)
+    basis = np.eye(4, dtype=complex).reshape(-1, 2, 2)
+    dt_gen = dt * np.stack([lindblad_rhs(e, rates).ravel() for e in basis], -1)
+    term = step = np.eye(4, dtype=complex)
     for k in range(1, 5):
         term = term @ dt_gen / k
         step = step + term
-    step.setflags(write=False)
-    return step
-
-
-@functools.lru_cache(maxsize=16)
-def _rk4_power(rates: DecoherenceRates, dim: int, dt: float,
-               h_key: tuple | None, n: int) -> np.ndarray:
-    """n RK4 steps of dt as one matrix, `_rk4_map(...)^n`, cached: a fig2
-    run evolves its 4,000 samples over the same n steps."""
-    power = np.linalg.matrix_power(_rk4_map(rates, dim, dt, h_key), n)
+    power = np.linalg.matrix_power(step, n)
     power.setflags(write=False)
     return power
 
 
-def evolve_numeric(rho0: np.ndarray, rates: DecoherenceRates,
-                   hamiltonian: np.ndarray | None, t: float,
+def evolve_numeric(rho0: np.ndarray, rates: DecoherenceRates, t: float,
                    dt: float) -> np.ndarray:
     """Fixed-step RK4 integration of the master equation over t ns.
 
     floor(t / dt) steps of dt, then one step of the remainder when it
-    exceeds 1e-12 ns. Each step is applied as a cached transfer matrix
-    (`_rk4_map`), and the full steps as one cached matrix power
-    (`_rk4_power`). Re-Hermitizes the result once, at the end. Raises
-    NumericFailure if the trace drifts by more than 1e-6.
+    exceeds 1e-12 ns, each applied as a cached transfer matrix (`_rk4_map`).
+    Re-Hermitizes the result once, at the end. Raises NumericFailure if the
+    trace drifts by more than 1e-6, as it does when the rates overflow.
     """
+    if rho0.shape != (2, 2):
+        raise ValueError("density matrix must be the 2x2 outside-spin state")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t < 0:
         raise ValueError("t must be non-negative")
     rho = rho0.astype(complex)
-    dim = rho.shape[0]
-    h_key = None
-    if hamiltonian is not None:
-        h = np.asarray(hamiltonian, dtype=complex)
-        h_key = (h.shape, h.tobytes())
-    trace0 = np.trace(rho).real
+    trace0 = (rho[0, 0] + rho[1, 1]).real
     n_full = int(t // dt)
     remainder = t - n_full * dt
-    vec = _rk4_power(rates, dim, dt, h_key, n_full) @ rho.ravel()
-    if remainder > 1e-12:
-        vec = _rk4_map(rates, dim, remainder, h_key) @ vec
-    rho = vec.reshape(rho.shape)
-    rho = 0.5 * (rho + rho.conj().T)
-    drift = abs(np.trace(rho).real - trace0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vec = _rk4_map(rates, dt, n_full) @ rho.ravel()
+        if remainder > 1e-12:
+            vec = _rk4_map(rates, remainder) @ vec
+        rho = vec.reshape(2, 2)
+        rho = 0.5 * (rho + rho.conj().T)
+        drift = abs((rho[0, 0] + rho[1, 1]).real - trace0)
     if not drift <= 1e-6:
         raise NumericFailure(f"trace drifted by {drift:.3e} during integration")
     return rho
@@ -251,7 +220,7 @@ def fig2_timeseries(alpha: float, rates: DecoherenceRates,
                     t_end: float = 1000.0, dt: float = 1.0) -> TimeSeries:
     """Free decay of the imperfect-flip state on a uniform grid."""
     times = np.arange(0.0, t_end + 0.5 * dt, dt)
-    rho = analytic_free_evolution(imperfect_flip_state(alpha, "+"), rates,
+    rho = analytic_free_evolution(imperfect_flip_state(alpha), rates,
                                   times)
     return TimeSeries(times=times, P1=rho[:, 0, 0].real,
                       P2=np.abs(rho[:, 0, 1]), P3=rho[:, 1, 1].real)

@@ -41,12 +41,12 @@ reference module.
 Model assumption: the pulse is ideal. `run_window` treats it as the unitary
 rotation `flip_probability`, with neither gamma0 nor gammap acting during
 it; gamma0 acts only over the residual dwell after the pulse, and gammap
-never enters the readout. The master equation measures what this leaves
-out: at the defaults the calibrated Rabi frequency (500/140 MHz, 0.022
-rad/ns) lies far below the coherence decay rate (gamma0/2 + 4 gammap =
-0.16/ns), so a resonant 140 ns pulse from |down> under `evolve_numeric`
-transfers 0.170 of the population, not 1 (0.633 at gammap = 0.004, 0.927 at
-0.0004).
+never enters the readout. The driven master equation, kept in the test
+suite's reference module, measures what this leaves out: at the defaults
+the calibrated Rabi frequency (500/140 MHz, 0.022 rad/ns) lies far below the
+coherence decay rate (gamma0/2 + 4 gammap = 0.16/ns), so a resonant 140 ns
+pulse from |down> transfers 0.170 of the population, not 1 (0.633 at
+gammap = 0.004, 0.927 at 0.0004).
 """
 
 from __future__ import annotations
@@ -224,7 +224,9 @@ def _outcomes(spin_up: np.ndarray, dwell: np.ndarray, factors: tuple,
         flip = rabi_transfer(amplitude, rate,
                              dwell * pulse.duration / params.t0)
     p_up = np.where(spin_up, 1.0 - flip, flip)
-    p_up *= np.exp(-rates.gamma0 * np.maximum(dwell - pulse.duration, 0.0))
+    with np.errstate(over="ignore"):   # exp(-inf) = 0, the exact limit
+        p_up *= np.exp(-rates.gamma0
+                       * np.maximum(dwell - pulse.duration, 0.0))
     return flip, (1.0 - p_up) + params.p_leak_drain * p_up
 
 

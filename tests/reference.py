@@ -1,7 +1,8 @@
 """Forms that the tests hold the production code against.
 
 `fullerene_readout` computes level energies, lines and pulse transfer from
-closed forms; the operators here build the same physics as matrices.
+closed forms; the operators here build the same physics as matrices, and
+`driven_evolution` keeps the pulse's damping that production leaves out.
 `run_window_reference` is the readout window's per-electron block loop, the
 stream `protocol.run_window` must reproduce bit for bit. Test modules import
 them with `from reference import ...`.
@@ -13,7 +14,8 @@ import math
 
 import numpy as np
 
-from fullerene_readout.dynamics import SIGMA_Z, DecoherenceRates, PulseSpec
+from fullerene_readout.dynamics import (SIGMA_Z, DecoherenceRates, PulseSpec,
+                                        lindblad_rhs)
 from fullerene_readout.errors import NumericFailure
 from fullerene_readout.protocol import (_BLOCK, CurrentTrace, InsideSpinState,
                                         TunnelEvents, TunnelingParams,
@@ -88,6 +90,37 @@ def rabi_pulse(rho: np.ndarray, pulse: PulseSpec, detuning: float,
     return u @ rho @ u.conj().T
 
 
+def driven_evolution(rho: np.ndarray, rates: DecoherenceRates,
+                     h: np.ndarray, t: float) -> np.ndarray:
+    """The master equation with a rotating-frame drive H (MHz) on, solved
+    exactly over t ns: exp(t L) vec(rho), the damped nutation of Torrey
+    (Phys. Rev. 76, 1059 (1949)).
+
+    L is the field-free generator of `lindblad_rhs` plus
+    -i (2*pi/1000) [H, .], both taken on the four basis matrices. The
+    exponential is a Taylor series after scaling t L below norm 1/2, then
+    squared back: an eigendecomposition of L would be ill-conditioned at
+    zero rates, where L is degenerate.
+    """
+    if rho.shape != (2, 2) or h.shape != (2, 2):
+        raise ValueError("driven_evolution acts on the reduced 2x2 state")
+    basis = np.eye(4, dtype=complex).reshape(-1, 2, 2)
+    gen = np.stack([(lindblad_rhs(e, rates)
+                     - 2j * math.pi / 1000.0 * (h @ e - e @ h)).ravel()
+                    for e in basis], -1)
+    a = t * gen
+    norm = np.abs(a).sum(0).max()
+    squarings = max(0, math.ceil(math.log2(2.0 * norm))) if norm else 0
+    a = a / 2.0 ** squarings
+    term = prop = np.eye(4, dtype=complex)
+    for k in range(1, 25):
+        term = term @ a / k
+        prop = prop + term
+    for _ in range(squarings):
+        prop = prop @ prop
+    return (prop @ rho.astype(complex).ravel()).reshape(2, 2)
+
+
 def _flip_probability(omega0, detuning, effective_duration):
     """The pulse transfer formula, evaluated per electron."""
     omega_r = np.hypot(omega0, detuning)
@@ -135,7 +168,9 @@ def run_window_reference(inside: InsideSpinState, pulse: PulseSpec,
             raise NumericFailure("pulse phase overflows: the pulse lasts "
                                  "too long for its Rabi frequency")
         p_up = np.where(spin_up, 1.0 - flip, flip)
-        p_up *= np.exp(-rates.gamma0 * np.maximum(dwell - pulse.duration, 0.0))
+        with np.errstate(over="ignore"):
+            p_up *= np.exp(-rates.gamma0
+                           * np.maximum(dwell - pulse.duration, 0.0))
         passed = rng.random(n) < (1.0 - p_up) + params.p_leak_drain * p_up
         n_passed += int(np.count_nonzero(passed))
         if collect_events:

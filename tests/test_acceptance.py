@@ -144,7 +144,7 @@ def test_criterion_06_integrator_oracle():
             rates = DecoherenceRates(gamma0=rng.uniform(0, 0.1),
                                      gammap=rng.uniform(0, 0.1))
             t = rng.uniform(1.0, 50.0)
-            num = evolve_numeric(rho0, rates, None, t, 0.02)
+            num = evolve_numeric(rho0, rates, t, 0.02)
             ana = analytic_free_evolution(rho0, rates, t)
             assert np.max(np.abs(num - ana)) <= 1e-8
             assert abs(np.trace(num).real - 1.0) <= 1e-10

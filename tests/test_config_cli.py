@@ -406,6 +406,33 @@ class TestExitCodes:
         assert "pulse phase overflows" in capsys.readouterr().err
         assert caught == []
 
+    def test_overflowing_relaxation_decays_silently(self, tmp_path, capsys):
+        # gamma0 * residual dwell overflows to inf; exp(-inf) = 0 is exact
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "rates": {"gamma0": 1e300},
+            "tunneling": {"t0": 1e10, "cycle_period": 1e10,
+                          "window": 3e10}}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("readout", "--config", str(cfg), "--out",
+                           str(tmp_path / "o")) == 0
+        assert capsys.readouterr().err == ""
+        assert caught == []
+
+    @pytest.mark.parametrize("rates", [{"gammap": 1e10}, {"gamma0": 1e300}])
+    def test_overflowing_rk4_map_is_numeric_failure(self, rates, tmp_path,
+                                                     capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rates": rates}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("fig2", "--config", str(cfg), "--out",
+                           str(tmp_path / "o")) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: trace drifted by nan during integration\n")
+        assert caught == []
+
     def test_sweep_beyond_work_cap_rejected(self, tmp_path, capsys,
                                             monkeypatch):
         monkeypatch.setattr("fullerene_readout.protocol.run_window", never)

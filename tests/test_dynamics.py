@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fullerene_readout.dynamics import (DecoherenceRates, PulseSpec,
+from fullerene_readout.dynamics import (SIGMA_Z, DecoherenceRates, PulseSpec,
                                         analytic_free_evolution,
                                         evolve_numeric, fig2_timeseries,
                                         flip_probability,
                                         imperfect_flip_state, lindblad_rhs)
 from fullerene_readout.errors import NumericFailure
-from reference import SIGMA_X, rabi_pulse, validate_density_matrix
+from reference import (SIGMA_X, driven_evolution, rabi_pulse,
+                       validate_density_matrix)
 
 RATES = DecoherenceRates()  # gamma0 = 4e-4, gammap = 0.04
 
@@ -27,12 +28,12 @@ def random_hermitian(rng, dim):
     return a + a.conj().T
 
 
-def explicit_rk4_step(rho, rates, h, dt):
+def explicit_rk4_step(rho, rates, dt):
     """The classical four-stage RK4 step, written out from lindblad_rhs."""
-    k1 = lindblad_rhs(rho, rates, h)
-    k2 = lindblad_rhs(rho + 0.5 * dt * k1, rates, h)
-    k3 = lindblad_rhs(rho + 0.5 * dt * k2, rates, h)
-    k4 = lindblad_rhs(rho + dt * k3, rates, h)
+    k1 = lindblad_rhs(rho, rates)
+    k2 = lindblad_rhs(rho + 0.5 * dt * k1, rates)
+    k3 = lindblad_rhs(rho + 0.5 * dt * k2, rates)
+    k4 = lindblad_rhs(rho + dt * k3, rates)
     return rho + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -50,12 +51,6 @@ class TestImperfectFlip:
     def test_coherence_magnitude(self):
         rho = imperfect_flip_state(0.1)
         assert abs(rho[0, 1]) == pytest.approx(0.1545, abs=1e-4)
-
-    def test_branch_changes_only_phase(self):
-        plus = imperfect_flip_state(0.3, "+")
-        minus = imperfect_flip_state(0.3, "-")
-        assert np.allclose(np.diag(plus), np.diag(minus))
-        assert plus[0, 1] == pytest.approx(-minus[0, 1])
 
     @given(st.floats(min_value=0.0, max_value=0.999))
     def test_always_a_valid_state(self, alpha):
@@ -94,16 +89,7 @@ class TestLindbladRhs:
                                  gammap=rng.uniform(0, 0.1))
         assert abs(np.trace(lindblad_rhs(rho, rates))) < 1e-14
 
-    def test_hamiltonian_commutator_term(self):
-        rho = imperfect_flip_state(0.2)
-        h = np.diag([10.0, -10.0]).astype(complex)
-        rhs = lindblad_rhs(rho, DecoherenceRates(0.0, 0.0), h)
-        expected = -1j * 2 * math.pi / 1000 * (h @ rho - rho @ h)
-        assert np.max(np.abs(rhs - expected)) < 1e-15
-
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            lindblad_rhs(imperfect_flip_state(0.1), RATES, np.eye(8))
         with pytest.raises(ValueError):
             lindblad_rhs(np.eye(3, dtype=complex) / 3, RATES)
         # the outside spin alone: the 8-level product state is refused
@@ -111,7 +97,7 @@ class TestLindbladRhs:
         with pytest.raises(ValueError):
             lindblad_rhs(eight, RATES)
         with pytest.raises(ValueError):
-            evolve_numeric(eight, RATES, None, 1.0, 0.1)
+            evolve_numeric(eight, RATES, 1.0, 0.1)
 
 
 class TestAnalyticEvolution:
@@ -140,19 +126,18 @@ class TestAnalyticEvolution:
 class TestNumericEvolution:
     def test_matches_analytic_oracle(self):
         rho0 = imperfect_flip_state(0.1)
-        num = evolve_numeric(rho0, RATES, None, 1000.0, 0.05)
+        num = evolve_numeric(rho0, RATES, 1000.0, 0.05)
         ana = analytic_free_evolution(rho0, RATES, 1000.0)
         assert np.max(np.abs(num - ana)) < 1e-8
 
     def test_zero_rates_identity(self):
         rho0 = imperfect_flip_state(0.15)
-        out = evolve_numeric(rho0, DecoherenceRates(0.0, 0.0), None,
-                             100.0, 0.5)
+        out = evolve_numeric(rho0, DecoherenceRates(0.0, 0.0), 100.0, 0.5)
         assert np.max(np.abs(out - rho0)) < 1e-14
 
     def test_trace_preserved_many_steps(self):
         rho0 = imperfect_flip_state(0.2)
-        out = evolve_numeric(rho0, RATES, None, 200.0, 0.01)  # 2e4 steps
+        out = evolve_numeric(rho0, RATES, 200.0, 0.01)  # 2e4 steps
         assert abs(np.trace(out).real - 1.0) < 1e-10
 
     def test_state_stays_physical(self):
@@ -161,93 +146,58 @@ class TestNumericEvolution:
             rho0 = random_density_2x2(rng)
             rates = DecoherenceRates(gamma0=rng.uniform(0, 0.05),
                                      gammap=rng.uniform(0, 0.1))
-            out = evolve_numeric(rho0, rates, None, rng.uniform(1, 200), 0.05)
+            out = evolve_numeric(rho0, rates, rng.uniform(1, 200), 0.05)
             validate_density_matrix(out, tol=1e-9)
 
     def test_invalid_step(self):
         with pytest.raises(ValueError):
-            evolve_numeric(imperfect_flip_state(0.1), RATES, None, 1.0, 0.0)
+            evolve_numeric(imperfect_flip_state(0.1), RATES, 1.0, 0.0)
         with pytest.raises(ValueError):
-            evolve_numeric(imperfect_flip_state(0.1), RATES, None, -1.0, 0.1)
+            evolve_numeric(imperfect_flip_state(0.1), RATES, -1.0, 0.1)
 
     def test_nan_state_fails(self):
         with pytest.raises(NumericFailure):
-            evolve_numeric(np.full((2, 2), np.nan, complex), RATES, None,
-                           1.0, 0.1)
-
-    def test_coupled_hamiltonian_oscillates(self):
-        # resonant rotating-frame drive reproduces a pi flip
-        h = 0.5 * PulseSpec.calibrated(None).omega0 * np.array(
-            [[0, 1], [1, 0]], dtype=complex)
-        down = np.diag([0.0, 1.0]).astype(complex)
-        out = evolve_numeric(down, DecoherenceRates(0.0, 0.0), h, 140.0, 0.01)
-        assert out[0, 0].real == pytest.approx(1.0, abs=1e-8)
+            evolve_numeric(np.full((2, 2), np.nan, complex), RATES, 1.0, 0.1)
 
 
 class TestTransferMap:
     """evolve_numeric applies RK4 as a cached matrix; check it against the
     four-stage step itself."""
 
-    @pytest.mark.parametrize("dim, driven", [(2, False), (2, True)])
+    @pytest.mark.parametrize("dim, driven", [(2, False)])
     def test_one_step_is_explicit_rk4(self, dim, driven):
         rng = np.random.default_rng(dim + 10 * driven)
         a = random_hermitian(rng, dim)
         rho = a @ a / np.trace(a @ a)
-        h = 10.0 * random_hermitian(rng, dim) if driven else None
-        out = evolve_numeric(rho, RATES, h, 0.1, 0.1)
-        ref = explicit_rk4_step(rho, RATES, h, 0.1)
+        out = evolve_numeric(rho, RATES, 0.1, 0.1)
+        ref = explicit_rk4_step(rho, RATES, 0.1)
         assert np.max(np.abs(out - ref)) <= 1e-14
-
-    def test_cache_keys_on_hamiltonian_content(self):
-        rho = imperfect_flip_state(0.3)
-        h = 5.0 * SIGMA_X
-        first = evolve_numeric(rho, RATES, h, 0.1, 0.1)
-        h *= 3.0   # same object, new content
-        second = evolve_numeric(rho, RATES, h, 0.1, 0.1)
-        assert np.max(np.abs(first - second)) > 1e-6
-        assert np.max(np.abs(
-            second - explicit_rk4_step(rho, RATES, h, 0.1))) <= 1e-14
-        undriven = evolve_numeric(rho, RATES, None, 0.1, 0.1)
-        assert np.max(np.abs(undriven - first)) > 1e-6
 
     def test_cache_keys_on_rates(self):
         rho = imperfect_flip_state(0.3)
         slow, fast = DecoherenceRates(1e-4, 0.01), DecoherenceRates(1e-3, 0.1)
-        a = evolve_numeric(rho, slow, None, 0.1, 0.1)
-        b = evolve_numeric(rho, fast, None, 0.1, 0.1)
+        a = evolve_numeric(rho, slow, 0.1, 0.1)
+        b = evolve_numeric(rho, fast, 0.1, 0.1)
         assert np.max(np.abs(a - b)) > 1e-4
         assert np.max(np.abs(
-            b - explicit_rk4_step(rho, fast, None, 0.1))) <= 1e-14
+            b - explicit_rk4_step(rho, fast, 0.1))) <= 1e-14
 
     @pytest.mark.parametrize("rates", [RATES, DecoherenceRates(1e-3, 0.1)])
-    @pytest.mark.parametrize("driven", [False, True])
+    @pytest.mark.parametrize("driven", [False])
     def test_power_cache_keys_on_step_count(self, rates, driven):
         rho = imperfect_flip_state(0.3)
-        h = 5.0 * SIGMA_X if driven else None
         for steps in (3, 5, 3, 1):
             ref = rho
             for _ in range(steps):
-                ref = explicit_rk4_step(ref, rates, h, 0.125)
-            out = evolve_numeric(rho, rates, h, steps * 0.125, 0.125)
+                ref = explicit_rk4_step(ref, rates, 0.125)
+            out = evolve_numeric(rho, rates, steps * 0.125, 0.125)
             assert np.max(np.abs(out - ref)) <= 1e-14
-
-    def test_power_cache_keys_on_hamiltonian_content(self):
-        rho = imperfect_flip_state(0.3)
-        h = 5.0 * SIGMA_X
-        first = evolve_numeric(rho, RATES, h, 0.5, 0.125)
-        h *= 3.0   # same object, new content
-        second = evolve_numeric(rho, RATES, h, 0.5, 0.125)
-        ref = rho
-        for _ in range(4):
-            ref = explicit_rk4_step(ref, RATES, h, 0.125)
-        assert np.max(np.abs(first - second)) > 1e-6
-        assert np.max(np.abs(second - ref)) <= 1e-14
 
     def test_ten_million_steps_match_closed_form(self):
         # slow rates, so that the state at t = 1e6 ns is far from |down>
         rates = DecoherenceRates(1e-6, 2.5e-7)
         rho0 = imperfect_flip_state(0.3)
-        out = evolve_numeric(rho0, rates, None, 1e6, 0.1)
+        out = evolve_numeric(rho0, rates, 1e6, 0.1)
         ana = analytic_free_evolution(rho0, rates, 1e6)
         assert ana[0, 0].real == pytest.approx(math.exp(-1.0) *
                                                rho0[0, 0].real)
@@ -276,7 +226,7 @@ class TestRabiPulse:
     @given(st.floats(min_value=0.0, max_value=0.9))
     def test_matches_imperfect_flip_state(self, alpha):
         out = rabi_pulse(self.DOWN, self.PULSE, 0.0, 140.0 * (1 + alpha))
-        ref = imperfect_flip_state(alpha, "+")
+        ref = imperfect_flip_state(alpha)
         assert np.max(np.abs(np.diag(out) - np.diag(ref))) < 1e-12
         assert abs(abs(out[0, 1]) - abs(ref[0, 1])) < 1e-12
 
@@ -291,6 +241,23 @@ class TestRabiPulse:
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
             rabi_pulse(self.DOWN, self.PULSE, 0.0, -1.0)
+
+    @pytest.mark.parametrize("detuning", [0.0, 5.0, -40.0, 127.0])
+    def test_driven_oracle_matches_flip_probability(self, detuning):
+        # the exact propagator of the driven master equation, at zero rates
+        omega0 = self.PULSE.omega0
+        h = 0.5 * omega0 * SIGMA_X + 0.5 * detuning * SIGMA_Z
+        for tau in (13.3, 70.0, 140.0, 300.0):
+            out = driven_evolution(self.DOWN, DecoherenceRates(0.0, 0.0), h,
+                                   tau)
+            assert out[0, 0].real == pytest.approx(
+                flip_probability(omega0, detuning, tau), abs=1e-12)
+
+    def test_driven_oracle_without_drive_is_free_decay(self):
+        rho0 = imperfect_flip_state(0.3)
+        out = driven_evolution(rho0, RATES, np.zeros((2, 2)), 500.0)
+        ana = analytic_free_evolution(rho0, RATES, 500.0)
+        assert np.max(np.abs(out - ana)) <= 1e-12
 
 
 class TestPulseSpec:

@@ -8,7 +8,7 @@ import pytest
 
 from fullerene_readout.dynamics import (DecoherenceRates, PulseSpec,
                                         analytic_free_evolution,
-                                        evolve_numeric, flip_probability)
+                                        flip_probability)
 from fullerene_readout.errors import NumericFailure
 from fullerene_readout.protocol import (_BLOCK, CurrentTrace, InsideSpinState,
                                         TunnelEvents, TunnelingParams,
@@ -18,7 +18,8 @@ from fullerene_readout.protocol import (_BLOCK, CurrentTrace, InsideSpinState,
                                         resonance_frequency, run_window,
                                         sweep_states, write_events_csv)
 from fullerene_readout.spin_core import SystemParams
-from reference import SIGMA_X, rabi_pulse, run_window_reference
+from reference import (SIGMA_X, driven_evolution, rabi_pulse,
+                       run_window_reference)
 
 SYS = SystemParams(nu1=10000.0, nu2=10063.5, J=50.0)
 RATES = DecoherenceRates()
@@ -306,10 +307,10 @@ class TestStreamGuard:
     same floats, as the per-electron block loop of the reference module."""
 
     @staticmethod
-    def assert_same_window(state, pulse, params, seed):
-        got = run_window(state, pulse, SYS, params, RATES, seed,
+    def assert_same_window(state, pulse, params, seed, rates=RATES):
+        got = run_window(state, pulse, SYS, params, rates, seed,
                          collect_events=True)
-        want = run_window_reference(state, pulse, SYS, params, RATES, seed,
+        want = run_window_reference(state, pulse, SYS, params, rates, seed,
                                     collect_events=True)
         assert got.n_cycles == want.n_cycles
         assert got.n_passed == want.n_passed, (state, params)
@@ -317,7 +318,7 @@ class TestStreamGuard:
             a, b = getattr(got.events, f.name), getattr(want.events, f.name)
             assert a.dtype == b.dtype and np.array_equal(a, b), (
                 f.name, state, params)
-        assert run_window(state, pulse, SYS, params, RATES,
+        assert run_window(state, pulse, SYS, params, rates,
                           seed).n_passed == want.n_passed
 
     @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.5])
@@ -345,6 +346,16 @@ class TestStreamGuard:
         for run in (run_window, run_window_reference):
             with pytest.raises(NumericFailure, match="pulse phase overflows"):
                 run(OUTER_UP, pulse, SYS, leaky, RATES, 0)
+
+    def test_overflowing_relaxation(self):
+        # gamma0 * residual dwell overflows to inf; exp(-inf) = 0 is exact,
+        # so every electron relaxes to |down> and passes, without a warning
+        params = TunnelingParams(t0=1e10, cycle_period=1e10, window=3e10)
+        pulse = PulseSpec.calibrated(resonance_frequency(OUTER_UP, SYS))
+        rates = DecoherenceRates(gamma0=1e300)
+        self.assert_same_window(OUTER_UP, pulse, params, 0, rates)
+        assert run_window(OUTER_UP, pulse, SYS, params, rates,
+                          0).n_passed == 3
 
     # n_passed as drawn at the per-electron kernel, so that neither the
     # kernel nor its reference can drift with the other.
@@ -417,8 +428,9 @@ class TestClassify:
 
 class TestIdealPulseAssumption:
     """run_window's pulse is the unitary flip_probability. The master
-    equation with the drive on shows what that leaves out: at the default
-    rates a calibrated resonant pi pulse is overdamped."""
+    equation with the drive on (the reference module's exact propagator)
+    shows what that leaves out: at the default rates a calibrated resonant
+    pi pulse is overdamped."""
 
     @pytest.mark.parametrize("gammap, rho_uu", [(0.04, 0.1699),
                                                 (0.004, 0.6328),
@@ -426,9 +438,8 @@ class TestIdealPulseAssumption:
     def test_damped_pi_pulse_transfer(self, gammap, rho_uu):
         pulse = PulseSpec.calibrated(None)
         down = np.diag([0.0, 1.0]).astype(complex)
-        out = evolve_numeric(down, DecoherenceRates(4e-4, gammap),
-                             0.5 * pulse.omega0 * SIGMA_X, pulse.duration,
-                             0.05)
+        out = driven_evolution(down, DecoherenceRates(4e-4, gammap),
+                               0.5 * pulse.omega0 * SIGMA_X, pulse.duration)
         assert out[0, 0].real == pytest.approx(rho_uu, abs=1e-3)
         assert flip_probability(pulse.omega0, 0.0, pulse.duration) == (
             pytest.approx(1.0))
