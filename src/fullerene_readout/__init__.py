@@ -11,7 +11,7 @@ from .errors import ConfigError, NumericFailure
 from .protocol import (CurrentTrace, InsideSpinState, ReadoutResult,
                        SweepCell, TunnelEvents, TunnelingParams, classify,
                        fidelity_sweep, resonance_frequency, run_window)
-from .spin_core import (AnisotropyParams, EnergyLevel, MechanicsParams,
-                        PhysicalConstants, SystemParams, Transition,
-                        check_weak_coupling, eigenenergies, transition_table,
-                        vibration_shift, zeeman_separation)
+from .spin_core import (EnergyLevel, MechanicsParams, PhysicalConstants,
+                        SystemParams, Transition, check_weak_coupling,
+                        eigenenergies, transition_table, vibration_shift,
+                        zeeman_separation)

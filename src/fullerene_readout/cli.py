@@ -79,8 +79,8 @@ class Manifest:
 
 
 def cmd_table(config: SimulationConfig, manifest: Manifest) -> None:
-    rows = transition_table(config.system, config.aniso)
-    levels = eigenenergies(config.system, config.aniso)
+    rows = transition_table(config.system)
+    levels = eigenenergies(config.system)
     manifest.add_records("transitions.csv", {
         "row": range(1, len(rows) + 1), "kind": [r.kind for r in rows],
         "m1_initial": [r.initial[0] for r in rows],
@@ -233,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_grid(text: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        # + 0.0 folds -0 into 0: one value, one seed, one file name
+        return [float(x) + 0.0 for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"invalid grid '{text}'") from exc
 

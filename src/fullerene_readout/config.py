@@ -2,8 +2,8 @@
 JSON configuration ingestion with strict schema checking.
 
 An empty document is a complete configuration of the standard scenario.
-The params dataclasses are the only source of the keys, their defaults and
-their checks; this module maps each section of the document onto them.
+Each section of the document is one params dataclass, and that dataclass
+is the only source of the section's keys, their defaults and their checks.
 Unknown keys are rejected, and validation errors name the offending field.
 """
 
@@ -17,18 +17,17 @@ from pathlib import Path
 from .dynamics import DecoherenceRates, PulseSpec
 from .errors import ConfigError, require
 from .protocol import TunnelingParams
-from .spin_core import (AnisotropyParams, MechanicsParams, PhysicalConstants,
-                        SystemParams)
+from .spin_core import MechanicsParams, PhysicalConstants, SystemParams
 
-# Each section of the document and the dataclasses it fills, in manifest
-# order.
+# Each section of the document, in manifest order, and the dataclass it
+# fills; the section name is also the SimulationConfig field.
 _SECTIONS = {
-    "system": (SystemParams, AnisotropyParams),
-    "constants": (PhysicalConstants,),
-    "rates": (DecoherenceRates,),
-    "pulse": (PulseSpec,),
-    "tunneling": (TunnelingParams,),
-    "mechanics": (MechanicsParams,),
+    "system": SystemParams,
+    "constants": PhysicalConstants,
+    "rates": DecoherenceRates,
+    "pulse": PulseSpec,
+    "tunneling": TunnelingParams,
+    "mechanics": MechanicsParams,
 }
 
 
@@ -40,7 +39,6 @@ def _defaults(cls) -> dict:
 @dataclass(frozen=True)
 class SimulationConfig:
     system: SystemParams
-    aniso: AnisotropyParams
     constants: PhysicalConstants
     rates: DecoherenceRates
     pulse: PulseSpec
@@ -59,12 +57,9 @@ class SimulationConfig:
 
     def to_dict(self) -> dict:
         """The resolved config, in the layout of a config document."""
-        objects = {type(o): o for o in (
-            self.system, self.aniso, self.constants, self.rates,
-            self.pulse, self.tunneling, self.mechanics)}
-        doc = {name: {key: getattr(objects[cls], key)
-                      for cls in classes for key in _defaults(cls)}
-               for name, classes in _SECTIONS.items()}
+        doc = {name: {key: getattr(getattr(self, name), key)
+                      for key in _defaults(cls)}
+               for name, cls in _SECTIONS.items()}
         return doc | {key: getattr(self, key)
                       for key in _defaults(SimulationConfig)}
 
@@ -74,9 +69,7 @@ def _section(name: str, raw: dict) -> dict:
     section = raw.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"{name}: expected an object")
-    defaults = {}
-    for cls in _SECTIONS[name]:
-        defaults.update(_defaults(cls))
+    defaults = _defaults(_SECTIONS[name])
     unknown = set(section) - set(defaults)
     if unknown:
         raise ConfigError(f"{name}.{sorted(unknown)[0]}: unknown key")
@@ -103,22 +96,14 @@ def config_from_dict(raw: dict) -> SimulationConfig:
         raise ConfigError(f"{sorted(unknown)[0]}: unknown key")
     sections = {name: _section(name, raw) for name in _SECTIONS}
 
-    def build(name, cls, **extra):
-        keys = _defaults(cls)
+    def build(name, cls):
+        extra = {"frequency": None} if cls is PulseSpec else {}
         try:
-            return cls(**{k: v for k, v in sections[name].items()
-                          if k in keys}, **extra)
+            return cls(**sections[name], **extra)
         except ValueError as exc:
             raise ConfigError(f"{name}.{exc}") from exc
 
-    params = dict(
-        system=build("system", SystemParams),
-        aniso=build("system", AnisotropyParams),
-        constants=build("constants", PhysicalConstants),
-        rates=build("rates", DecoherenceRates),
-        pulse=build("pulse", PulseSpec, frequency=None),
-        tunneling=build("tunneling", TunnelingParams),
-        mechanics=build("mechanics", MechanicsParams))
+    params = {name: build(name, cls) for name, cls in _SECTIONS.items()}
     top = {k: v for k, v in raw.items() if k not in _SECTIONS}
     try:
         return SimulationConfig(**params, **top)

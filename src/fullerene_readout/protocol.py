@@ -126,10 +126,6 @@ class InsideSpinState:
                 f"must be +/-{_ENCODING_M1[self.encoding]:g} for encoding "
                 f"'{self.encoding}'")
 
-    @property
-    def positive(self) -> "InsideSpinState":
-        return InsideSpinState(abs(self.m1), self.encoding)
-
 
 @dataclass(frozen=True, eq=False)
 class TunnelEvents:

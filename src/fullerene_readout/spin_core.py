@@ -1,11 +1,12 @@
 """
 Static two-spin problem for the coupled fullerene pair.
 
-Closed forms of the diagonal two-spin Hamiltonian (inside spin S=3/2,
-outside spin S=1/2, secular dipolar coupling): the exact product-level
-energies, the ten selection-rule-allowed ESR transition frequencies, the
-weak-coupling check, the gradient-induced Zeeman separation between the two
-sites, and the spin-vibration decoupling estimate.
+Closed forms of the diagonal two-spin Hamiltonian of `SystemParams` (inside
+spin S=3/2 with axial anisotropy D2, D4; outside spin S=1/2; secular dipolar
+coupling): the exact product-level energies, the ten selection-rule-allowed
+ESR transition frequencies, the weak-coupling check, the gradient-induced
+Zeeman separation between the two sites, and the spin-vibration decoupling
+estimate.
 
 Conventions
 -----------
@@ -48,51 +49,30 @@ class PhysicalConstants:
             require(getattr(self, name) > 0, name, "must be strictly positive")
 
 
-def _require_mhz(params, name: str) -> None:
-    require(abs(getattr(params, name)) <= MAX_MHZ, name,
-            f"must lie in [-{MAX_MHZ:g}, {MAX_MHZ:g}] MHz")
-
-
 @dataclass(frozen=True)
 class SystemParams:
-    """Static-problem parameters: Zeeman half-frequencies and coupling, MHz."""
+    """Static-problem parameters, MHz: Zeeman half-frequencies, coupling,
+    and the axial anisotropy D2 (Sz)^2 + D4 (Sz)^4 of the inside spin (on
+    the spin-1/2 outside spin both terms are unobservable constant shifts)."""
 
     nu1: float = 10000.0
     nu2: float = 10063.5
     J: float = 50.0
+    D2: float = 0.0
+    D4: float = 0.0
 
     def __post_init__(self):
         for name in ("nu1", "nu2"):
             require(0 < getattr(self, name) <= MAX_MHZ, name,
                     f"must lie in (0, {MAX_MHZ:g}] MHz")
-        _require_mhz(self, "J")
+        for name in ("J", "D2", "D4"):
+            require(abs(getattr(self, name)) <= MAX_MHZ, name,
+                    f"must lie in [-{MAX_MHZ:g}, {MAX_MHZ:g}] MHz")
 
     @property
     def delta(self) -> float:
         """Site frequency offset delta = nu2 - nu1 (MHz)."""
         return self.nu2 - self.nu1
-
-
-@dataclass(frozen=True)
-class AnisotropyParams:
-    """Axial anisotropy coefficients for the inside spin, MHz.
-
-    Applied to the inside spin only: for the spin-1/2 outside spin, (Sz)^2
-    and (Sz)^4 are multiples of identity and physically unobservable shifts.
-    """
-
-    D2: float = 0.0
-    D4: float = 0.0
-
-    def __post_init__(self):
-        _require_mhz(self, "D2")
-        _require_mhz(self, "D4")
-
-    def __bool__(self) -> bool:
-        return self.D2 != 0.0 or self.D4 != 0.0
-
-
-ANISO_OFF = AnisotropyParams()
 
 
 @dataclass(frozen=True)
@@ -129,11 +109,10 @@ class Transition:
     formula: str                   # closed form in nu1, delta, J, D2, D4
 
 
-def level_energy(m1: float, m2: float, params: SystemParams,
-                 aniso: AnisotropyParams = ANISO_OFF) -> float:
+def level_energy(m1: float, m2: float, params: SystemParams) -> float:
     """Closed-form product-level energy, MHz."""
     return (2.0 * params.nu1 * m1 + 2.0 * params.nu2 * m2
-            + params.J * m1 * m2 + aniso.D2 * m1 ** 2 + aniso.D4 * m1 ** 4)
+            + params.J * m1 * m2 + params.D2 * m1 ** 2 + params.D4 * m1 ** 4)
 
 
 class WeakCouplingCheck(NamedTuple):
@@ -152,10 +131,9 @@ def check_weak_coupling(params: SystemParams) -> WeakCouplingCheck:
     return WeakCouplingCheck(ratio, ratio < 1)
 
 
-def eigenenergies(params: SystemParams,
-                  aniso: AnisotropyParams = ANISO_OFF) -> list[EnergyLevel]:
+def eigenenergies(params: SystemParams) -> list[EnergyLevel]:
     """All eight product levels in basis order (descending m1, then m2)."""
-    return [EnergyLevel(m1, m2, level_energy(m1, m2, params, aniso))
+    return [EnergyLevel(m1, m2, level_energy(m1, m2, params))
             for m1 in M1_VALUES for m2 in M2_VALUES]
 
 
@@ -176,9 +154,7 @@ def outside_flip_frequency(params: SystemParams, m1: float) -> float:
     return 2.0 * params.nu2 + params.J * m1
 
 
-def transition_table(params: SystemParams,
-                     aniso: AnisotropyParams = ANISO_OFF
-                     ) -> tuple[Transition, ...]:
+def transition_table(params: SystemParams) -> tuple[Transition, ...]:
     """The ten allowed lines, ordered as: outside flips for m1 = 3/2 ... -3/2,
     then inside flips for m2 = +1/2, then m2 = -1/2.
 
@@ -198,7 +174,7 @@ def transition_table(params: SystemParams,
             d2 = hi ** 2 - lo ** 2
             d4 = hi ** 4 - lo ** 4
             freq = (2.0 * params.nu1 + params.J * m2
-                    + aniso.D2 * d2 + aniso.D4 * d4)
+                    + params.D2 * d2 + params.D4 * d4)
             formula = "2*nu1" + _signed_term(m2, "J")
             if d2:
                 formula += _signed_term(d2, "D2")

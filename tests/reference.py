@@ -20,8 +20,7 @@ from fullerene_readout.errors import NumericFailure
 from fullerene_readout.protocol import (_BLOCK, CurrentTrace, InsideSpinState,
                                         TunnelEvents, TunnelingParams,
                                         leak_resonance_frequency)
-from fullerene_readout.spin_core import (ANISO_OFF, AnisotropyParams,
-                                         SystemParams, outside_flip_frequency)
+from fullerene_readout.spin_core import SystemParams, outside_flip_frequency
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -34,8 +33,7 @@ def spin_z_operator(multiplicity: int) -> np.ndarray:
     return np.diag([s - k for k in range(multiplicity)]).astype(complex)
 
 
-def build_hamiltonian(params: SystemParams,
-                      aniso: AnisotropyParams = ANISO_OFF) -> np.ndarray:
+def build_hamiltonian(params: SystemParams) -> np.ndarray:
     """8x8 diagonal Hamiltonian in MHz, basis descending (m1, m2).
 
     H = 2 nu1 Sz1 x I2 + 2 nu2 I1 x Sz2 + J Sz1 x Sz2
@@ -48,10 +46,10 @@ def build_hamiltonian(params: SystemParams,
     h = (2.0 * params.nu1 * np.kron(sz1, i2)
          + 2.0 * params.nu2 * np.kron(i1, sz2)
          + params.J * np.kron(sz1, sz2))
-    if aniso:
+    if params.D2 or params.D4:
         sz1_sq = sz1 @ sz1
-        h = h + aniso.D2 * np.kron(sz1_sq, i2)
-        h = h + aniso.D4 * np.kron(sz1_sq @ sz1_sq, i2)
+        h = h + params.D2 * np.kron(sz1_sq, i2)
+        h = h + params.D4 * np.kron(sz1_sq @ sz1_sq, i2)
     return h
 
 

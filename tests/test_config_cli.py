@@ -16,11 +16,28 @@ from fullerene_readout.config import config_from_dict, parse_config
 from fullerene_readout.dynamics import DecoherenceRates, PulseSpec
 from fullerene_readout.errors import ConfigError
 from fullerene_readout.protocol import MAX_EVENT_CYCLES, TunnelingParams
-from fullerene_readout.spin_core import (AnisotropyParams, MechanicsParams,
-                                         PhysicalConstants, SystemParams)
+from fullerene_readout.spin_core import (MechanicsParams, PhysicalConstants,
+                                         SystemParams)
 
-PARAMS = (SystemParams, AnisotropyParams, PhysicalConstants, DecoherenceRates,
-          PulseSpec, TunnelingParams, MechanicsParams)
+PARAMS = (SystemParams, PhysicalConstants, DecoherenceRates, PulseSpec,
+          TunnelingParams, MechanicsParams)
+
+# Every key of every section and the top level, in manifest order, each set
+# to a valid value other than its default.
+EVERY_KEY = {
+    "system": {"nu1": 9000.0, "nu2": 9100.5, "J": -40.0, "D2": 7.5,
+               "D4": -1.25},
+    "constants": {"g": 2.5, "muB_over_h": 14000.0, "muB": 9e-24,
+                  "k_spring": 50.0},
+    "rates": {"gamma0": 0.001, "gammap": 0.02},
+    "pulse": {"omega0": 4.0, "duration": 120.0},
+    "tunneling": {"t0": 140.0, "alpha": 0.05, "p_leak_source": 0.01,
+                  "p_leak_drain": 0.02, "cycle_period": 160.0,
+                  "window": 3.2e5},
+    "mechanics": {"gradient": 2e6, "spacing": 1.2e-9, "coulomb_shift": 5e-12},
+    "seed": 9,
+    "output_dir": "elsewhere",
+}
 
 
 class TestConfig:
@@ -84,6 +101,16 @@ class TestConfig:
         path.write_text("{nope")
         with pytest.raises(ConfigError):
             parse_config(path)
+
+    def test_every_key_round_trips_in_order(self):
+        defaults = config_from_dict({}).to_dict()
+        for name, section in EVERY_KEY.items():
+            if isinstance(section, dict):
+                assert all(v != defaults[name][k] for k, v in section.items())
+            else:
+                assert section != defaults[name]
+        assert (json.dumps(config_from_dict(EVERY_KEY).to_dict())
+                == json.dumps(EVERY_KEY))
 
     def test_pulse_must_fit_cycle(self):
         with pytest.raises(ConfigError, match="pulse.duration"):
@@ -178,6 +205,14 @@ class TestTableCommand:
                                                        "levels.csv"}
         assert doc["config"]["system"]["nu1"] == 10000.0
 
+    def test_manifest_echoes_every_key(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(EVERY_KEY))
+        out = tmp_path / "o"
+        assert run_cli("table", "--config", str(cfg), "--out", str(out)) == 0
+        doc = json.loads((out / "manifest.json").read_text())
+        assert json.dumps(doc["config"]) == json.dumps(EVERY_KEY)
+
 
 class TestFig2Command:
     def test_outputs(self, tmp_path):
@@ -192,7 +227,8 @@ class TestFig2Command:
 
     @pytest.mark.parametrize("alphas,why", [
         (",", "must be non-empty"), ("0.1,1.5", r"must lie in \[0, 1\)"),
-        ("0.1,0.1000001", r"two values would write fig2_alpha_0\.1\.csv")])
+        ("0.1,0.1000001", r"two values would write fig2_alpha_0\.1\.csv"),
+        ("0,-0", r"two values would write fig2_alpha_0\.csv")])
     def test_bad_grid_rejected(self, alphas, why, tmp_path, capsys):
         assert run_cli("fig2", "--alphas", alphas, "--out",
                        str(tmp_path)) == 1
@@ -296,6 +332,18 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith(
             f"validation error: sweep.{option}: must not repeat a value")
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("option", ["alphas", "leaks"])
+    def test_negative_zero_is_zero(self, option, small_cfg, tmp_path):
+        # -0 is the same grid value as 0: same seeds, same rows
+        outputs = []
+        for value in ("0", "-0"):
+            out = tmp_path / value
+            assert run_cli("sweep", "--config", small_cfg, f"--{option}",
+                           value, "--trials", "2", "--out", str(out)) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("sweep.csv", "sweep.jsonl")])
+        assert outputs[0] == outputs[1]
 
     def test_grid_shape_and_zero_misclassification(self, small_cfg,
                                                    tmp_path):

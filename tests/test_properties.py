@@ -32,8 +32,8 @@ VALUES = st.one_of(
 def documents(draw):
     """Up to four keys, most set to a multiple of their default, the rest to
     any value at all; now and then an unknown key."""
-    keys = [(name, key, default) for name, classes in _SECTIONS.items()
-            for cls in classes for key, default in _defaults(cls).items()]
+    keys = [(name, key, default) for name, cls in _SECTIONS.items()
+            for key, default in _defaults(cls).items()]
     doc = {}
     for name, key, default in draw(st.lists(st.sampled_from(keys),
                                             unique=True, max_size=4)):

@@ -168,7 +168,7 @@ def mean_pass_probability(state, params, rates=RATES):
     (alpha t0)^2) truncated to (0, cycle_period], with the closed-form pulse
     and relaxation written out independently of the package."""
     pulse = PulseSpec.calibrated(None)
-    carrier = outside_flip_frequency(SYS, state.positive.m1)
+    carrier = outside_flip_frequency(SYS, abs(state.m1))
     t0, cp, sigma = params.t0, params.cycle_period, params.alpha * params.t0
     if sigma == 0.0:
         dwell, weight = np.array([t0]), np.array([1.0])
@@ -209,7 +209,7 @@ class TestExactDistribution:
                          p_leak_drain=leak)
         for state in sweep_states("both"):
             pulse = PulseSpec.calibrated(
-                outside_flip_frequency(SYS, state.positive.m1))
+                outside_flip_frequency(SYS, abs(state.m1)))
             p = mean_pass_probability(state, params)
             for seed in range(3):
                 trace = run_window(state, pulse, SYS, params, RATES, seed)
