@@ -137,8 +137,7 @@ def cmd_readout(config: SimulationConfig, manifest: Manifest,
                 "tunneling.window", f"must hold at most {MAX_EVENT_CYCLES:.0e}"
                 " cycles of cycle_period with --events")
     freq = resonance_frequency(inside, config.system)
-    pulse = dataclasses.replace(config.pulse, frequency=freq)
-    trace = run_window(inside, pulse, config.system, config.tunneling,
+    trace = run_window(inside, config.pulse, config.system, config.tunneling,
                        config.rates, config.seed, collect_events=events)
     result = classify(trace, config.tunneling, inside.encoding)
     manifest.extra["interrogation_mhz"] = freq

@@ -95,15 +95,12 @@ def config_from_dict(raw: dict) -> SimulationConfig:
     if unknown:
         raise ConfigError(f"{sorted(unknown)[0]}: unknown key")
     sections = {name: _section(name, raw) for name in _SECTIONS}
-
-    def build(name, cls):
-        extra = {"frequency": None} if cls is PulseSpec else {}
+    params = {}
+    for name, cls in _SECTIONS.items():
         try:
-            return cls(**sections[name], **extra)
+            params[name] = cls(**sections[name])
         except ValueError as exc:
             raise ConfigError(f"{name}.{exc}") from exc
-
-    params = {name: build(name, cls) for name, cls in _SECTIONS.items()}
     top = {k: v for k, v in raw.items() if k not in _SECTIONS}
     try:
         return SimulationConfig(**params, **top)

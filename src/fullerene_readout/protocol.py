@@ -230,17 +230,17 @@ def run_window(inside: InsideSpinState, pulse: PulseSpec, sys: SystemParams,
                params: TunnelingParams, rates: DecoherenceRates, seed: int,
                collect_events: bool = False) -> CurrentTrace:
     """One readout window of floor(window / cycle_period) blockaded
-    electrons: emit, dwell, pulse, relax, drain. Drawn in blocks from a
+    electrons: emit, dwell, pulse, relax, drain. The pulse's carrier is
+    tuned to `resonance_frequency(inside, sys)`. Drawn in blocks from a
     dedicated PCG64 stream; deterministic for a fixed seed."""
-    if pulse.frequency is None:
-        raise ValueError("pulse carrier frequency is unset")
     if pulse.duration > params.cycle_period:
         raise ValueError("pulse does not fit in the cycle period")
     n_cycles = params.n_cycles
     rng = np.random.Generator(np.random.PCG64(seed))
+    carrier = resonance_frequency(inside, sys)
     factors = rabi_factors(pulse.omega0, np.array([
-        pulse.frequency - outside_flip_frequency(sys, inside.m1),
-        pulse.frequency - leak_resonance_frequency(sys)]))
+        carrier - outside_flip_frequency(sys, inside.m1),
+        carrier - leak_resonance_frequency(sys)]))
     constant_dwell = params.alpha == 0.0
     if constant_dwell:
         # Every dwell is t0: one flip and one pass probability per line.
@@ -311,17 +311,18 @@ def sweep_states(encoding: str) -> list[InsideSpinState]:
 def fidelity_sweep(encoding: str, sys: SystemParams, rates: DecoherenceRates,
                    alphas: list[float], leaks: list[float], trials: int,
                    seed: int, tunneling: TunnelingParams = TunnelingParams(),
-                   pulse: PulseSpec = PulseSpec(None)) -> list[SweepCell]:
+                   pulse: PulseSpec = PulseSpec()) -> list[SweepCell]:
     """Misclassification rates over an (alpha, leak) grid.
 
-    Each cell runs `trials` independent windows per true state, each with
-    `pulse` at the state's `resonance_frequency` as `sim readout` does; leak
-    sets both filters. Fully deterministic given the base seed. Every grid
-    value is checked, a grid that repeats a value (whose cells would rerun
-    the same seeds) refused, and so is a sweep of more than
-    MAX_SWEEP_ELECTRONS electrons, before the grid is built or any electron
-    drawn.
+    Each cell runs `trials` independent windows of `pulse` per true state,
+    as `sim readout` does; leak sets both filters. Fully deterministic given
+    the base seed. Every grid value is checked, a grid that repeats a value
+    (whose cells would rerun the same seeds) refused, and so is a sweep of
+    more than MAX_SWEEP_ELECTRONS electrons, before the grid is built or any
+    electron drawn.
     """
+    # + 0.0 folds -0 into 0: one value, one seed
+    alphas, leaks = [a + 0.0 for a in alphas], [x + 0.0 for x in leaks]
     require(len(alphas) > 0, "sweep.alphas", "must be non-empty")
     require(len(leaks) > 0, "sweep.leaks", "must be non-empty")
     require(trials >= 1, "sweep.trials", "must be >= 1")
@@ -341,19 +342,17 @@ def fidelity_sweep(encoding: str, sys: SystemParams, rates: DecoherenceRates,
     require(electrons <= MAX_SWEEP_ELECTRONS, "sweep.trials",
             "cells x trials x cycles per window must be at most "
             f"{MAX_SWEEP_ELECTRONS:.0e} electrons")
-    pulses = [replace(pulse, frequency=resonance_frequency(state, sys))
-              for state in states]
     cells: list[SweepCell] = []
     for a in alphas:
         for leak in leaks:
             params = replace(tunneling, alpha=a, p_leak_source=leak,
                              p_leak_drain=leak)
-            for state, tuned in zip(states, pulses):
+            for state in states:
                 bad = 0
                 for trial in range(trials):
                     s = derive_seed(seed, a, leak, state.m1, state.encoding,
                                     trial)
-                    trace = run_window(state, tuned, sys, params, rates, s)
+                    trace = run_window(state, pulse, sys, params, rates, s)
                     result = classify(trace, params, state.encoding)
                     if result.classified.m1 != state.m1:
                         bad += 1

@@ -150,8 +150,9 @@ def run_window_reference(inside: InsideSpinState, pulse: PulseSpec,
     the same float operations per electron."""
     n_cycles = params.n_cycles
     rng = np.random.Generator(np.random.PCG64(seed))
-    detuning_down = pulse.frequency - outside_flip_frequency(sys, inside.m1)
-    detuning_up = pulse.frequency - leak_resonance_frequency(sys)
+    carrier = outside_flip_frequency(sys, abs(inside.m1))
+    detuning_down = carrier - outside_flip_frequency(sys, inside.m1)
+    detuning_up = carrier - leak_resonance_frequency(sys)
     n_passed = 0
     blocks = []
     for start in range(0, n_cycles, _BLOCK):

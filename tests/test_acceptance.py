@@ -19,8 +19,7 @@ from fullerene_readout.dynamics import (DecoherenceRates, PulseSpec,
                                         evolve_numeric, fig2_timeseries,
                                         flip_probability)
 from fullerene_readout.protocol import (TunnelingParams, classify,
-                                        resonance_frequency, run_window,
-                                        sweep_states)
+                                        run_window, sweep_states)
 from fullerene_readout.spin_core import (MechanicsParams, PhysicalConstants,
                                          SystemParams, eigenenergies,
                                          transition_table, vibration_shift,
@@ -157,8 +156,7 @@ def truth_table(p_leak, alpha=0.1, window=1e6, seeds=range(20)):
                              p_leak_drain=p_leak, window=window)
     cases = []
     for state in sweep_states("both"):
-        freq = resonance_frequency(state, STD)
-        pulse = PulseSpec.calibrated(freq)
+        pulse = PulseSpec()
         for seed in seeds:
             trace = run_window(state, pulse, STD, params, RATES, seed)
             result = classify(trace, params, state.encoding)
@@ -186,7 +184,7 @@ def test_criterion_07_readout_truth_table():
 def test_criterion_08_leakage_robustness():
     with criterion(8, "Leakage robustness"):
         start = time.monotonic()
-        omega0 = PulseSpec.calibrated(None).omega0
+        omega0 = PulseSpec().omega0
         # leaked electrons sit >= 2*delta = 127 MHz off resonance
         bound = omega0 ** 2 / (omega0 ** 2 + 127.0 ** 2)
         assert bound <= 8e-4

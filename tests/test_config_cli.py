@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from fullerene_readout.cli import main
-from fullerene_readout.config import config_from_dict, parse_config
+from fullerene_readout.config import (_SECTIONS, config_from_dict,
+                                      parse_config)
 from fullerene_readout.dynamics import DecoherenceRates, PulseSpec
 from fullerene_readout.errors import ConfigError
 from fullerene_readout.protocol import MAX_EVENT_CYCLES, TunnelingParams
@@ -111,6 +112,12 @@ class TestConfig:
                 assert section != defaults[name]
         assert (json.dumps(config_from_dict(EVERY_KEY).to_dict())
                 == json.dumps(EVERY_KEY))
+
+    def test_section_fields_are_its_keys(self):
+        # a section dataclass holds its config keys and nothing else
+        doc = config_from_dict({}).to_dict()
+        for name, cls in _SECTIONS.items():
+            assert [f.name for f in fields(cls)] == list(doc[name]), name
 
     def test_pulse_must_fit_cycle(self):
         with pytest.raises(ConfigError, match="pulse.duration"):

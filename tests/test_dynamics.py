@@ -205,7 +205,7 @@ class TestTransferMap:
 
 
 class TestRabiPulse:
-    PULSE = PulseSpec.calibrated(20202.0)
+    PULSE = PulseSpec()
     DOWN = np.diag([0.0, 1.0]).astype(complex)
 
     def test_calibration(self):
@@ -263,9 +263,9 @@ class TestRabiPulse:
 class TestPulseSpec:
     def test_duration_bounds(self):
         with pytest.raises(ValueError):
-            PulseSpec(omega0=1.0, frequency=None, duration=0.0)
+            PulseSpec(omega0=1.0, duration=0.0)
         with pytest.raises(ValueError):
-            PulseSpec(omega0=-1.0, frequency=None)
+            PulseSpec(omega0=-1.0)
 
 
 class TestFig2:
