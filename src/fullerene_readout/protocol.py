@@ -13,8 +13,9 @@ window of cycles yields a detector count that classifies the inside spin.
 The electrons of a window are independent given the config, so a window is
 drawn as numpy arrays, `_BLOCK` electrons at a time, from one
 `numpy.random.Generator(PCG64(seed))`. Per block the draws are, in order: the
-source spin, the dwell (rejected entries redrawn until all lie in
-(0, cycle_period]) and the drain Bernoulli. Per-electron records, when asked
+source spin, the dwell (a half-normal below t0 when t0 == cycle_period, a
+normal otherwise, with the entries outside (0, cycle_period] redrawn until
+all lie in it) and the drain Bernoulli. Per-electron records, when asked
 for, are kept as columns (`TunnelEvents`), not one object per electron.
 
 An electron's detuning takes one of two values per window: the interrogated
@@ -194,14 +195,30 @@ def resonance_frequency(inside: InsideSpinState, sys: SystemParams) -> float:
 
 def _draw_dwell(params: TunnelingParams, rng: np.random.Generator,
                 n: int) -> np.ndarray:
-    """n dwell draws from Normal(t0, (alpha*t0)^2), alpha > 0, each rejected
-    draw redrawn until it lies in (0, cycle_period]."""
+    """n dwell draws from Normal(t0, (alpha*t0)^2), alpha > 0, truncated to
+    (0, cycle_period]: each draw outside it is redrawn until all lie inside.
+
+    At t0 == cycle_period the truncation cuts the normal at its mean, so the
+    dwell is the half-normal t0 - sigma*|Z| from `standard_normal`, and only
+    a dwell <= 0 is redrawn (probability 2 Phi(-1/alpha)). Otherwise the
+    draws come from `normal(t0, sigma)`."""
     t0, cycle_period = params.t0, params.cycle_period
     sigma = params.alpha * t0
-    dwell = rng.normal(t0, sigma, n)
+    if t0 == cycle_period:
+        def draw(k):
+            z = rng.standard_normal(k)
+            # sigma*|Z| may overflow to inf; that dwell is -inf, which is
+            # <= 0 and redrawn, so the draw stays exact.
+            with np.errstate(over="ignore"):
+                np.multiply(np.abs(z, out=z), sigma, out=z)
+            return np.subtract(t0, z, out=z)
+    else:
+        def draw(k):
+            return rng.normal(t0, sigma, k)
+    dwell = draw(n)
     redraw = np.flatnonzero((dwell <= 0.0) | (dwell > cycle_period))
     while redraw.size:
-        dwell[redraw] = d = rng.normal(t0, sigma, redraw.size)
+        dwell[redraw] = d = draw(redraw.size)
         redraw = redraw.compress((d <= 0.0) | (d > cycle_period))
     return dwell
 

@@ -129,15 +129,23 @@ def _flip_probability(omega0, detuning, effective_duration):
 
 def _draw_dwell(params: TunnelingParams, rng: np.random.Generator,
                 n: int) -> np.ndarray:
+    """Normal(t0, sigma^2) truncated to (0, cycle_period], by redrawing the
+    electrons still outside it. At t0 == cycle_period the cut is at the
+    mean, and a draw is the half-normal t0 - sigma |Z|."""
     if params.alpha == 0.0:
         return np.full(n, float(params.t0))
-    sigma = params.alpha * params.t0
-    dwell = rng.normal(params.t0, sigma, n)
-    redraw = np.flatnonzero((dwell <= 0.0) | (dwell > params.cycle_period))
-    while redraw.size:
-        d = rng.normal(params.t0, sigma, redraw.size)
-        dwell[redraw] = d
-        redraw = redraw[(d <= 0.0) | (d > params.cycle_period)]
+    t0, cycle_period = params.t0, params.cycle_period
+    sigma = params.alpha * t0
+    dwell = np.empty(n)
+    todo = np.arange(n)
+    while todo.size:
+        if t0 == cycle_period:
+            with np.errstate(over="ignore"):   # -inf is redrawn below
+                d = t0 - sigma * np.abs(rng.standard_normal(todo.size))
+        else:
+            d = rng.normal(t0, sigma, todo.size)
+        dwell[todo] = d
+        todo = todo[(d <= 0.0) | (d > cycle_period)]
     return dwell
 
 

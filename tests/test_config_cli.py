@@ -461,6 +461,22 @@ class TestExitCodes:
         assert "pulse phase overflows" in capsys.readouterr().err
         assert caught == []
 
+    def test_overflowing_dwell_draw_is_silent(self, tmp_path, capsys):
+        # seed 3's first half-normal draw overflows sigma |Z| and is
+        # redrawn; the dwell * duration of the pulse then overflows
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "tunneling": {"t0": 1.7e308, "cycle_period": 1.7e308,
+                          "window": 1.7e308, "alpha": 0.9}}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("readout", "--seed", "3", "--config", str(cfg),
+                           "--out", str(tmp_path / "o")) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: pulse phase overflows: the pulse lasts too "
+            "long for its Rabi frequency\n")
+        assert caught == []
+
     def test_overflowing_relaxation_decays_silently(self, tmp_path, capsys):
         # gamma0 * residual dwell overflows to inf; exp(-inf) = 0 is exact
         cfg = tmp_path / "cfg.json"

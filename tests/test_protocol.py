@@ -12,7 +12,7 @@ from fullerene_readout.dynamics import (DecoherenceRates, PulseSpec,
 from fullerene_readout.errors import NumericFailure
 from fullerene_readout.protocol import (_BLOCK, CurrentTrace, InsideSpinState,
                                         TunnelEvents, TunnelingParams,
-                                        classify, fidelity_sweep,
+                                        _draw_dwell, classify, fidelity_sweep,
                                         leak_resonance_frequency,
                                         outside_flip_frequency,
                                         resonance_frequency, run_window,
@@ -67,6 +67,36 @@ class TestSampleDwell:
         for _ in range(3):
             assert np.array_equal(window_events(params, 1000, seed=42).dwell,
                                   a)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5])
+    @pytest.mark.parametrize("t0", [150.0, 140.0],
+                             ids=["t0=cycle", "t0<cycle"])
+    def test_truncated_normal_law(self, t0, alpha):
+        # Kolmogorov-Smirnov distance of 10^6 draws from the CDF of
+        # Normal(t0, (alpha t0)^2) truncated to (0, cycle_period], below its
+        # critical value at the 0.001 level
+        params = TunnelingParams(t0=t0, alpha=alpha)
+        n = 10**6
+        dwell = np.sort(_draw_dwell(params, np.random.default_rng(0), n))
+        scale = alpha * t0 * math.sqrt(2.0)
+        lo = math.erf(-t0 / scale)
+        hi = math.erf((params.cycle_period - t0) / scale)
+        erf = np.fromiter(map(math.erf, ((dwell - t0) / scale).tolist()),
+                          float, n)
+        cdf = (erf - lo) / (hi - lo)
+        i = np.arange(n)
+        distance = max(np.max((i + 1) / n - cdf), np.max(cdf - i / n))
+        assert distance < 1.95 / math.sqrt(n)
+
+    def test_half_normal_overflow_is_redrawn_silently(self):
+        # sigma |Z| overflows for |Z| > 1.17: that dwell is -inf, redrawn
+        params = TunnelingParams(t0=1.7e308, cycle_period=1.7e308,
+                                 window=1.7e308, alpha=0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dwell = _draw_dwell(params, np.random.default_rng(0), _BLOCK)
+        assert np.all(np.isfinite(dwell))
+        assert np.all((0.0 < dwell) & (dwell <= params.cycle_period))
 
 
 class TestSourceEmit:
@@ -357,9 +387,9 @@ class TestStreamGuard:
     # kernel nor its reference can drift with the other.
     @pytest.mark.parametrize("m1, encoding, tunneling, seed, n_passed", [
         (-1.5, "outer", dict(alpha=0.1, p_leak_source=0.05,
-                             p_leak_drain=0.05, window=3e7), 3, 190549),
+                             p_leak_drain=0.05, window=3e7), 3, 190524),
         (1.5, "outer", dict(alpha=0.2, p_leak_source=0.05,
-                            p_leak_drain=0.05), 11, 8683),
+                            p_leak_drain=0.05), 11, 8635),
         (0.5, "inner", dict(alpha=0.0, p_leak_source=0.05,
                             p_leak_drain=0.05), 11, 3626),
         (-0.5, "inner", dict(t0=140.0, cycle_period=150.0, alpha=0.3,
