@@ -16,6 +16,8 @@ import math
 import os
 import sys
 import time
+from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +26,10 @@ from . import __version__
 from .config import SimulationConfig, parse_config
 from .dynamics import evolve_numeric, fig2_timeseries, imperfect_flip_state
 from .errors import ConfigError, NumericFailure, as_option, require
-from .protocol import (MAX_EVENT_CYCLES, InsideSpinState, classify,
-                       fidelity_sweep, resonance_frequency, run_window,
-                       write_events_csv)
-from .records import write_records
+from .protocol import (EVENT_COLUMNS, MAX_EVENT_CYCLES, InsideSpinState,
+                       classify, fidelity_sweep, resonance_frequency,
+                       run_window, write_events_csv)
+from .records import RecordWriter, write_records
 from .spin_core import (check_weak_coupling, eigenenergies, transition_table,
                         vibration_shift, zeeman_separation)
 
@@ -137,8 +139,13 @@ def cmd_readout(config: SimulationConfig, manifest: Manifest,
                 "tunneling.window", f"must hold at most {MAX_EVENT_CYCLES:.0e}"
                 " cycles of cycle_period with --events")
     freq = resonance_frequency(inside, config.system)
-    trace = run_window(inside, config.pulse, config.system, config.tunneling,
-                       config.rates, config.seed, collect_events=events)
+    # events.csv is written block by block, as the window draws them
+    epath = manifest.out_dir / "events.csv"
+    with (RecordWriter(epath, EVENT_COLUMNS) if events
+          else nullcontext()) as log:
+        sink = None if log is None else partial(write_events_csv, log)
+        trace = run_window(inside, config.pulse, config.system,
+                           config.tunneling, config.rates, config.seed, sink)
     result = classify(trace, config.tunneling, inside.encoding)
     manifest.extra["interrogation_mhz"] = freq
     row = {"true_m1": [inside.m1], "encoding": [inside.encoding],
@@ -150,8 +157,7 @@ def cmd_readout(config: SimulationConfig, manifest: Manifest,
     manifest.add_records("readout.csv", row)
     manifest.add_records("readout.jsonl", row)
     if events:
-        epath = manifest.out_dir / "events.csv"
-        manifest.add(epath, write_events_csv(trace, epath))
+        manifest.add(epath, log.sha256)
     print(f"classified m1 = {result.classified.m1:+g} ({inside.encoding}), "
           f"counts {result.counts_on}/{trace.n_cycles}, "
           f"contrast {result.contrast:.6f}")

@@ -16,7 +16,9 @@ drawn as numpy arrays, `_BLOCK` electrons at a time, from one
 source spin, the dwell (a half-normal below t0 when t0 == cycle_period, a
 normal otherwise, with the entries outside (0, cycle_period] redrawn until
 all lie in it) and the drain Bernoulli. Per-electron records, when asked
-for, are kept as columns (`TunnelEvents`), not one object per electron.
+for, go to a sink block by block, as columns (`TunnelEvents`), as soon as
+the block is drawn. The window keeps none of them, so its memory is that of
+one block whatever the number of cycles.
 
 An electron's detuning takes one of two values per window: the interrogated
 line for a spin-down electron, the leak line for a leaked spin-up one. So the
@@ -55,13 +57,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields, replace
+from typing import Callable
 
 import numpy as np
 
 from .dynamics import (DecoherenceRates, PulseSpec, rabi_factors,
                        rabi_transfer)
 from .errors import NumericFailure, as_option, require
-from .records import write_records
+from .records import RecordWriter
 from .spin_core import SystemParams, outside_flip_frequency
 
 _ENCODING_M1 = {"outer": 1.5, "inner": 0.5}
@@ -75,9 +78,13 @@ _BLOCK = 8192
 # 150 ns period); a larger window is refused, not run.
 MAX_CYCLES = 10**8
 
-# Largest window `sim readout --events` may log: the event columns take
-# ~50 B per electron in memory, so ~0.5 GB at this cap.
+# Largest window `sim readout --events` may log. The log is streamed, so
+# memory does not grow with it; the bound is the disk: ~47 B of text per
+# row, so ~0.47 GB of events.csv at this cap.
 MAX_EVENT_CYCLES = 10**7
+
+# Columns of the per-electron audit log, events.csv.
+EVENT_COLUMNS = ("cycle", "dwell_ns", "spin_in", "flip_prob", "passed")
 
 # Largest number of electrons one sweep may draw over all its cells and
 # trials: about 15-20 minutes at ~10^7 electrons/s. A larger sweep is
@@ -130,7 +137,8 @@ class InsideSpinState:
 
 @dataclass(frozen=True, eq=False)
 class TunnelEvents:
-    """Per-electron audit columns of one window; row i is cycle i."""
+    """Per-electron audit columns of one block of a window; row i is the
+    block's i-th cycle."""
 
     dwell: np.ndarray       # ns
     spin_up: np.ndarray     # bool: the source filter passed a spin-up
@@ -150,7 +158,6 @@ class CurrentTrace:
 
     n_cycles: int
     n_passed: int
-    events: TunnelEvents | None
     seed: int
 
 
@@ -245,11 +252,14 @@ def _outcomes(spin_up: np.ndarray, dwell: np.ndarray, factors: tuple,
 
 def run_window(inside: InsideSpinState, pulse: PulseSpec, sys: SystemParams,
                params: TunnelingParams, rates: DecoherenceRates, seed: int,
-               collect_events: bool = False) -> CurrentTrace:
+               sink: Callable[[TunnelEvents], None] | None = None
+               ) -> CurrentTrace:
     """One readout window of floor(window / cycle_period) blockaded
     electrons: emit, dwell, pulse, relax, drain. The pulse's carrier is
     tuned to `resonance_frequency(inside, sys)`. Drawn in blocks from a
-    dedicated PCG64 stream; deterministic for a fixed seed."""
+    dedicated PCG64 stream; deterministic for a fixed seed. `sink`, if
+    given, is called with each block's `TunnelEvents`, in cycle order, as
+    soon as the block is drawn."""
     if pulse.duration > params.cycle_period:
         raise ValueError("pulse does not fit in the cycle period")
     n_cycles = params.n_cycles
@@ -265,7 +275,6 @@ def run_window(inside: InsideSpinState, pulse: PulseSpec, sys: SystemParams,
                                          np.full(2, float(params.t0)),
                                          factors, pulse, params, rates)
     n_passed = 0
-    blocks = []
     for start in range(0, n_cycles, _BLOCK):
         n = min(_BLOCK, n_cycles - start)
         spin_up = rng.random(n) < params.p_leak_source
@@ -282,14 +291,11 @@ def run_window(inside: InsideSpinState, pulse: PulseSpec, sys: SystemParams,
                                  "too long for its Rabi frequency")
         passed = rng.random(n) < p_pass
         n_passed += int(np.count_nonzero(passed))
-        if collect_events:
+        if sink is not None:
             if dwell is None:
                 dwell = np.full(n, float(params.t0))
-            blocks.append((dwell, spin_up, flip, passed))
-    events = (TunnelEvents(*map(np.concatenate, zip(*blocks)))
-              if collect_events else None)
-    return CurrentTrace(n_cycles=n_cycles, n_passed=n_passed, events=events,
-                        seed=seed)
+            sink(TunnelEvents(dwell, spin_up, flip, passed))
+    return CurrentTrace(n_cycles=n_cycles, n_passed=n_passed, seed=seed)
 
 
 def classify(trace: CurrentTrace, params: TunnelingParams,
@@ -378,13 +384,10 @@ def fidelity_sweep(encoding: str, sys: SystemParams, rates: DecoherenceRates,
     return cells
 
 
-def write_events_csv(trace: CurrentTrace, path) -> str:
-    """Per-electron audit log: cycle,dwell_ns,spin_in,flip_prob,passed.
-    Returns the sha256 hex digest of the file."""
-    ev = trace.events
-    if ev is None:
-        raise ValueError("trace was recorded without event logging")
-    return write_records(path, {
-        "cycle": range(ev.dwell.size), "dwell_ns": ev.dwell,
-        "spin_in": np.where(ev.spin_up, "up", "down"),
-        "flip_prob": ev.flip_prob, "passed": ev.passed.astype(np.uint8)})
+def write_events_csv(log: RecordWriter, events: TunnelEvents) -> None:
+    """Append one block to the per-electron audit log, a `RecordWriter`
+    opened on EVENT_COLUMNS: cycle,dwell_ns,spin_in,flip_prob,passed."""
+    start = log.rows
+    log.write([range(start, start + events.dwell.size), events.dwell,
+               np.where(events.spin_up, "up", "down"), events.flip_prob,
+               events.passed.astype(np.uint8)])

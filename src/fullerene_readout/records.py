@@ -1,11 +1,16 @@
 """The one writer of every CSV and JSONL output file.
 
-Records arrive as named columns of equal length (lists, ranges or numpy
-arrays). A CSV field is `'%.12g' % v` for a float column (a float array, or
-a list of floats only) and `str(v)` for any other. JSONL rows are
-`json.dumps` of Python values. A float column with a NaN or an infinity is
-refused before the file is opened. The sha256 of the file is taken from the
-bytes as they are written, so no output is read back to be hashed.
+`RecordWriter` opens a file, writes the CSV header, then takes records in
+blocks of named columns of equal length (lists, ranges or numpy arrays),
+encoding and writing each block as it arrives, so a file of any length is
+written in the memory of one block. `write_records` is its one-block use. A
+CSV field is `'%.12g' % v` for a float column (a float array, or a list of
+floats only) and `str(v)` for any other. JSONL rows are `json.dumps` of
+Python values. A block whose float column holds a NaN or an infinity is
+refused before any of it is written. The sha256 of the file is taken from
+the bytes as they are written, so no output is read back to be hashed. A
+write that fails, for any reason, removes its file: no partial output is
+left behind.
 
 CSV text is built `_ROWS` rows at a time in numpy: each column block becomes
 a NUL-padded `uint8` matrix with one row per value, the blocks are joined
@@ -120,8 +125,9 @@ def _scaled(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return a * _UP[k] / _DOWN[k]
 
 
-def _floats(values: np.ndarray) -> np.ndarray:
-    values = values.astype(np.float64)
+def _float_source(values: np.ndarray):
+    """Per value: its 32-byte source row, its `_LAYOUT` row, and whether it
+    falls back to Python's own formatting."""
     a = np.abs(values)
     nonzero = a > 0
     with np.errstate(divide="ignore"):
@@ -147,8 +153,17 @@ def _floats(values: np.ndarray) -> np.ndarray:
     source[:, :16] = _PACKED3[groups].view(np.uint8)
     source[:, _SIGN] = np.where(np.signbit(values), ord("-"), 0)
     source[:, 16:] = _ALPHABET
+    return source, layout, fallback
+
+
+def _floats(values: np.ndarray) -> np.ndarray:
+    """`%.12g` of each value as a byte matrix. The gather index, 152 B a
+    value, is the largest array here; `_float_source`'s temporaries are
+    freed before it is built, which holds the peak near 220 B a value."""
+    values = values.astype(np.float64)
+    source, layout, fallback = _float_source(values)
     index = _LAYOUT[layout]
-    index += 32 * np.arange(len(a))[:, None]
+    index += 32 * np.arange(len(values))[:, None]
     out = source.ravel()[index]
     if fallback.any():
         text = _texts("%.12g" % v for v in values[fallback].tolist())
@@ -210,10 +225,8 @@ def _csv_column(column):
     return column
 
 
-def _csv_chunks(names, columns):
-    """The CSV text as bytes: the header row, then one chunk per block of
-    `_ROWS` rows."""
-    yield (",".join(names) + "\n").encode()
+def _csv_chunks(columns):
+    """The CSV rows as bytes, one chunk per block of `_ROWS` rows."""
     for start in range(0, len(columns[0]), _ROWS):
         fields = [_encode(c[start:start + _ROWS]) for c in columns]
         comma, newline = (np.full((len(fields[0]), 1), ord(c), np.uint8)
@@ -224,23 +237,69 @@ def _csv_chunks(names, columns):
         yield np.concatenate(parts, 1).tobytes().translate(None, b"\0")
 
 
-def write_records(path: str | Path, columns: dict) -> str:
-    """Write the columns as CSV, with a header row of their names, or, when
-    `path` ends in `.jsonl`, as one JSON object per row. Returns the sha256
-    hex digest of the file."""
-    csv_columns = [_csv_column(c) for c in columns.values()]
-    for name, column in zip(columns, csv_columns):
-        if isinstance(column, np.ndarray) and column.dtype.kind == "f" \
-                and not np.isfinite(column).all():
-            raise NumericFailure(f"{Path(path).name}: {name} is not finite")
-    if Path(path).suffix == ".jsonl":
-        chunks = (json.dumps(dict(zip(columns, row))).encode() + b"\n"
-                  for row in zip(*columns.values()))
-    else:
-        chunks = _csv_chunks(list(columns), csv_columns)
-    digest = hashlib.sha256()
-    with open(path, "wb") as fh:
+class RecordWriter:
+    """One output file, written block by block as a context manager:
+
+        with RecordWriter(path, names) as out:
+            out.write(columns)      # once per block
+        digest = out.sha256
+
+    CSV with a header row of the names or, when `path` ends in `.jsonl`, one
+    JSON object per row. Leaving the block closes the file and sets
+    `sha256`, the hex digest of its bytes; an exception raised in it, of any
+    kind, removes the file instead."""
+
+    def __init__(self, path: str | Path, names):
+        self.path = Path(path)
+        self.names = list(names)
+        self.rows = 0               # rows written so far
+        self.sha256: str | None = None
+        self._jsonl = self.path.suffix == ".jsonl"
+        self._digest = hashlib.sha256()
+
+    def __enter__(self) -> RecordWriter:
+        self._file = open(self.path, "wb")
+        if not self._jsonl:
+            self._put((",".join(self.names) + "\n").encode())
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            self._file.close()
+        except BaseException:
+            self.path.unlink(missing_ok=True)
+            raise
+        if exc_type is None:
+            self.sha256 = self._digest.hexdigest()
+        else:
+            self.path.unlink(missing_ok=True)
+
+    def _put(self, chunk: bytes) -> None:
+        self._digest.update(chunk)
+        self._file.write(chunk)
+
+    def write(self, columns) -> None:
+        """Append one block of rows: `columns` in the order of `names`."""
+        columns = list(columns)
+        csv_columns = [_csv_column(c) for c in columns]
+        for name, column in zip(self.names, csv_columns):
+            if isinstance(column, np.ndarray) and column.dtype.kind == "f" \
+                    and not np.isfinite(column).all():
+                raise NumericFailure(f"{self.path.name}: {name} is not "
+                                     "finite")
+        if self._jsonl:
+            chunks = (json.dumps(dict(zip(self.names, row))).encode() + b"\n"
+                      for row in zip(*columns))
+        else:
+            chunks = _csv_chunks(csv_columns)
         for chunk in chunks:
-            digest.update(chunk)
-            fh.write(chunk)
-    return digest.hexdigest()
+            self._put(chunk)
+        self.rows += len(columns[0])
+
+
+def write_records(path: str | Path, columns: dict) -> str:
+    """Write the named columns as one block of a `RecordWriter`. Returns the
+    sha256 hex digest of the file."""
+    with RecordWriter(path, columns) as out:
+        out.write(columns.values())
+    return out.sha256

@@ -4,13 +4,15 @@
 closed forms; the operators here build the same physics as matrices, and
 `driven_evolution` keeps the pulse's damping that production leaves out.
 `run_window_reference` is the readout window's per-electron block loop, the
-stream `protocol.run_window` must reproduce bit for bit. Test modules import
-them with `from reference import ...`.
+stream `protocol.run_window` must reproduce bit for bit, and
+`collect_events` collects either one's per-electron columns. Test modules
+import them with `from reference import ...`.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -152,7 +154,7 @@ def _draw_dwell(params: TunnelingParams, rng: np.random.Generator,
 def run_window_reference(inside: InsideSpinState, pulse: PulseSpec,
                          sys: SystemParams, params: TunnelingParams,
                          rates: DecoherenceRates, seed: int,
-                         collect_events: bool = False) -> CurrentTrace:
+                         sink=None) -> CurrentTrace:
     """`protocol.run_window` with every electron's flip, pass probability
     and dwell computed on its own: the same draws, in the same order, and
     the same float operations per electron."""
@@ -162,7 +164,6 @@ def run_window_reference(inside: InsideSpinState, pulse: PulseSpec,
     detuning_down = carrier - outside_flip_frequency(sys, inside.m1)
     detuning_up = carrier - leak_resonance_frequency(sys)
     n_passed = 0
-    blocks = []
     for start in range(0, n_cycles, _BLOCK):
         n = min(_BLOCK, n_cycles - start)
         spin_up = rng.random(n) < params.p_leak_source
@@ -180,9 +181,16 @@ def run_window_reference(inside: InsideSpinState, pulse: PulseSpec,
                            * np.maximum(dwell - pulse.duration, 0.0))
         passed = rng.random(n) < (1.0 - p_up) + params.p_leak_drain * p_up
         n_passed += int(np.count_nonzero(passed))
-        if collect_events:
-            blocks.append((dwell, spin_up, flip, passed))
-    events = (TunnelEvents(*map(np.concatenate, zip(*blocks)))
-              if collect_events else None)
-    return CurrentTrace(n_cycles=n_cycles, n_passed=n_passed, events=events,
-                        seed=seed)
+        if sink is not None:
+            sink(TunnelEvents(dwell, spin_up, flip, passed))
+    return CurrentTrace(n_cycles=n_cycles, n_passed=n_passed, seed=seed)
+
+
+def collect_events(run, *args) -> tuple[CurrentTrace, TunnelEvents]:
+    """`run(*args, sink)`, for `run_window` or `run_window_reference`: its
+    trace, and the columns its sink was handed, joined over the blocks."""
+    blocks = []
+    trace = run(*args, blocks.append)
+    return trace, TunnelEvents(*(
+        np.concatenate([getattr(b, f.name) for b in blocks])
+        for f in fields(TunnelEvents)))

@@ -5,20 +5,26 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from dataclasses import MISSING, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from fullerene_readout import protocol, records
 from fullerene_readout.cli import main
 from fullerene_readout.config import (_SECTIONS, config_from_dict,
                                       parse_config)
 from fullerene_readout.dynamics import DecoherenceRates, PulseSpec
-from fullerene_readout.errors import ConfigError
-from fullerene_readout.protocol import MAX_EVENT_CYCLES, TunnelingParams
+from fullerene_readout.errors import ConfigError, NumericFailure
+from fullerene_readout.protocol import (_BLOCK, MAX_EVENT_CYCLES,
+                                        InsideSpinState, TunnelingParams)
+from fullerene_readout.records import write_records
 from fullerene_readout.spin_core import (MechanicsParams, PhysicalConstants,
                                          SystemParams)
+from reference import collect_events, run_window_reference
 
 PARAMS = (SystemParams, PhysicalConstants, DecoherenceRates, PulseSpec,
           TunnelingParams, MechanicsParams)
@@ -512,6 +518,87 @@ class TestExitCodes:
                        str(tmp_path)) == 1
         assert time.perf_counter() - start < 0.5
         assert "sweep.trials" in capsys.readouterr().err
+
+
+class TestEventStreaming:
+    """`readout --events` writes events.csv block by block as the window is
+    drawn."""
+
+    LEAKY = {"alpha": 0.1, "p_leak_source": 0.05, "p_leak_drain": 0.05}
+
+    @staticmethod
+    def readout(tmp_path, doc, name="o"):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / name
+        code = run_cli("readout", "--true-state=-3/2", "--events",
+                       "--config", str(cfg), "--out", str(out))
+        return code, out
+
+    @pytest.mark.parametrize("error, code", [
+        (NumericFailure("injected"), 3), (OSError("injected"), 2),
+        (KeyboardInterrupt(), None)], ids=["numeric", "io", "interrupt"])
+    def test_failed_run_leaves_no_events_csv(self, error, code, tmp_path,
+                                             monkeypatch):
+        # the first block is written before the second one fails
+        outcomes, calls = protocol._outcomes, []
+
+        def fail_second_block(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise error
+            return outcomes(*args)
+
+        monkeypatch.setattr(protocol, "_outcomes", fail_second_block)
+        doc = {"tunneling": {**self.LEAKY,
+                             "window": 150.0 * (_BLOCK + 123)}}
+        if code is None:
+            with pytest.raises(KeyboardInterrupt):
+                self.readout(tmp_path, doc)
+            out = tmp_path / "o"
+        else:
+            got, out = self.readout(tmp_path, doc)
+            assert got == code
+        assert len(calls) == 2
+        assert out.is_dir() and not (out / "events.csv").exists()
+
+    def test_memory_does_not_grow_with_window(self, tmp_path):
+        def peak(cycles):
+            doc = {"tunneling": {**self.LEAKY, "window": 150.0 * cycles}}
+            tracemalloc.start()
+            try:
+                code, _ = self.readout(tmp_path, doc, f"w{cycles}")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            return peak
+
+        small, large = peak(10**5), peak(10**6)
+        assert large <= 1.5 * small, (small, large)
+
+    @pytest.mark.parametrize("rows", [records._ROWS, 1000])
+    @pytest.mark.parametrize("t0", [150.0, 140.0])
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    def test_block_boundaries_do_not_show(self, alpha, t0, rows, tmp_path,
+                                          monkeypatch):
+        doc = {"seed": 11, "tunneling": {
+            **self.LEAKY, "alpha": alpha, "t0": t0,
+            "window": 150.0 * (_BLOCK + 123)}}
+        config = config_from_dict(doc)
+        want = tmp_path / "want.csv"
+        _, ev = collect_events(
+            run_window_reference, InsideSpinState(-1.5, "outer"),
+            config.pulse, config.system, config.tunneling, config.rates,
+            config.seed)
+        write_records(want, {
+            "cycle": range(ev.dwell.size), "dwell_ns": ev.dwell,
+            "spin_in": np.where(ev.spin_up, "up", "down"),
+            "flip_prob": ev.flip_prob, "passed": ev.passed.astype(np.uint8)})
+        monkeypatch.setattr(records, "_ROWS", rows)
+        code, out = self.readout(tmp_path, doc)
+        assert code == 0
+        assert (out / "events.csv").read_bytes() == want.read_bytes()
 
 
 class TestManifest:

@@ -2,6 +2,7 @@ import hashlib
 import math
 import warnings
 from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,16 +11,18 @@ from fullerene_readout.dynamics import (DecoherenceRates, PulseSpec,
                                         analytic_free_evolution,
                                         flip_probability)
 from fullerene_readout.errors import NumericFailure
-from fullerene_readout.protocol import (_BLOCK, CurrentTrace, InsideSpinState,
-                                        TunnelEvents, TunnelingParams,
-                                        _draw_dwell, classify, fidelity_sweep,
+from fullerene_readout.protocol import (_BLOCK, EVENT_COLUMNS, CurrentTrace,
+                                        InsideSpinState, TunnelEvents,
+                                        TunnelingParams, _draw_dwell,
+                                        classify, fidelity_sweep,
                                         leak_resonance_frequency,
                                         outside_flip_frequency,
                                         resonance_frequency, run_window,
                                         sweep_states, write_events_csv)
+from fullerene_readout.records import RecordWriter
 from fullerene_readout.spin_core import SystemParams
-from reference import (SIGMA_X, driven_evolution, rabi_pulse,
-                       run_window_reference)
+from reference import (SIGMA_X, collect_events, driven_evolution,
+                       rabi_pulse, run_window_reference)
 
 SYS = SystemParams(nu1=10000.0, nu2=10063.5, J=50.0)
 RATES = DecoherenceRates()
@@ -35,11 +38,11 @@ def outer_pulse():
 
 def window_events(params, n, seed, state=OUTER_UP, rates=RATES):
     """Event columns of an n-electron window."""
-    trace = run_window(state, outer_pulse(), SYS,
-                       replace(params, window=n * params.cycle_period),
-                       rates, seed=seed, collect_events=True)
+    trace, events = collect_events(
+        run_window, state, outer_pulse(), SYS,
+        replace(params, window=n * params.cycle_period), rates, seed)
     assert trace.n_cycles == n
-    return trace.events
+    return events
 
 
 class TestSampleDwell:
@@ -278,19 +281,18 @@ class TestRunWindow:
     def test_determinism(self):
         params = replace(MS_WINDOW, alpha=0.1, p_leak_source=0.02,
                          p_leak_drain=0.02)
-        a = run_window(OUTER_UP, outer_pulse(), SYS, params, RATES, seed=3,
-                       collect_events=True)
-        b = run_window(OUTER_UP, outer_pulse(), SYS, params, RATES, seed=3,
-                       collect_events=True)
+        a = collect_events(run_window, OUTER_UP, outer_pulse(), SYS, params,
+                           RATES, 3)
+        b = collect_events(run_window, OUTER_UP, outer_pulse(), SYS, params,
+                           RATES, 3)
         assert a == b
         c = run_window(OUTER_UP, outer_pulse(), SYS, params, RATES, seed=4)
-        assert c.n_passed != a.n_passed or c.seed != a.seed
+        assert c.n_passed != a[0].n_passed or c.seed != a[0].seed
 
     def test_blockade_audit(self):
         params = replace(MS_WINDOW, alpha=0.15, window=1e5)
-        trace = run_window(OUTER_UP, outer_pulse(), SYS, params, RATES,
-                           seed=1, collect_events=True)
-        ev = trace.events
+        trace, ev = collect_events(run_window, OUTER_UP, outer_pulse(), SYS,
+                                   params, RATES, 1)
         assert all(len(col) == trace.n_cycles for col in (
             ev.dwell, ev.spin_up, ev.flip_prob, ev.passed))
         assert np.all((0 < ev.dwell) & (ev.dwell <= params.cycle_period))
@@ -308,16 +310,17 @@ class TestRunWindow:
 
     def test_events_csv(self, tmp_path):
         params = replace(MS_WINDOW, window=1e4, alpha=0.1)
-        trace = run_window(OUTER_UP, outer_pulse(), SYS, params, RATES,
-                           seed=2, collect_events=True)
         path = tmp_path / "events.csv"
-        digest = write_events_csv(trace, path)
-        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        with RecordWriter(path, EVENT_COLUMNS) as log:
+            trace = run_window(OUTER_UP, outer_pulse(), SYS, params, RATES, 2,
+                               partial(write_events_csv, log))
+        _, ev = collect_events(run_window, OUTER_UP, outer_pulse(), SYS,
+                               params, RATES, 2)
+        assert log.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
         lines = path.read_text().splitlines()
         assert lines[0] == "cycle,dwell_ns,spin_in,flip_prob,passed"
         assert len(lines) == trace.n_cycles + 1
         rows = [line.split(",") for line in lines[1:]]
-        ev = trace.events
         assert [int(r[0]) for r in rows] == list(range(trace.n_cycles))
         assert [float(r[1]) for r in rows] == pytest.approx(ev.dwell,
                                                             rel=1e-11)
@@ -325,8 +328,6 @@ class TestRunWindow:
         assert [float(r[3]) for r in rows] == pytest.approx(ev.flip_prob,
                                                             rel=1e-11)
         assert [r[4] for r in rows] == [str(int(p)) for p in ev.passed]
-        with pytest.raises(ValueError):
-            write_events_csv(replace(trace, events=None), path)
 
 
 class TestStreamGuard:
@@ -335,14 +336,14 @@ class TestStreamGuard:
 
     @staticmethod
     def assert_same_window(state, pulse, params, seed, rates=RATES):
-        got = run_window(state, pulse, SYS, params, rates, seed,
-                         collect_events=True)
-        want = run_window_reference(state, pulse, SYS, params, rates, seed,
-                                    collect_events=True)
+        got, got_events = collect_events(run_window, state, pulse, SYS,
+                                         params, rates, seed)
+        want, want_events = collect_events(run_window_reference, state,
+                                           pulse, SYS, params, rates, seed)
         assert got.n_cycles == want.n_cycles
         assert got.n_passed == want.n_passed, (state, params)
         for f in fields(TunnelEvents):
-            a, b = getattr(got.events, f.name), getattr(want.events, f.name)
+            a, b = getattr(got_events, f.name), getattr(want_events, f.name)
             assert a.dtype == b.dtype and np.array_equal(a, b), (
                 f.name, state, params)
         assert run_window(state, pulse, SYS, params, rates,
@@ -418,35 +419,34 @@ class TestStreamGuard:
 
 class TestClassify:
     def test_suppressed_current_is_positive_state(self):
-        trace = CurrentTrace(n_cycles=66_666, n_passed=5, events=None, seed=0)
+        trace = CurrentTrace(n_cycles=66_666, n_passed=5, seed=0)
         result = classify(trace, TunnelingParams(), "outer")
         assert result.classified.m1 == 1.5
         assert result.contrast == pytest.approx(0.99985, abs=1e-5)
 
     def test_full_current_is_negative_state(self):
-        trace = CurrentTrace(n_cycles=1000, n_passed=1000, events=None,
-                             seed=0)
+        trace = CurrentTrace(n_cycles=1000, n_passed=1000, seed=0)
         result = classify(trace, TunnelingParams(), "outer")
         assert result.classified.m1 == -1.5
         assert result.contrast == 0.0
 
     def test_threshold_tie_breaks_negative(self):
-        trace = CurrentTrace(n_cycles=1000, n_passed=500, events=None, seed=0)
+        trace = CurrentTrace(n_cycles=1000, n_passed=500, seed=0)
         result = classify(trace, TunnelingParams(), "inner")
         assert result.classified.m1 == -0.5
 
     def test_leak_shifts_baseline(self):
         params = TunnelingParams(p_leak_source=0.05)
-        trace = CurrentTrace(n_cycles=1000, n_passed=0, events=None, seed=0)
+        trace = CurrentTrace(n_cycles=1000, n_passed=0, seed=0)
         assert classify(trace, params, "outer").baseline == 950.0
 
     def test_empty_trace_rejected(self):
-        trace = CurrentTrace(n_cycles=0, n_passed=0, events=None, seed=0)
+        trace = CurrentTrace(n_cycles=0, n_passed=0, seed=0)
         with pytest.raises(ValueError):
             classify(trace, TunnelingParams(), "outer")
 
     def test_unknown_encoding_names_field(self):
-        trace = CurrentTrace(n_cycles=1000, n_passed=0, events=None, seed=0)
+        trace = CurrentTrace(n_cycles=1000, n_passed=0, seed=0)
         with pytest.raises(ValueError, match=r"^encoding: "):
             classify(trace, TunnelingParams(), "sideways")
 

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from fullerene_readout import records
 from fullerene_readout.errors import NumericFailure
-from fullerene_readout.records import write_records
+from fullerene_readout.records import RecordWriter, write_records
 
 
 def template_csv(path, columns):
@@ -135,3 +135,41 @@ def test_non_finite_float_column_refused(tmp_path, name, column):
     with pytest.raises(NumericFailure, match=f"{name}: x is not finite"):
         write_records(path, {"i": range(len(column)), "x": column})
     assert not path.exists()
+
+
+@pytest.mark.parametrize("name", ["r.csv", "r.jsonl"])
+def test_blocks_write_as_one(tmp_path, name):
+    one, blocks = tmp_path / "one" / name, tmp_path / "blocks" / name
+    one.parent.mkdir()
+    blocks.parent.mkdir()
+    digest = write_records(one, {"i": [1, 2, 3], "x": [0.5, 1e-20, 3.0]})
+    with RecordWriter(blocks, ["i", "x"]) as out:
+        out.write([[1], [0.5]])
+        out.write([[2, 3], [1e-20, 3.0]])
+    assert out.rows == 3
+    assert out.sha256 == digest
+    assert blocks.read_bytes() == one.read_bytes()
+
+
+def _write_nan(out):
+    out.write([np.array([math.nan])])
+
+
+def _interrupt(out):
+    raise KeyboardInterrupt
+
+
+def _disk_full(out):
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("fail, error", [
+    (_write_nan, NumericFailure), (_interrupt, KeyboardInterrupt),
+    (_disk_full, OSError)])
+def test_failed_write_removes_file(tmp_path, fail, error):
+    path = tmp_path / "r.csv"
+    with pytest.raises(error):
+        with RecordWriter(path, ["x"]) as out:
+            out.write([np.array([1.0])])
+            fail(out)
+    assert not path.exists() and out.sha256 is None
