@@ -5,6 +5,8 @@ Every command loads a JSON config (all fields defaulted), writes CSV data
 files into the output directory, and records a manifest.json echoing the
 config, command line, wall time, and sha256 digests of everything written.
 Exit codes: 0 success, 1 validation error, 2 io error, 3 numeric failure.
+A run that fails removes every file it wrote, so no output is left without
+its manifest.
 """
 
 from __future__ import annotations
@@ -51,11 +53,18 @@ class Manifest:
         self.config = config
         self.out_dir = out_dir
         self.outputs: list[tuple[Path, str]] = []
+        self.written: list[Path] = []   # every file this run wrote
         self.extra: dict = {}
         self._start = time.monotonic()
 
     def add(self, path: Path, sha256: str) -> None:
         self.outputs.append((path, sha256))
+        self.written.append(path)
+
+    def discard(self) -> None:
+        """Remove every file this run wrote: a failed run leaves none."""
+        for path in self.written:
+            path.unlink(missing_ok=True)
 
     def add_records(self, name: str, columns: dict) -> None:
         """Write one CSV or JSONL output file and record it."""
@@ -77,7 +86,10 @@ class Manifest:
             text = json.dumps(doc, indent=2, allow_nan=False)
         except ValueError as exc:
             raise NumericFailure(f"manifest.json: {exc}") from exc
-        (self.out_dir / "manifest.json").write_text(text + "\n")
+        path = self.out_dir / "manifest.json"
+        with open(path, "w") as fh:
+            self.written.append(path)
+            fh.write(text + "\n")
 
 
 def cmd_table(config: SimulationConfig, manifest: Manifest) -> None:
@@ -146,6 +158,8 @@ def cmd_readout(config: SimulationConfig, manifest: Manifest,
         sink = None if log is None else partial(write_events_csv, log)
         trace = run_window(inside, config.pulse, config.system,
                            config.tunneling, config.rates, config.seed, sink)
+    if events:
+        manifest.written.append(epath)
     result = classify(trace, config.tunneling, inside.encoding)
     manifest.extra["interrogation_mhz"] = freq
     row = {"true_m1": [inside.m1], "encoding": [inside.encoding],
@@ -157,7 +171,7 @@ def cmd_readout(config: SimulationConfig, manifest: Manifest,
     manifest.add_records("readout.csv", row)
     manifest.add_records("readout.jsonl", row)
     if events:
-        manifest.add(epath, log.sha256)
+        manifest.outputs.append((epath, log.sha256))
     print(f"classified m1 = {result.classified.m1:+g} ({inside.encoding}), "
           f"counts {result.counts_on}/{trace.n_cycles}, "
           f"contrast {result.contrast:.6f}")
@@ -253,20 +267,25 @@ def run(argv: list[str]) -> None:
                    or config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(args.command, list(argv), config, out_dir)
-    if args.command == "table":
-        cmd_table(config, manifest)
-    elif args.command == "fig2":
-        cmd_fig2(config, manifest, _parse_grid(args.alphas))
-    elif args.command == "readout":
-        m1 = _STATE_NAMES[args.true_state]
-        inside = InsideSpinState(m1, "outer" if abs(m1) == 1.5 else "inner")
-        cmd_readout(config, manifest, inside, args.events)
-    elif args.command == "sweep":
-        cmd_sweep(config, manifest, _parse_grid(args.alphas),
-                  _parse_grid(args.leaks), args.trials, args.encoding)
-    elif args.command == "mechanics":
-        cmd_mechanics(config, manifest)
-    manifest.write()
+    try:
+        if args.command == "table":
+            cmd_table(config, manifest)
+        elif args.command == "fig2":
+            cmd_fig2(config, manifest, _parse_grid(args.alphas))
+        elif args.command == "readout":
+            m1 = _STATE_NAMES[args.true_state]
+            inside = InsideSpinState(m1, "outer" if abs(m1) == 1.5
+                                     else "inner")
+            cmd_readout(config, manifest, inside, args.events)
+        elif args.command == "sweep":
+            cmd_sweep(config, manifest, _parse_grid(args.alphas),
+                      _parse_grid(args.leaks), args.trials, args.encoding)
+        elif args.command == "mechanics":
+            cmd_mechanics(config, manifest)
+        manifest.write()
+    except BaseException:
+        manifest.discard()
+        raise
 
 
 def main(argv: list[str] | None = None) -> int:

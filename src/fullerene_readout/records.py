@@ -12,12 +12,16 @@ the bytes as they are written, so no output is read back to be hashed. A
 write that fails, for any reason, removes its file: no partial output is
 left behind.
 
-CSV text is built `_ROWS` rows at a time in numpy: each column block becomes
-a NUL-padded `uint8` matrix with one row per value, the blocks are joined
-with commas and newlines, and the NULs are dropped. Text fields carry no NUL
-of their own (they come from code or argparse choices), so dropping them
-leaves exactly the fields. Integer arrays, ranges and ASCII string arrays
-are encoded directly; any other non-float column goes through `str(v)`.
+CSV text is built `_ROWS` rows at a time in numpy, into one `uint8` matrix
+with a row per record. Each field owns a span of bytes in every row, as wide
+as its widest value in the block: a shorter value leaves NULs in its span,
+and dropping every NUL at the end leaves exactly the fields. Text fields
+carry no NUL of their own (they come from code or argparse choices), so
+this is exact. A field is computed as words, one integer per row holding up
+to 8 of its bytes (the first byte least significant), and each word is
+stored with one strided copy into the matrix, which the writer keeps from
+block to block. Integer arrays, ranges and ASCII string arrays are encoded
+directly; any other non-float column goes through `str(v)`.
 
 Floats are exact. With X = floor(log10|x|) and an exactly representable
 power (|11 - X| <= 22), m = |x| * 10^(11 - X) is one correctly rounded
@@ -26,16 +30,18 @@ when m lies in [1e11, 1e12 + 0.5) and its fraction lies more than 1e-3 from
 .5, rounding m to an integer gives the twelve digits (and the carry to the
 next decade when it reaches 10^12) that correctly rounded decimal output
 gives, as Python's `%` does (D. M. Gay, *Correctly Rounded Binary-Decimal
-and Decimal-Binary Conversions*, 1990). The digits come from a 000-999
-table, and the layout (fixed notation for X in -4..11, exponent notation
-otherwise) from a table with one row per `%.12g` shape. Any other value is
-formatted by Python's own `'%.12g' % v`, so every byte matches: one near a
-rounding tie, below 1e-11 (subnormals too), from 1e34 up, or a hair below a
-power of ten where log10 rounds up across it.
+and Decimal-Binary Conversions*, 1990). The digits come from a 0000-9999
+table; the point, the trailing zeros to drop and the exponent (fixed
+notation for X in -4..11, exponent notation otherwise) from a table with
+one row per (X, number of digits up to the last nonzero one). Any other
+value is formatted by Python's own `'%.12g' % v`, so every byte matches:
+one near a rounding tie, below 1e-11 (subnormals too), from 1e34 up, or a
+hair below a power of ten where log10 rounds up across it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -44,72 +50,111 @@ import numpy as np
 
 from .errors import NumericFailure
 
-# CSV rows encoded per write. A block holds a few hundred bytes of byte
-# matrices and gather indices per row, so this bounds the memory a write
-# takes whatever the number of rows.
+# CSV rows encoded per write. A block holds a few hundred bytes of words and
+# text per row, so this bounds the memory a write takes whatever the number
+# of rows.
 _ROWS = 16384
 
 _ZERO = ord("0")
-# Each 000..999 as three ASCII digits and a NUL, one uint32 per group, and
-# its number of trailing zeros.
-_GROUP = np.arange(1000)
-_DIGITS4 = np.zeros((1000, 4), np.uint8)
-_DIGITS4[:, :3] = _ZERO + np.stack(
-    [_GROUP // 100, _GROUP // 10 % 10, _GROUP % 10], -1)
-_PACKED3 = _DIGITS4.view(np.uint32).ravel()
-_TRAILING3 = ((_GROUP % 10 == 0).astype(np.int64) + (_GROUP % 100 == 0)
-              + (_GROUP == 0))
+_X_MIN, _X_MAX = -11, 34      # X after a carry, within the exact powers
+
+
+def _pack(chars: np.ndarray) -> np.ndarray:
+    """Each row of up to 8 bytes as one word, the first byte least
+    significant."""
+    padded = np.zeros((len(chars), 8), np.uint8)
+    padded[:, :chars.shape[1]] = chars
+    return padded.view("<u8")[:, 0].astype(np.uint64)
+
+
+def _quad_digits() -> np.ndarray:
+    """The four digits of each base 10^4 digit ("quad") 0000..9999, then
+    of 10000, a rounding carry, as 1000."""
+    return np.r_[np.indices((10,) * 4, np.uint8).reshape(4, -1).T.copy(),
+                 np.array([[1, 0, 0, 0]], np.uint8)]
+
+
+@functools.cache
+def _int_quads() -> np.ndarray:
+    """An integer's quad as a word of its four digits, then (from index
+    10000) the same with its leading zeros as NULs, so 0 is empty. Built on
+    first use: only integer arrays need it."""
+    quads = _quad_digits()[:10000]
+    chars = _ZERO + quads
+    leading = np.logical_and.accumulate(quads == 0, 1)
+    return np.r_[chars, chars * ~leading].view("<u4")[:, 0].astype(
+        np.uint32, copy=False)
+
+
+def _float_quads() -> np.ndarray:
+    """A float's quad as a word of its four digits, then in byte 4 + p,
+    for each position p = 0, 1, 2 of the float's three quads, 13 * -_X_MIN
+    plus the count of the float's digits up to the quad's last nonzero one,
+    or 0 if the quad is 0 and p > 0. The largest of those three bytes is
+    the float's `_float_layouts` row less 13 * X; a carry adds 13."""
+    quads = _quad_digits()
+    significant = ((quads > 0) * np.arange(1, 5, dtype=np.uint8)).max(1)
+    digits = (_ZERO + quads).view("<u4")[:, 0].astype(np.uint64)
+    for p in range(3):
+        count = np.where(significant > 0, significant + 4 * p + 13 * -_X_MIN,
+                         0 if p else 13 * -_X_MIN).astype(np.uint64)
+        count <<= np.uint64(32 + 8 * p)
+        digits |= count
+    digits[10000] += np.uint64(13 << 32)
+    return digits
+
+
+_DIGITS = _float_quads()
+
 # 10^k for k = -22..22 as a factor and a divisor, both exact.
 _POW10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])
 _UP = np.r_[np.ones(22), _POW10]
 _DOWN = np.r_[_POW10[:0:-1], np.ones(23)]
-
-# A float's bytes are picked from a 32-byte source row: its twelve digits as
-# four packed groups (digit i at i + i // 3, a NUL at 3), its sign in the
-# last group's pad byte, then the alphabet.
-_ALPHABET = np.frombuffer(b"0123456789.e+-\0\0", np.uint8)
-_NUL, _SIGN, _DIGIT0, _POINT, _E, _PLUS, _MINUS = 3, 15, 16, 26, 27, 28, 29
-_X_MIN, _X_MAX = -11, 34      # X after a carry, within the exact powers
-_WIDTH = 19                   # the longest `%.12g`, -d.ddddddddddde-308
+# The scaled value m is exact to 12 digits in [1e11, 1e12 + 0.5), as bits;
+# |m - rint(m)| > _M_TIE holds exactly when m's fraction lies within 1e-3
+# of .5, for every m in that range (see the exactness note above).
+_M_LOW = np.float64(1e11).view(np.int64)
+_M_SPAN = np.uint64(np.float64(1e12 + 0.5).view(np.int64) - _M_LOW)
+_M_TIE = 0.5 - 1e-3
 
 
-def _layouts() -> np.ndarray:
-    """Source index of each byte of each `%.12g` shape: one row per
-    (exponent X, significant digits n), then "0" and an empty row; each is
-    NUL-padded to _WIDTH and starts with the sign."""
-    x = np.arange(_X_MIN, _X_MAX + 1)[:, None, None]
-    n = np.arange(1, 13)[None, :, None]
-    j = np.arange(_WIDTH - 1)[None, None, :]
-    fixed = (x >= 0) & (x < 12)         # d..d.ddd, X + 1 integer digits
-    small = (x >= -4) & (x < 0)         # 0.000ddd, -X - 1 zeros
-    expo = ~(fixed | small)             # d.ddde+XX
-    frac = n > x + 1
-    zeros = -x - 1
-    e_at = np.where(n > 1, n + 1, 1)
-    digit = np.select(
-        [fixed & (j <= x), fixed & frac & (j > x + 1) & (j <= n),
-         small & (j >= 2 + zeros) & (j < 2 + zeros + n),
-         expo & (j == 0), expo & (j >= 2) & (j <= n)],
-        [j, j - 1, j - 2 - zeros, 0, j - 1], -1)
-    literal = np.select(
-        [fixed & frac & (j == x + 1), small & (j == 1),
-         small & (j < 2 + zeros), expo & (n > 1) & (j == 1),
-         expo & (j == e_at), expo & (j == e_at + 1),
-         expo & (j == e_at + 2), expo & (j == e_at + 3)],
-        [_POINT, _POINT, _DIGIT0, _POINT, _E,
-         np.where(x < 0, _MINUS, _PLUS),
-         _DIGIT0 + abs(x) // 10, _DIGIT0 + abs(x) % 10], _NUL)
-    shapes = np.where(digit >= 0, digit + digit // 3, literal)
-    shapes = shapes.reshape(-1, _WIDTH - 1)
-    table = np.full((len(shapes) + 2, _WIDTH), _NUL, np.intp)
-    table[:-2, 1:] = shapes
-    table[-2, 1] = _DIGIT0
-    table[:-1, 0] = _SIGN
-    return table
+def _float_layouts():
+    """The bytes around a float's twelve digits, one row per (exponent X,
+    digits n up to the last nonzero one, 0 for a zero) at (X - _X_MIN) * 13
+    + n, then an empty row. `masks` holds six word tables: the bytes kept
+    from the digits, the bytes taken from the digits moved one byte up to
+    make room for the point, and the point, for the first 8 bytes and then
+    for the next 8. `head` holds "0.000" before the digits, `tail` "e+XX"
+    after them, and `widths` the three parts' byte counts."""
+    x, n = np.divmod(np.arange((_X_MAX - _X_MIN + 1) * 13), 13)
+    x += _X_MIN
+    fixed, small = (x >= 0) & (x < 12), (x >= -4) & (x < 0)
+    at = np.where(fixed, x + 1, 1)[:, None]     # the point's byte
+    kept = np.maximum(n, at[:, 0])[:, None]     # digits written
+    point = (kept > at) & ~small[:, None]
+    j = np.arange(16)
+    parts = [np.where(point, j < at, j < kept), point & (j > at) & (j <= kept),
+             point & (j == at)]
+    masks = np.zeros((6, len(x) + 1), np.uint64)
+    for i, (part, char) in enumerate(zip(parts, (0xFF, 0xFF, ord(".")))):
+        masks[i, :-1] = _pack(part[:, :8] * char)
+        masks[3 + i, :-1] = _pack(part[:, 8:] * char)
+    j = j[:8]
+    head = np.where(small[:, None] & (j < 1 - x[:, None]),
+                    np.where(j == 1, ord("."), _ZERO), 0)
+    tail = np.where((fixed | small)[:, None], 0, np.stack([
+        np.full(len(x), ord("e")), np.where(x < 0, ord("-"), ord("+")),
+        _ZERO + abs(x) // 10, _ZERO + abs(x) % 10], 1))
+    widths = np.zeros((len(x) + 1, 3), np.uint8)
+    widths[:-1] = np.stack([np.where(small, 1 - x, 0),
+                            kept[:, 0] + point[:, 0],
+                            np.where(fixed | small, 0, 4)], 1)
+    return (masks, np.r_[_pack(head), 0],
+            np.r_[_pack(tail), 0].astype(np.uint32), widths)
 
 
-_LAYOUT = _layouts()
-_ZERO_LAYOUT, _EMPTY_LAYOUT = len(_LAYOUT) - 2, len(_LAYOUT) - 1
+_MASKS, _HEAD, _TAIL, _WIDTHS = _float_layouts()
+_EMPTY = len(_HEAD) - 1
 
 
 def _texts(values) -> np.ndarray:
@@ -118,103 +163,196 @@ def _texts(values) -> np.ndarray:
     return data.view(np.uint8).reshape(len(data), -1)
 
 
-def _scaled(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a * 10^(11 - x), one correctly rounded operation with an exact power
-    (clipped to 10^+-22: outside that the result is not used)."""
-    k = np.clip(11 - x, -22, 22) + 22
-    return a * _UP[k] / _DOWN[k]
+def _text_pieces(matrix: np.ndarray) -> list:
+    """A C-contiguous byte matrix as pieces: one word if its width is a
+    word's, else the matrix itself."""
+    width = matrix.shape[1]
+    if width in (1, 2, 4, 8):
+        return [(matrix.view(f"<u{width}").ravel(), width)]
+    return [(matrix, width)] if width else []
 
 
-def _float_source(values: np.ndarray):
-    """Per value: its 32-byte source row, its `_LAYOUT` row, and whether it
-    falls back to Python's own formatting."""
+def _float_rows(values: np.ndarray):
+    """Per value: its twelve digits as two words (the first 8 digits, then
+    the last 4), its `_float_layouts` row, and whether Python formats it."""
     a = np.abs(values)
     nonzero = a > 0
-    with np.errstate(divide="ignore"):
-        x = np.where(nonzero, np.floor(np.log10(a)), 0).astype(np.int64)
-    m = _scaled(a, x)
-    fallback = nonzero & ((np.abs(11 - x) > 22) | (m < 1e11)
-                          | (m >= 1e12 + 0.5)
-                          | (np.abs(m - np.floor(m) - 0.5) < 1e-3))
-    m = np.where(nonzero & ~fallback, m, 1e11)
-    digits = np.rint(m).astype(np.int64)
-    carry = digits == 10**12
-    digits[carry] = 10**11
-    x += carry
-    groups = np.stack([digits // 10**9, digits // 10**6 % 1000,
-                       digits // 1000 % 1000, digits % 1000], -1)
-    trailing = _TRAILING3[groups[:, 3]]
-    for g in (2, 1, 0):     # a group adds its zeros if all after it are 0
-        trailing += (trailing == 3 * (3 - g)) * _TRAILING3[groups[:, g]]
-    layout = (x - _X_MIN) * 12 + 11 - trailing
-    layout[~nonzero] = _ZERO_LAYOUT
-    layout[fallback] = _EMPTY_LAYOUT
-    source = np.empty((len(a), 32), np.uint8)
-    source[:, :16] = _PACKED3[groups].view(np.uint8)
-    source[:, _SIGN] = np.where(np.signbit(values), ord("-"), 0)
-    source[:, 16:] = _ALPHABET
-    return source, layout, fallback
+    x = np.zeros(len(a))
+    np.log10(a, out=x, where=nonzero)
+    x = np.floor(x, out=x).astype(np.int64)     # X, and 0 for a zero
+    k = 33 - x              # 10^(11 - X) = _UP[k] / _DOWN[k] if 0 <= k <= 44
+    fallback = k.view(np.uint64) > 44
+    m = _UP.take(k, mode="clip")
+    m *= a
+    if k.min() < 22:        # some X > 11 (the divisor is 1 for the rest)
+        m /= _DOWN.take(k, mode="clip")
+    del a, k
+    # m >= 0, so its bits order as it does: this is m outside [1e11, 1e12
+    # + 0.5)
+    inexact = (m.view(np.int64) - _M_LOW).view(np.uint64) >= _M_SPAN
+    digits = np.rint(m)                         # 10^12 on a carry
+    m -= digits
+    inexact |= np.abs(m, out=m) > _M_TIE        # fraction within 1e-3 of .5
+    inexact &= nonzero
+    fallback |= inexact
+    del m, inexact, nonzero
+    any_fallback = fallback.any()
+    if any_fallback:
+        np.copyto(digits, 0.0, where=fallback)
+    digits = digits.astype(np.int64)
+    quad = digits // 10**8
+    digits -= quad * 10**8
+    w1 = _DIGITS.take(quad)
+    quad = digits // 10**4
+    digits -= quad * 10**4
+    w2 = _DIGITS.take(quad)
+    w3 = _DIGITS.take(digits)
+    del quad, digits
+    row = w1 >> np.uint64(32)
+    row &= np.uint64(0xFF)
+    count = w2 >> np.uint64(40)
+    count &= np.uint64(0xFF)
+    np.maximum(row, count, out=row)
+    np.right_shift(w3, np.uint64(48), out=count)
+    np.maximum(row, count, out=row)
+    del count
+    x *= 13
+    x += row.view(np.int64)
+    row = x
+    w1 &= np.uint64(0xFFFFFFFF)
+    w2 <<= np.uint64(32)
+    w1 |= w2
+    del w2
+    w3 &= np.uint64(0xFFFFFFFF)
+    if any_fallback:
+        np.copyto(row, _EMPTY, where=fallback)
+    return w1, w3, row, fallback if any_fallback else None
 
 
-def _floats(values: np.ndarray) -> np.ndarray:
-    """`%.12g` of each value as a byte matrix. The gather index, 152 B a
-    value, is the largest array here; `_float_source`'s temporaries are
-    freed before it is built, which holds the peak near 220 B a value."""
-    values = values.astype(np.float64)
-    source, layout, fallback = _float_source(values)
-    index = _LAYOUT[layout]
-    index += 32 * np.arange(len(values))[:, None]
-    out = source.ravel()[index]
-    if fallback.any():
-        text = _texts("%.12g" % v for v in values[fallback].tolist())
-        out[fallback, :text.shape[1]] = text
-    return out
+def _place(digits, moved, row, masks):
+    """One word of a float's text: the digit bytes kept, the bytes of
+    `moved` (the digits one byte up) after the point, and the point."""
+    moved &= masks[1].take(row)
+    moved |= masks[2].take(row)
+    kept = masks[0].take(row)
+    kept &= digits
+    moved |= kept
+    return moved
 
 
-def _integers(values: np.ndarray) -> np.ndarray:
-    if values.dtype.kind == "u":
-        magnitude = values.astype(np.uint64)
-        negative = np.zeros(len(values), bool)
-    else:
-        signed = values.astype(np.int64)
-        # |INT64_MIN| wraps to itself, which uint64 reads as 2^63
-        magnitude = np.abs(signed).astype(np.uint64)
-        negative = signed < 0
-    width = len(str(int(magnitude.max())))
-    n_digits = np.ones(len(values), np.int64)
-    for k in range(1, width):
-        n_digits += magnitude >= np.uint64(10**k)
-    n_groups = -(-width // 3)
-    groups = []
-    for _ in range(n_groups):
-        magnitude, group = np.divmod(magnitude, np.uint64(1000))
-        groups.append(group)
-    out = _PACKED3[np.stack(groups[::-1], -1).astype(np.intp)].view(np.uint8)
-    digit = np.arange(4 * n_groups)
-    digit -= digit // 4         # the digit each byte holds; pads are NUL
-    out[digit < (3 * n_groups - n_digits)[:, None]] = 0
-    if negative.any():
-        sign = np.where(negative, ord("-"), 0).astype(np.uint8)
-        out = np.concatenate([sign[:, None], out], 1)
-    return out
+def _floats(values: np.ndarray):
+    """`%.12g` of each value: its pieces, and the rows Python formats with
+    their text."""
+    values = np.asarray(values, np.float64)
+    w1, w3, row, fallback = _float_rows(values)
+    used = np.zeros(len(_HEAD), bool)
+    used[row] = True
+    head, middle, tail = _WIDTHS[used].max(0).tolist()
+    pieces = []
+    sign = np.signbit(values)
+    if sign.any():
+        pieces.append((sign.view(np.uint8) * np.uint8(ord("-")), 1))
+    if head:
+        pieces.append((_HEAD.take(row), head))
+    if middle > 8:
+        moved = w3 << np.uint64(8)
+        moved |= w1 >> np.uint64(56)
+        high = _place(w3, moved, row, _MASKS[3:])
+    pieces.append((_place(w1, w1 << np.uint64(8), row, _MASKS[:3]),
+                   min(middle, 8)))
+    if middle > 8:
+        pieces.append((high, middle - 8))
+    if tail:
+        pieces.append((_TAIL.take(row), tail))
+    if fallback is None:
+        return pieces, None
+    index = np.flatnonzero(fallback)
+    text = _texts("%.12g" % v for v in values[index].tolist())
+    pad = text.shape[1] - sum(nbytes for _, nbytes in pieces)
+    zeros = np.zeros(len(values), np.uint64)
+    pieces += [(zeros, min(8, pad - i)) for i in range(0, pad, 8)]
+    return pieces, (index, text)
 
 
-def _encode(block) -> np.ndarray:
-    """One column block as a NUL-padded byte matrix, one row per value."""
+def _integers(values: np.ndarray) -> list:
+    """`str(v)` of each integer, as pieces."""
+    pieces = []
+    magnitude = values
+    if values.dtype.kind == "i":
+        negative = values < 0
+        if negative.any():
+            pieces.append((negative.view(np.uint8) * np.uint8(ord("-")), 1))
+            # |INT64_MIN| wraps to itself, which uint64 reads as 2^63
+            magnitude = np.abs(values.astype(np.int64)).astype(np.uint64)
+    top = int(magnitude.max())
+    width = len(str(top))
+    if width == 1:
+        return pieces + [(magnitude + magnitude.dtype.type(_ZERO), 1)]
+    rest = magnitude.astype(np.uint32 if top < 2**32 else np.uint64)
+    base = rest.dtype.type(10000)
+    quads = []                  # base 10^4 digits, least significant first
+    for _ in range(-(-width // 4)):
+        high = rest // base
+        rest -= high * base
+        quads.append(rest)
+        rest = high
+    table = _int_quads()
+    words, above = [], True     # above: every quad before this one is 0
+    for quad in quads[::-1]:
+        words.append(table.take(quad + base * above))
+        above = above & (quad == 0)
+    words[-1][above] = np.uint32(_ZERO << 24)   # a zero's last quad
+    # Pair the quads, most significant first; the first word's leading
+    # NULs, which every row has, are dropped.
+    lead = 4 * len(words) - width
+    if len(words) % 2:
+        words.insert(0, None)
+    for high, low in zip(words[::2], words[1::2]):
+        word = low if high is None else high.astype(np.uint64) | (
+            low.astype(np.uint64) << np.uint64(32))
+        pieces.append((word >> word.dtype.type(8 * lead),
+                       word.itemsize - lead))
+        lead = 0
+    return pieces
+
+
+def _encode(block):
+    """One column block as its pieces, (words or byte matrix, byte count)
+    in order, and the rows that Python formats with their text, if any."""
     if isinstance(block, range):
         block = np.arange(block.start, block.stop, block.step, dtype=np.int64)
     if isinstance(block, np.ndarray):
         if block.dtype.kind == "f":
             return _floats(block)
         if block.dtype.kind in "iu":
-            return _integers(block)
+            return _integers(block), None
         if block.dtype.kind == "U":
             codes = np.ascontiguousarray(block).view(np.uint32)
             codes = codes.reshape(len(block), -1)
             if (codes < 128).all():
-                return codes.astype(np.uint8)
+                return _text_pieces(codes.astype(np.uint8)), None
         block = block.tolist()
-    return _texts(block)
+    return _text_pieces(_texts(block)), None
+
+
+def _put(rows: np.ndarray, offset: int, piece: np.ndarray, nbytes: int):
+    """Store each row's piece at byte `offset` of the row. A word is stored
+    whole, so its spare high bytes land on the bytes that the next pieces
+    or separators cover; at the row's end only its `nbytes` bytes are."""
+    if piece.ndim == 2:
+        rows[:, offset:offset + nbytes] = piece
+        return
+    while nbytes:
+        size = piece.itemsize
+        if offset + size > rows.shape[1]:
+            size = 1 << (nbytes.bit_length() - 1)
+        np.ndarray(len(rows), f"<u{size}", rows, offset,
+                   rows.strides[:1])[...] = piece
+        if size >= nbytes:
+            return
+        piece = piece >> np.uint64(8 * size)
+        offset += size
+        nbytes -= size
 
 
 def _csv_column(column):
@@ -225,16 +363,33 @@ def _csv_column(column):
     return column
 
 
-def _csv_chunks(columns):
-    """The CSV rows as bytes, one chunk per block of `_ROWS` rows."""
+def _csv_chunks(columns, text: bytearray):
+    """The CSV rows as bytes, one chunk per block of `_ROWS` rows. Each
+    block is built in `text`, a buffer kept from block to block."""
+    separators = [ord(",")] * (len(columns) - 1) + [ord("\n")]
     for start in range(0, len(columns[0]), _ROWS):
         fields = [_encode(c[start:start + _ROWS]) for c in columns]
-        comma, newline = (np.full((len(fields[0]), 1), ord(c), np.uint8)
-                          for c in ",\n")
-        parts = [comma] * (2 * len(fields))
-        parts[::2] = fields
-        parts[-1] = newline
-        yield np.concatenate(parts, 1).tobytes().translate(None, b"\0")
+        width = len(fields) + sum(nbytes for pieces, _ in fields
+                                  for _, nbytes in pieces)
+        size = min(_ROWS, len(columns[0]) - start) * width
+        if len(text) < size:
+            text.extend(bytes(size - len(text)))
+        del text[size:]                 # every byte left is written below
+        rows = np.frombuffer(text, np.uint8).reshape(-1, width)
+        offset = 0
+        for (pieces, patch), separator in zip(fields, separators):
+            begin = offset
+            for piece, nbytes in pieces:
+                _put(rows, offset, piece, nbytes)
+                offset += nbytes
+            if patch is not None:
+                index, chars = patch
+                rows[index, begin:offset] = 0
+                rows[index, begin:begin + chars.shape[1]] = chars
+            rows[:, offset] = separator
+            offset += 1
+        del fields, rows
+        yield text.translate(None, b"\0")
 
 
 class RecordWriter:
@@ -256,6 +411,7 @@ class RecordWriter:
         self.sha256: str | None = None
         self._jsonl = self.path.suffix == ".jsonl"
         self._digest = hashlib.sha256()
+        self._text = bytearray()    # where each CSV block is built
 
     def __enter__(self) -> RecordWriter:
         self._file = open(self.path, "wb")
@@ -291,7 +447,7 @@ class RecordWriter:
             chunks = (json.dumps(dict(zip(self.names, row))).encode() + b"\n"
                       for row in zip(*columns))
         else:
-            chunks = _csv_chunks(csv_columns)
+            chunks = _csv_chunks(csv_columns, self._text)
         for chunk in chunks:
             self._put(chunk)
         self.rows += len(columns[0])

@@ -5,8 +5,10 @@ closed forms; the operators here build the same physics as matrices, and
 `driven_evolution` keeps the pulse's damping that production leaves out.
 `run_window_reference` is the readout window's per-electron block loop, the
 stream `protocol.run_window` must reproduce bit for bit, and
-`collect_events` collects either one's per-electron columns. Test modules
-import them with `from reference import ...`.
+`collect_events` collects either one's per-electron columns.
+`template_csv` is the row-template CSV writer, the oracle of the block
+encoder in `records`. Test modules import them with `from reference import
+...`.
 """
 
 from __future__ import annotations
@@ -194,3 +196,21 @@ def collect_events(run, *args) -> tuple[CurrentTrace, TunnelEvents]:
     return trace, TunnelEvents(*(
         np.concatenate([getattr(b, f.name) for b in blocks])
         for f in fields(TunnelEvents)))
+
+
+def template_csv(path, columns):
+    """The row-template writer the block encoder replaced, kept as its
+    oracle: one `%.12g`/`%s` line template filled per row."""
+    def spec(column):
+        if isinstance(column, np.ndarray):
+            floats = column.dtype.kind == "f"
+        else:
+            floats = all(isinstance(v, float) for v in column)
+        return "%.12g" if floats else "%s"
+
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        line = ",".join(spec(c) for c in columns.values()) + "\n"
+        block = [c.tolist() if isinstance(c, np.ndarray) else c
+                 for c in columns.values()]
+        fh.writelines(map(line.__mod__, zip(*block)))

@@ -21,10 +21,9 @@ from fullerene_readout.dynamics import DecoherenceRates, PulseSpec
 from fullerene_readout.errors import ConfigError, NumericFailure
 from fullerene_readout.protocol import (_BLOCK, MAX_EVENT_CYCLES,
                                         InsideSpinState, TunnelingParams)
-from fullerene_readout.records import write_records
 from fullerene_readout.spin_core import (MechanicsParams, PhysicalConstants,
                                          SystemParams)
-from reference import collect_events, run_window_reference
+from reference import collect_events, run_window_reference, template_csv
 
 PARAMS = (SystemParams, PhysicalConstants, DecoherenceRates, PulseSpec,
           TunnelingParams, MechanicsParams)
@@ -591,7 +590,7 @@ class TestEventStreaming:
             run_window_reference, InsideSpinState(-1.5, "outer"),
             config.pulse, config.system, config.tunneling, config.rates,
             config.seed)
-        write_records(want, {
+        template_csv(want, {
             "cycle": range(ev.dwell.size), "dwell_ns": ev.dwell,
             "spin_in": np.where(ev.spin_up, "up", "down"),
             "flip_prob": ev.flip_prob, "passed": ev.passed.astype(np.uint8)})
@@ -599,6 +598,59 @@ class TestEventStreaming:
         code, out = self.readout(tmp_path, doc)
         assert code == 0
         assert (out / "events.csv").read_bytes() == want.read_bytes()
+
+
+class TestFailedRunLeavesNothing:
+    """A run that fails removes every file it wrote, and only those."""
+
+    @staticmethod
+    def outputs(out):
+        return sorted(p.name for p in out.iterdir())
+
+    def test_failure_after_the_window(self, small_cfg, tmp_path):
+        # events.csv and readout.csv are complete when readout.jsonl fails
+        out = tmp_path / "o"
+        (out / "readout.jsonl").mkdir(parents=True)
+        (out / "notes.txt").write_text("not ours\n")
+        assert run_cli("readout", "--true-state=-3/2", "--events",
+                       "--config", small_cfg, "--out", str(out)) == 2
+        assert self.outputs(out) == ["notes.txt", "readout.jsonl"]
+        assert (out / "notes.txt").read_text() == "not ours\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["table"], ["fig2", "--alphas", "0.1"],
+        ["readout", "--true-state=-3/2", "--events"],
+        ["sweep", "--trials", "1"], ["mechanics"]], ids=lambda a: a[0])
+    def test_failed_manifest_write(self, argv, small_cfg, tmp_path):
+        out = tmp_path / "o"
+        (out / "manifest.json").mkdir(parents=True)
+        assert run_cli(*argv, "--config", small_cfg, "--out", str(out)) == 2
+        assert self.outputs(out) == ["manifest.json"]
+
+    def test_manifest_write_fails_midway(self, small_cfg, tmp_path,
+                                         monkeypatch):
+        class DiskFull:
+            """A file that takes a few bytes, then reports a full disk."""
+
+            def __init__(self, path, mode):
+                self.file = open(path, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+            def write(self, text):
+                self.file.write(text[:10])
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("fullerene_readout.cli.open", DiskFull,
+                            raising=False)
+        out = tmp_path / "o"
+        assert run_cli("readout", "--true-state=-3/2", "--events",
+                       "--config", small_cfg, "--out", str(out)) == 2
+        assert self.outputs(out) == []
 
 
 class TestManifest:

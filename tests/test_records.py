@@ -11,24 +11,7 @@ from hypothesis.extra.numpy import arrays
 from fullerene_readout import records
 from fullerene_readout.errors import NumericFailure
 from fullerene_readout.records import RecordWriter, write_records
-
-
-def template_csv(path, columns):
-    """The row-template writer the block encoder replaced, kept as its
-    oracle: one `%.12g`/`%s` line template filled per row."""
-    def spec(column):
-        if isinstance(column, np.ndarray):
-            floats = column.dtype.kind == "f"
-        else:
-            floats = all(isinstance(v, float) for v in column)
-        return "%.12g" if floats else "%s"
-
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        line = ",".join(spec(c) for c in columns.values()) + "\n"
-        block = [c.tolist() if isinstance(c, np.ndarray) else c
-                 for c in columns.values()]
-        fh.writelines(map(line.__mod__, zip(*block)))
+from reference import template_csv
 
 
 def assert_same_bytes(columns):
@@ -65,6 +48,79 @@ def test_integer_edges_match_template():
     signed = np.array([-2**63, -1000, -999, -1, 0, 1, 999, 1000, 2**63 - 1])
     unsigned = np.array([0, 2**64 - 1] * 4 + [1], np.uint64)
     assert_same_bytes({"k": signed, "u": unsigned, "r": range(-4, 5)})
+
+
+def block_scale_columns():
+    """Columns of 2 * _ROWS + 1 rows, so they are written as two full
+    blocks and a one-row block, each with its own field widths and sign
+    decisions."""
+    rows = records._ROWS
+    n = 2 * rows + 1
+    rng = np.random.default_rng(15)
+    specials = [m * 10.0**k for k in range(-12, 36)
+                for m in (1.0, 1.5, 9.99999999999, 1.23456789012)]
+    specials += [0.5, 150.0, 1e5, 123.4, 1.2e-5, 7e20]  # end in zeros
+    specials += EDGES + NEAR_TIES + BOUNDS
+    specials += [-v for v in specials]
+    wide = rng.standard_normal(n) * 10.0 ** rng.integers(-15, 36, n)
+    x = np.r_[np.resize(specials, rows), wide[rows:]]
+    # one negative value in block 0; one exponent-form value in block 1
+    one_negative = rng.uniform(100.0, 150.0, n)
+    one_negative[777] = -123.456
+    one_exponent = rng.choice([0.5, 0.25, 150.0, 12.5, 3.0, 0.0], n)
+    one_exponent[rows + 5] = 1e-20
+    wide_ints = np.array([2**32 - 1, 2**32, -1, -2**32, 0, 9, 10, 99999999,
+                          100000000, 2**63 - 1, -2**63])
+    digits = rng.integers(0, 10, n)
+    digits[rows:] += rng.integers(0, 2, n - rows) * 123456  # block 1 wider
+    digits[-1] = -7
+    return {
+        "x": x, "y": x[::-1].tolist(), "one_negative": one_negative,
+        "one_exponent": one_exponent,
+        "bit": rng.integers(0, 2, n).astype(np.uint8),
+        "digit": digits,
+        "wide": np.r_[np.resize(wide_ints, rows),
+                      rng.integers(-2**40, 2**40, n - rows)],
+        "u": np.resize(np.array([0, 2**32 - 1, 2**32, 2**64 - 1, 10**19, 7],
+                                np.uint64), n),
+        "i": range(-5, n - 5)}
+
+
+def test_blocks_at_scale_match_template():
+    columns = block_scale_columns()
+    rows = records._ROWS
+    blocks = [slice(0, rows), slice(rows, 2 * rows), slice(2 * rows, None)]
+    assert [int((columns["one_negative"][b] < 0).sum()) for b in blocks] \
+        == [1, 0, 0]
+    assert ["e" in "%.12g" % v for v in columns["one_exponent"][blocks[1]]
+            ].count(True) == 1
+    assert ["e" in "%.12g" % v for v in columns["one_exponent"][blocks[0]]
+            ].count(True) == 0
+    assert_same_bytes(columns)
+
+
+def test_tie_rule_matches_the_fraction_rule():
+    """`_floats` tests |m - rint(m)| > 0.5 - 1e-3 for the exactness note's
+    |m - floor(m) - 0.5| < 1e-3. They agree at every fraction that m can
+    have in [1e11, 1e12 + 0.5): all multiples of its ulp, 2^-16 to
+    2^-13."""
+    for e in range(36, 40):     # binades [2^e, 2^(e+1)) around 1e11..1e12
+        ulp = 2.0 ** (e - 52)
+        m = 2.0**e + np.arange(2 ** (52 - e)) * ulp
+        rule = np.abs(m - np.floor(m) - 0.5) < 1e-3
+        assert rule.any()
+        assert ((np.abs(m - np.rint(m)) > records._M_TIE) == rule).all()
+
+
+def test_range_rule_on_bits():
+    """m's bits order as m does, so one unsigned compare of the bits is
+    m outside [1e11, 1e12 + 0.5)."""
+    ends = [0.0, 5e-324, 1e11, 1e12 + 0.5, 1e300]
+    m = np.array(ends + [np.nextafter(v, d) for v in ends[1:]
+                         for d in (0, np.inf)])
+    bits = (m.view(np.int64) - records._M_LOW).view(np.uint64)
+    assert ((bits >= records._M_SPAN) == ((m < 1e11) | (m >= 1e12 + 0.5))
+            ).all()
 
 
 @st.composite
