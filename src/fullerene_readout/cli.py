@@ -5,8 +5,9 @@ Every command loads a JSON config (all fields defaulted), writes CSV data
 files into the output directory, and records a manifest.json echoing the
 config, command line, wall time, and sha256 digests of everything written.
 Exit codes: 0 success, 1 validation error, 2 io error, 3 numeric failure.
-A run that fails removes every file it wrote, so no output is left without
-its manifest.
+A command's report is printed only once the manifest is written. A run that
+fails removes every file it wrote and prints no report, so no output is left
+or named without its manifest.
 """
 
 from __future__ import annotations
@@ -82,17 +83,17 @@ class Manifest:
                         for p, digest in self.outputs],
         }
         doc.update(self.extra)
-        try:
-            text = json.dumps(doc, indent=2, allow_nan=False)
-        except ValueError as exc:
-            raise NumericFailure(f"manifest.json: {exc}") from exc
+        for key, value in self.extra.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise NumericFailure(f"manifest.json: {key} is {value}")
+        text = json.dumps(doc, indent=2, allow_nan=False)
         path = self.out_dir / "manifest.json"
         with open(path, "w") as fh:
             self.written.append(path)
             fh.write(text + "\n")
 
 
-def cmd_table(config: SimulationConfig, manifest: Manifest) -> None:
+def cmd_table(config: SimulationConfig, manifest: Manifest) -> str:
     rows = transition_table(config.system)
     levels = eigenenergies(config.system)
     manifest.add_records("transitions.csv", {
@@ -107,14 +108,14 @@ def cmd_table(config: SimulationConfig, manifest: Manifest) -> None:
         "m1": [lv.m1 for lv in levels], "m2": [lv.m2 for lv in levels],
         "energy_mhz": [lv.energy for lv in levels]})
     check = check_weak_coupling(config.system)
-    print(f"weak-coupling |J|/|nu2-nu1| = {check.ratio:.4g} "
-          f"({'ok' if check.ok else 'VIOLATED'})")
-    print(f"wrote transitions.csv ({len(rows)} rows), "
-          f"levels.csv ({len(levels)} levels)")
+    return (f"weak-coupling |J|/|nu2-nu1| = {check.ratio:.4g} "
+            f"({'ok' if check.ok else 'VIOLATED'})\n"
+            f"wrote transitions.csv ({len(rows)} rows), "
+            f"levels.csv ({len(levels)} levels)")
 
 
 def cmd_fig2(config: SimulationConfig, manifest: Manifest,
-             alphas: list[float]) -> None:
+             alphas: list[float]) -> str:
     require(len(alphas) > 0, "fig2.alphas", "must be non-empty")
     with as_option("fig2.alphas"):
         starts = [imperfect_flip_state(alpha) for alpha in alphas]
@@ -123,7 +124,7 @@ def cmd_fig2(config: SimulationConfig, manifest: Manifest,
         require(name not in names[:i], "fig2.alphas",
                 f"two values would write {name}: they must differ in their "
                 "first 6 significant digits")
-    overall = 0.0
+    overall, report = 0.0, []
     for alpha, name, rho in zip(alphas, names, starts):
         series = fig2_timeseries(alpha, config.rates)
         num = np.empty((len(series.times), 3))
@@ -139,13 +140,14 @@ def cmd_fig2(config: SimulationConfig, manifest: Manifest,
             "t_ns": series.times, "P1": series.P1, "P2": series.P2,
             "P3": series.P3, "P1_numeric": num[:, 0], "P2_numeric": num[:, 1],
             "P3_numeric": num[:, 2], "max_abs_dev": dev})
-        print(f"alpha={alpha:g}: max analytic/numeric deviation "
-              f"{dev.max():.3e}")
+        report.append(f"alpha={alpha:g}: max analytic/numeric deviation "
+                      f"{dev.max():.3e}")
     manifest.extra["max_abs_deviation"] = overall
+    return "\n".join(report)
 
 
 def cmd_readout(config: SimulationConfig, manifest: Manifest,
-                inside: InsideSpinState, events: bool) -> None:
+                inside: InsideSpinState, events: bool) -> str:
     if events:
         require(config.tunneling.n_cycles <= MAX_EVENT_CYCLES,
                 "tunneling.window", f"must hold at most {MAX_EVENT_CYCLES:.0e}"
@@ -172,14 +174,14 @@ def cmd_readout(config: SimulationConfig, manifest: Manifest,
     manifest.add_records("readout.jsonl", row)
     if events:
         manifest.outputs.append((epath, log.sha256))
-    print(f"classified m1 = {result.classified.m1:+g} ({inside.encoding}), "
-          f"counts {result.counts_on}/{trace.n_cycles}, "
-          f"contrast {result.contrast:.6f}")
+    return (f"classified m1 = {result.classified.m1:+g} ({inside.encoding}), "
+            f"counts {result.counts_on}/{trace.n_cycles}, "
+            f"contrast {result.contrast:.6f}")
 
 
 def cmd_sweep(config: SimulationConfig, manifest: Manifest,
               alphas: list[float], leaks: list[float], trials: int,
-              encoding: str) -> None:
+              encoding: str) -> str:
     cells = fidelity_sweep(encoding, config.system, config.rates, alphas,
                            leaks, trials, config.seed,
                            tunneling=config.tunneling, pulse=config.pulse)
@@ -194,27 +196,24 @@ def cmd_sweep(config: SimulationConfig, manifest: Manifest,
     manifest.add_records("sweep.csv", rows)
     manifest.add_records("sweep.jsonl", rows)
     worst = max(c.rate for c in cells)
-    print(f"sweep: {len(cells)} cells, worst misclassification rate "
-          f"{worst:.4g}")
+    return (f"sweep: {len(cells)} cells, worst misclassification rate "
+            f"{worst:.4g}")
 
 
-def cmd_mechanics(config: SimulationConfig, manifest: Manifest) -> None:
+def cmd_mechanics(config: SimulationConfig, manifest: Manifest) -> str:
     shift = vibration_shift(config.constants, config.mechanics)
     sep = zeeman_separation(config.constants, config.mechanics)
-    report = {"vibration_shift_m": shift.shift, "shift_ratio": shift.ratio,
-              "zeeman_separation_mhz": sep}
-    for name, value in report.items():
-        if not math.isfinite(value):
-            raise NumericFailure(f"manifest.json: {name} is {value}")
     ok = sep >= 127.0
-    print(f"vibration shift dz = {shift.shift:.4g} m "
-          f"({shift.shift * 1e12:.4g} pm)")
-    print(f"Coulomb displacement reference = "
-          f"{config.mechanics.coulomb_shift:.4g} m")
-    print(f"ratio dz / reference = {shift.ratio:.4g}")
-    print(f"Zeeman separation = {sep:.4g} MHz "
-          f"({'>=127 MHz satisfied' if ok else 'below 127 MHz'})")
-    manifest.extra.update(report, separation_ok=ok)
+    manifest.extra.update(vibration_shift_m=shift.shift,
+                          shift_ratio=shift.ratio, zeeman_separation_mhz=sep,
+                          separation_ok=ok)
+    return (f"vibration shift dz = {shift.shift:.4g} m "
+            f"({shift.shift * 1e12:.4g} pm)\n"
+            f"Coulomb displacement reference = "
+            f"{config.mechanics.coulomb_shift:.4g} m\n"
+            f"ratio dz / reference = {shift.ratio:.4g}\n"
+            f"Zeeman separation = {sep:.4g} MHz "
+            f"({'>=127 MHz satisfied' if ok else 'below 127 MHz'})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,23 +268,25 @@ def run(argv: list[str]) -> None:
     manifest = Manifest(args.command, list(argv), config, out_dir)
     try:
         if args.command == "table":
-            cmd_table(config, manifest)
+            report = cmd_table(config, manifest)
         elif args.command == "fig2":
-            cmd_fig2(config, manifest, _parse_grid(args.alphas))
+            report = cmd_fig2(config, manifest, _parse_grid(args.alphas))
         elif args.command == "readout":
             m1 = _STATE_NAMES[args.true_state]
             inside = InsideSpinState(m1, "outer" if abs(m1) == 1.5
                                      else "inner")
-            cmd_readout(config, manifest, inside, args.events)
+            report = cmd_readout(config, manifest, inside, args.events)
         elif args.command == "sweep":
-            cmd_sweep(config, manifest, _parse_grid(args.alphas),
-                      _parse_grid(args.leaks), args.trials, args.encoding)
+            report = cmd_sweep(config, manifest, _parse_grid(args.alphas),
+                               _parse_grid(args.leaks), args.trials,
+                               args.encoding)
         elif args.command == "mechanics":
-            cmd_mechanics(config, manifest)
+            report = cmd_mechanics(config, manifest)
         manifest.write()
     except BaseException:
         manifest.discard()
         raise
+    print(report)
 
 
 def main(argv: list[str] | None = None) -> int:

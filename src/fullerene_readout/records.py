@@ -20,12 +20,14 @@ carry no NUL of their own (they come from code or argparse choices), so
 this is exact. A field is computed as words, one integer per row holding up
 to 8 of its bytes (the first byte least significant), and each word is
 stored with one strided copy into the matrix, which the writer keeps from
-block to block. Integer arrays, ranges and ASCII string arrays are encoded
-directly; any other non-float column goes through `str(v)`.
+block to block. ASCII string arrays are encoded directly, and so are
+integer arrays and ranges whose every value in the block lies in 0..10^8 - 1,
+each value one word of its digits; any other non-float column goes through
+`str(v)`.
 
-Floats are exact. With X = floor(log10|x|) and an exactly representable
-power (|11 - X| <= 22), m = |x| * 10^(11 - X) is one correctly rounded
-product or quotient, within 2^-53 * 10^12 ~ 1.1e-4 of its exact value. So
+Floats are exact. With X = floor(log10|x|) in -11..11, so that 10^(11 - X)
+is an exactly representable power, m = |x| * 10^(11 - X) is one correctly
+rounded product, within 2^-53 * 10^12 ~ 1.1e-4 of its exact value. So
 when m lies in [1e11, 1e12 + 0.5) and its fraction lies more than 1e-3 from
 .5, rounding m to an integer gives the twelve digits (and the carry to the
 next decade when it reaches 10^12) that correctly rounded decimal output
@@ -35,13 +37,12 @@ table; the point, the trailing zeros to drop and the exponent (fixed
 notation for X in -4..11, exponent notation otherwise) from a table with
 one row per (X, number of digits up to the last nonzero one). Any other
 value is formatted by Python's own `'%.12g' % v`, so every byte matches:
-one near a rounding tie, below 1e-11 (subnormals too), from 1e34 up, or a
+one near a rounding tie, below 1e-11 (subnormals too), from 1e12 up, or a
 hair below a power of ten where log10 rounds up across it.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 from pathlib import Path
@@ -56,7 +57,7 @@ from .errors import NumericFailure
 _ROWS = 16384
 
 _ZERO = ord("0")
-_X_MIN, _X_MAX = -11, 34      # X after a carry, within the exact powers
+_X_MIN, _X_MAX = -11, 12      # X after a carry, within the exact powers
 
 
 def _pack(chars: np.ndarray) -> np.ndarray:
@@ -67,32 +68,15 @@ def _pack(chars: np.ndarray) -> np.ndarray:
     return padded.view("<u8")[:, 0].astype(np.uint64)
 
 
-def _quad_digits() -> np.ndarray:
-    """The four digits of each base 10^4 digit ("quad") 0000..9999, then
-    of 10000, a rounding carry, as 1000."""
-    return np.r_[np.indices((10,) * 4, np.uint8).reshape(4, -1).T.copy(),
-                 np.array([[1, 0, 0, 0]], np.uint8)]
-
-
-@functools.cache
-def _int_quads() -> np.ndarray:
-    """An integer's quad as a word of its four digits, then (from index
-    10000) the same with its leading zeros as NULs, so 0 is empty. Built on
-    first use: only integer arrays need it."""
-    quads = _quad_digits()[:10000]
-    chars = _ZERO + quads
-    leading = np.logical_and.accumulate(quads == 0, 1)
-    return np.r_[chars, chars * ~leading].view("<u4")[:, 0].astype(
-        np.uint32, copy=False)
-
-
 def _float_quads() -> np.ndarray:
-    """A float's quad as a word of its four digits, then in byte 4 + p,
-    for each position p = 0, 1, 2 of the float's three quads, 13 * -_X_MIN
+    """Each base 10^4 digit ("quad") 0000..9999, then 10000 (a float's
+    rounding carry) as 1000: a word of its four digits, then in byte 4 + p,
+    for each position p = 0, 1, 2 of a float's three quads, 13 * -_X_MIN
     plus the count of the float's digits up to the quad's last nonzero one,
     or 0 if the quad is 0 and p > 0. The largest of those three bytes is
     the float's `_float_layouts` row less 13 * X; a carry adds 13."""
-    quads = _quad_digits()
+    quads = np.r_[np.indices((10,) * 4, np.uint8).reshape(4, -1).T.copy(),
+                  np.array([[1, 0, 0, 0]], np.uint8)]
     significant = ((quads > 0) * np.arange(1, 5, dtype=np.uint8)).max(1)
     digits = (_ZERO + quads).view("<u4")[:, 0].astype(np.uint64)
     for p in range(3):
@@ -106,10 +90,8 @@ def _float_quads() -> np.ndarray:
 
 _DIGITS = _float_quads()
 
-# 10^k for k = -22..22 as a factor and a divisor, both exact.
+# 10^k for k = 0..22, each exact.
 _POW10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])
-_UP = np.r_[np.ones(22), _POW10]
-_DOWN = np.r_[_POW10[:0:-1], np.ones(23)]
 # The scaled value m is exact to 12 digits in [1e11, 1e12 + 0.5), as bits;
 # |m - rint(m)| > _M_TIE holds exactly when m's fraction lies within 1e-3
 # of .5, for every m in that range (see the exactness note above).
@@ -180,12 +162,10 @@ def _float_rows(values: np.ndarray):
     x = np.zeros(len(a))
     np.log10(a, out=x, where=nonzero)
     x = np.floor(x, out=x).astype(np.int64)     # X, and 0 for a zero
-    k = 33 - x              # 10^(11 - X) = _UP[k] / _DOWN[k] if 0 <= k <= 44
-    fallback = k.view(np.uint64) > 44
-    m = _UP.take(k, mode="clip")
+    k = 11 - x              # 10^(11 - X) = _POW10[k] if 0 <= k <= 22
+    fallback = k.view(np.uint64) > 22
+    m = _POW10.take(k, mode="clip")
     m *= a
-    if k.min() < 22:        # some X > 11 (the divisor is 1 for the rest)
-        m /= _DOWN.take(k, mode="clip")
     del a, k
     # m >= 0, so its bits order as it does: this is m outside [1e11, 1e12
     # + 0.5)
@@ -274,46 +254,23 @@ def _floats(values: np.ndarray):
     return pieces, (index, text)
 
 
-def _integers(values: np.ndarray) -> list:
-    """`str(v)` of each integer, as pieces."""
-    pieces = []
-    magnitude = values
-    if values.dtype.kind == "i":
-        negative = values < 0
-        if negative.any():
-            pieces.append((negative.view(np.uint8) * np.uint8(ord("-")), 1))
-            # |INT64_MIN| wraps to itself, which uint64 reads as 2^63
-            magnitude = np.abs(values.astype(np.int64)).astype(np.uint64)
-    top = int(magnitude.max())
-    width = len(str(top))
-    if width == 1:
-        return pieces + [(magnitude + magnitude.dtype.type(_ZERO), 1)]
-    rest = magnitude.astype(np.uint32 if top < 2**32 else np.uint64)
-    base = rest.dtype.type(10000)
-    quads = []                  # base 10^4 digits, least significant first
-    for _ in range(-(-width // 4)):
-        high = rest // base
-        rest -= high * base
-        quads.append(rest)
-        rest = high
-    table = _int_quads()
-    words, above = [], True     # above: every quad before this one is 0
-    for quad in quads[::-1]:
-        words.append(table.take(quad + base * above))
-        above = above & (quad == 0)
-    words[-1][above] = np.uint32(_ZERO << 24)   # a zero's last quad
-    # Pair the quads, most significant first; the first word's leading
-    # NULs, which every row has, are dropped.
-    lead = 4 * len(words) - width
-    if len(words) % 2:
-        words.insert(0, None)
-    for high, low in zip(words[::2], words[1::2]):
-        word = low if high is None else high.astype(np.uint64) | (
-            low.astype(np.uint64) << np.uint64(32))
-        pieces.append((word >> word.dtype.type(8 * lead),
-                       word.itemsize - lead))
-        lead = 0
-    return pieces
+def _integers(values: np.ndarray) -> list | None:
+    """`str(v)` of each integer as pieces, or None if any lies outside
+    0..10^8 - 1."""
+    top = int(values.max())
+    if int(values.min()) < 0 or top >= 10**8:
+        return None
+    if top < 10:
+        return [(values + values.dtype.type(_ZERO), 1)]
+    values = values.astype(np.intp, copy=False)
+    high = values // 10000
+    word = _DIGITS.take(high)       # the first four digits, then the last
+    word &= np.uint64(0xFFFFFFFF)
+    word |= _DIGITS.take(values - high * 10000) << np.uint64(32)
+    # Shift each word down past its leading zeros: 8 less its digits
+    lead = 7 - np.searchsorted(10 ** np.arange(1, 8), values, "right")
+    word >>= (lead * 8).astype(np.uint64)
+    return [(word, len(str(top)))]
 
 
 def _encode(block):
@@ -325,8 +282,10 @@ def _encode(block):
         if block.dtype.kind == "f":
             return _floats(block)
         if block.dtype.kind in "iu":
-            return _integers(block), None
-        if block.dtype.kind == "U":
+            pieces = _integers(block)
+            if pieces is not None:
+                return pieces, None
+        elif block.dtype.kind == "U":
             codes = np.ascontiguousarray(block).view(np.uint32)
             codes = codes.reshape(len(block), -1)
             if (codes < 128).all():

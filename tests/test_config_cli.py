@@ -621,11 +621,13 @@ class TestFailedRunLeavesNothing:
         ["table"], ["fig2", "--alphas", "0.1"],
         ["readout", "--true-state=-3/2", "--events"],
         ["sweep", "--trials", "1"], ["mechanics"]], ids=lambda a: a[0])
-    def test_failed_manifest_write(self, argv, small_cfg, tmp_path):
+    def test_failed_manifest_write(self, argv, small_cfg, tmp_path, capsys):
         out = tmp_path / "o"
         (out / "manifest.json").mkdir(parents=True)
         assert run_cli(*argv, "--config", small_cfg, "--out", str(out)) == 2
         assert self.outputs(out) == ["manifest.json"]
+        # no report names the files that the failure removed
+        assert capsys.readouterr().out == ""
 
     def test_manifest_write_fails_midway(self, small_cfg, tmp_path,
                                          monkeypatch):

@@ -29,25 +29,41 @@ EDGES = [0.0, -0.0, 5e-324, 1e-5, 9.99999999999e-5, 1e-4, 1e11,
 NEAR_TIES = [54.37207168585, 70902041.66475, 1.438819396545e-07,
              728660.7912865]
 # Around powers of ten (log10 may round across them), and the ends of the
-# exact-power range: X = -11 and 33 are encoded, -12 and 34 are not.
+# scaled range: X = -11 is encoded and -12 is not; from X = 12 (1e12) up,
+# Python formats every value.
 BOUNDS = [float(np.nextafter(10.0**k, d)) for k in (-5, 0, 15, 33)
           for d in (0, np.inf)] + [1e-11, 9.99999999999e-12, 1e33,
                                    9.9999999999995e33, 1e34]
 
 
 def test_float_edges_match_template():
-    values = EDGES + NEAR_TIES + BOUNDS
+    # the top of X = 11, its carry to 1e+12, and a value past it
+    top = [999999999999.4, 999999999999.6, 1.5e12]
+    values = EDGES + NEAR_TIES + BOUNDS + top
     values = np.array(values + [-v for v in values])
     assert_same_bytes({"x": values, "y": values.tolist()})
     text = [("%.12g" % v) for v in values.tolist()]
     assert text[:3] == ["0", "-0", "4.94065645841e-324"]
     assert text[6:10] == ["100000000000", "1e+12", "1e+12", "1e+16"]
+    n = len(values) // 2
+    assert text[n - 3:n] == ["999999999999", "1e+12", "1.5e+12"]
 
 
 def test_integer_edges_match_template():
     signed = np.array([-2**63, -1000, -999, -1, 0, 1, 999, 1000, 2**63 - 1])
     unsigned = np.array([0, 2**64 - 1] * 4 + [1], np.uint64)
-    assert_same_bytes({"k": signed, "u": unsigned, "r": range(-4, 5)})
+    # 0..10^8 - 1 is written as words; one value outside it sends the
+    # block through str()
+    words = np.array([9, 10, 0, 99999999, 7, 1000, 10000, 1, 12345678])
+    assert_same_bytes({
+        "k": signed, "u": unsigned, "r": range(-4, 5),
+        "w": words, "w32": words.astype(np.uint32),
+        "w64": words.astype(np.uint64),
+        "b8": np.array([0, 9, 10, 99, 100, 255, 1, 0, 5], np.uint8),
+        "d": np.arange(9), "d8": np.arange(9, dtype=np.uint8),
+        "top": np.r_[words[:-1], 10**8], "neg": np.r_[words[:-1], -1],
+        "u64": np.r_[words[:-1].astype(np.uint64), np.uint64(2**64 - 1)],
+        "cross": range(10**8 - 4, 10**8 + 5)})
 
 
 def block_scale_columns():
