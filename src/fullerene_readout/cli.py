@@ -3,7 +3,8 @@ Command-line harness: `sim table|fig2|readout|sweep|mechanics`.
 
 Every command loads a JSON config (all fields defaulted), writes CSV data
 files into the output directory, and records a manifest.json echoing the
-config, command line, wall time, and sha256 digests of everything written.
+config, command line, wall time, and sha256 digests of everything written,
+listed in the order their files were completed.
 Exit codes: 0 success, 1 validation error, 2 io error, 3 numeric failure.
 A command's report is printed only once the manifest is written. A run that
 fails removes every file it wrote and prints no report, so no output is left
@@ -19,7 +20,7 @@ import math
 import os
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from functools import partial
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from .errors import ConfigError, NumericFailure, as_option, require
 from .protocol import (EVENT_COLUMNS, MAX_EVENT_CYCLES, InsideSpinState,
                        classify, fidelity_sweep, resonance_frequency,
                        run_window, write_events_csv)
-from .records import RecordWriter, write_records
+from .records import RecordWriter
 from .spin_core import (check_weak_coupling, eigenenergies, transition_table,
                         vibration_shift, zeeman_separation)
 
@@ -53,24 +54,27 @@ class Manifest:
         self.argv = argv
         self.config = config
         self.out_dir = out_dir
-        self.outputs: list[tuple[Path, str]] = []
-        self.written: list[Path] = []   # every file this run wrote
+        self.outputs: list[tuple[Path, str]] = []   # in order of completion
         self.extra: dict = {}
         self._start = time.monotonic()
 
-    def add(self, path: Path, sha256: str) -> None:
-        self.outputs.append((path, sha256))
-        self.written.append(path)
-
     def discard(self) -> None:
         """Remove every file this run wrote: a failed run leaves none."""
-        for path in self.written:
+        for path, _ in self.outputs:
             path.unlink(missing_ok=True)
 
+    @contextmanager
+    def writer(self, name: str, names):
+        """A `RecordWriter` of `name` in the output directory. The file is
+        listed once the writer closes cleanly; a failed writer removes it."""
+        with RecordWriter(self.out_dir / name, names) as out:
+            yield out
+        self.outputs.append((out.path, out.sha256))
+
     def add_records(self, name: str, columns: dict) -> None:
-        """Write one CSV or JSONL output file and record it."""
-        path = self.out_dir / name
-        self.add(path, write_records(path, columns))
+        """Write one CSV or JSONL output file in one block, and list it."""
+        with self.writer(name, columns) as out:
+            out.write(columns.values())
 
     def write(self) -> None:
         doc = {
@@ -89,11 +93,11 @@ class Manifest:
         text = json.dumps(doc, indent=2, allow_nan=False)
         path = self.out_dir / "manifest.json"
         with open(path, "w") as fh:
-            self.written.append(path)
+            self.outputs.append((path, ""))   # so that discard() removes it
             fh.write(text + "\n")
 
 
-def cmd_table(config: SimulationConfig, manifest: Manifest) -> str:
+def cmd_table(config: SimulationConfig, manifest: Manifest, args) -> str:
     rows = transition_table(config.system)
     levels = eigenenergies(config.system)
     manifest.add_records("transitions.csv", {
@@ -114,8 +118,8 @@ def cmd_table(config: SimulationConfig, manifest: Manifest) -> str:
             f"levels.csv ({len(levels)} levels)")
 
 
-def cmd_fig2(config: SimulationConfig, manifest: Manifest,
-             alphas: list[float]) -> str:
+def cmd_fig2(config: SimulationConfig, manifest: Manifest, args) -> str:
+    alphas = _parse_grid(args.alphas, "fig2.alphas")
     require(len(alphas) > 0, "fig2.alphas", "must be non-empty")
     with as_option("fig2.alphas"):
         starts = [imperfect_flip_state(alpha) for alpha in alphas]
@@ -146,22 +150,20 @@ def cmd_fig2(config: SimulationConfig, manifest: Manifest,
     return "\n".join(report)
 
 
-def cmd_readout(config: SimulationConfig, manifest: Manifest,
-                inside: InsideSpinState, events: bool) -> str:
-    if events:
+def cmd_readout(config: SimulationConfig, manifest: Manifest, args) -> str:
+    m1 = _STATE_NAMES[args.true_state]
+    inside = InsideSpinState(m1, "outer" if abs(m1) == 1.5 else "inner")
+    if args.events:
         require(config.tunneling.n_cycles <= MAX_EVENT_CYCLES,
                 "tunneling.window", f"must hold at most {MAX_EVENT_CYCLES:.0e}"
                 " cycles of cycle_period with --events")
     freq = resonance_frequency(inside, config.system)
     # events.csv is written block by block, as the window draws them
-    epath = manifest.out_dir / "events.csv"
-    with (RecordWriter(epath, EVENT_COLUMNS) if events
+    with (manifest.writer("events.csv", EVENT_COLUMNS) if args.events
           else nullcontext()) as log:
         sink = None if log is None else partial(write_events_csv, log)
         trace = run_window(inside, config.pulse, config.system,
                            config.tunneling, config.rates, config.seed, sink)
-    if events:
-        manifest.written.append(epath)
     result = classify(trace, config.tunneling, inside.encoding)
     manifest.extra["interrogation_mhz"] = freq
     row = {"true_m1": [inside.m1], "encoding": [inside.encoding],
@@ -172,19 +174,17 @@ def cmd_readout(config: SimulationConfig, manifest: Manifest,
            "contrast": [result.contrast], "seed": [trace.seed]}
     manifest.add_records("readout.csv", row)
     manifest.add_records("readout.jsonl", row)
-    if events:
-        manifest.outputs.append((epath, log.sha256))
     return (f"classified m1 = {result.classified.m1:+g} ({inside.encoding}), "
             f"counts {result.counts_on}/{trace.n_cycles}, "
             f"contrast {result.contrast:.6f}")
 
 
-def cmd_sweep(config: SimulationConfig, manifest: Manifest,
-              alphas: list[float], leaks: list[float], trials: int,
-              encoding: str) -> str:
-    cells = fidelity_sweep(encoding, config.system, config.rates, alphas,
-                           leaks, trials, config.seed,
-                           tunneling=config.tunneling, pulse=config.pulse)
+def cmd_sweep(config: SimulationConfig, manifest: Manifest, args) -> str:
+    cells = fidelity_sweep(args.encoding, config.system, config.rates,
+                           _parse_grid(args.alphas, "sweep.alphas"),
+                           _parse_grid(args.leaks, "sweep.leaks"), args.trials,
+                           config.seed, tunneling=config.tunneling,
+                           pulse=config.pulse)
     rows = {"alpha": [c.alpha for c in cells],
             "p_leak": [c.p_leak for c in cells],
             "encoding": [c.true_state.encoding for c in cells],
@@ -200,7 +200,7 @@ def cmd_sweep(config: SimulationConfig, manifest: Manifest,
             f"{worst:.4g}")
 
 
-def cmd_mechanics(config: SimulationConfig, manifest: Manifest) -> str:
+def cmd_mechanics(config: SimulationConfig, manifest: Manifest, args) -> str:
     shift = vibration_shift(config.constants, config.mechanics)
     sep = zeeman_separation(config.constants, config.mechanics)
     ok = sep >= 127.0
@@ -222,39 +222,39 @@ def build_parser() -> argparse.ArgumentParser:
         description="SET-based single-spin readout simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, cmd, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(cmd=cmd)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
+        return p
 
-    common(sub.add_parser("table", help="transition table and levels"))
-    p = sub.add_parser("fig2", help="free-decay time series")
-    common(p)
+    command("table", cmd_table, "transition table and levels")
+    p = command("fig2", cmd_fig2, "free-decay time series")
     p.add_argument("--alphas", default="0.1,0.2",
                    help="comma-separated flip-error fractions")
-    p = sub.add_parser("readout", help="single readout window")
-    common(p)
+    p = command("readout", cmd_readout, "single readout window")
     p.add_argument("--true-state", default="+3/2",
                    choices=sorted(_STATE_NAMES))
     p.add_argument("--events", action="store_true",
                    help="write per-electron event log")
-    p = sub.add_parser("sweep", help="misclassification-rate grid")
-    common(p)
+    p = command("sweep", cmd_sweep, "misclassification-rate grid")
     p.add_argument("--alphas", default="0,0.1,0.2")
     p.add_argument("--leaks", default="0,0.05")
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--encoding", default="both",
                    choices=["outer", "inner", "both"])
-    common(sub.add_parser("mechanics", help="spin-vibration report"))
+    command("mechanics", cmd_mechanics, "spin-vibration report")
     return parser
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(text: str, option: str) -> list[float]:
     try:
         # + 0.0 folds -0 into 0: one value, one seed, one file name
         return [float(x) + 0.0 for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
-        raise ConfigError(f"invalid grid '{text}'") from exc
+        raise ConfigError(f"{option}: invalid grid '{text}'") from exc
 
 
 def run(argv: list[str]) -> None:
@@ -267,21 +267,7 @@ def run(argv: list[str]) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(args.command, list(argv), config, out_dir)
     try:
-        if args.command == "table":
-            report = cmd_table(config, manifest)
-        elif args.command == "fig2":
-            report = cmd_fig2(config, manifest, _parse_grid(args.alphas))
-        elif args.command == "readout":
-            m1 = _STATE_NAMES[args.true_state]
-            inside = InsideSpinState(m1, "outer" if abs(m1) == 1.5
-                                     else "inner")
-            report = cmd_readout(config, manifest, inside, args.events)
-        elif args.command == "sweep":
-            report = cmd_sweep(config, manifest, _parse_grid(args.alphas),
-                               _parse_grid(args.leaks), args.trials,
-                               args.encoding)
-        elif args.command == "mechanics":
-            report = cmd_mechanics(config, manifest)
+        report = args.cmd(config, manifest, args)
         manifest.write()
     except BaseException:
         manifest.discard()

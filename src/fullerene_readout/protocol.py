@@ -260,8 +260,8 @@ def run_window(inside: InsideSpinState, pulse: PulseSpec, sys: SystemParams,
     dedicated PCG64 stream; deterministic for a fixed seed. `sink`, if
     given, is called with each block's `TunnelEvents`, in cycle order, as
     soon as the block is drawn."""
-    if pulse.duration > params.cycle_period:
-        raise ValueError("pulse does not fit in the cycle period")
+    require(pulse.duration <= params.cycle_period, "pulse.duration",
+            "exceeds tunneling.cycle_period")
     n_cycles = params.n_cycles
     rng = np.random.Generator(np.random.PCG64(seed))
     carrier = resonance_frequency(inside, sys)

@@ -90,6 +90,11 @@ class TestConfig:
             config_from_dict({"system": {"J": "fifty"}})
         with pytest.raises(ConfigError, match="tunneling.alpha"):
             config_from_dict({"tunneling": {"alpha": None}})
+        with pytest.raises(ConfigError, match="^system: expected an object$"):
+            config_from_dict({"system": 3})
+        with pytest.raises(ConfigError,
+                           match="^top level: expected an object$"):
+            config_from_dict([1])
 
     def test_missing_file_is_io_error(self):
         with pytest.raises(OSError):
@@ -240,7 +245,8 @@ class TestFig2Command:
     @pytest.mark.parametrize("alphas,why", [
         (",", "must be non-empty"), ("0.1,1.5", r"must lie in \[0, 1\)"),
         ("0.1,0.1000001", r"two values would write fig2_alpha_0\.1\.csv"),
-        ("0,-0", r"two values would write fig2_alpha_0\.csv")])
+        ("0,-0", r"two values would write fig2_alpha_0\.csv"),
+        ("0.1,abc", r"invalid grid '0\.1,abc'")])
     def test_bad_grid_rejected(self, alphas, why, tmp_path, capsys):
         assert run_cli("fig2", "--alphas", alphas, "--out",
                        str(tmp_path)) == 1
@@ -367,9 +373,14 @@ class TestSweepCommand:
         assert len(lines) == 17     # 4 cells x 4 states
         assert all(line.split(",")[6] == "0" for line in lines[1:])
 
-    def test_empty_grid_is_validation_error(self, small_cfg, tmp_path):
+    def test_empty_grid_is_validation_error(self, small_cfg, tmp_path,
+                                            capsys):
         assert run_cli("sweep", "--config", small_cfg, "--alphas", "",
                        "--out", str(tmp_path)) == 1
+        assert run_cli("sweep", "--config", small_cfg, "--leaks", "0,x",
+                       "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err.endswith(
+            "validation error: sweep.leaks: invalid grid '0,x'\n")
 
 
 class TestMechanicsCommand:
@@ -656,17 +667,21 @@ class TestFailedRunLeavesNothing:
 
 
 class TestManifest:
-    @pytest.mark.parametrize("argv", [
-        ["table"], ["fig2", "--alphas", "0.1"],
-        ["readout", "--true-state=-3/2", "--events"],
-        ["sweep", "--trials", "1"]], ids=lambda argv: argv[0])
-    def test_digests_match_files(self, argv, tmp_path):
+    # outputs are listed in the order their files were completed
+    @pytest.mark.parametrize("argv,paths", [
+        (["table"], ["transitions.csv", "levels.csv"]),
+        (["fig2", "--alphas", "0.1"], ["fig2_alpha_0.1.csv"]),
+        (["readout", "--true-state=-3/2", "--events"],
+         ["events.csv", "readout.csv", "readout.jsonl"]),
+        (["sweep", "--trials", "1"], ["sweep.csv", "sweep.jsonl"])],
+        ids=["table", "fig2", "readout", "sweep"])
+    def test_digests_match_files(self, argv, paths, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(SMALL))
         out = tmp_path / "o"
         assert run_cli(*argv, "--config", str(cfg), "--out", str(out)) == 0
         doc = json.loads((out / "manifest.json").read_text())
-        assert doc["outputs"]
+        assert [entry["path"] for entry in doc["outputs"]] == paths
         for entry in doc["outputs"]:
             data = (out / entry["path"]).read_bytes()
             assert entry["sha256"] == hashlib.sha256(data).hexdigest()

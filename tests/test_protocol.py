@@ -188,7 +188,9 @@ class TestElectronCycle:
             assert (1.0 - rho[0, 0].real) > 0.0
 
     def test_pulse_must_fit_cycle(self):
-        with pytest.raises(ValueError, match="cycle period"):
+        # the config's rule and message, kept for callers without a config
+        with pytest.raises(ValueError, match="^pulse.duration: exceeds "
+                           "tunneling.cycle_period$"):
             run_window(OUTER_UP, replace(outer_pulse(), duration=200.0), SYS,
                        TunnelingParams(), RATES, 0)
 

@@ -245,3 +245,25 @@ def test_failed_write_removes_file(tmp_path, fail, error):
             out.write([np.array([1.0])])
             fail(out)
     assert not path.exists() and out.sha256 is None
+
+
+def test_failed_close_removes_file(tmp_path, monkeypatch):
+    class FlushFails:
+        """A file whose buffered bytes fail to reach the disk on close."""
+
+        def __init__(self, path, mode):
+            self.file = open(path, mode)
+
+        def write(self, chunk):
+            return self.file.write(chunk)
+
+        def close(self):
+            self.file.close()
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(records, "open", FlushFails, raising=False)
+    path = tmp_path / "r.csv"
+    with pytest.raises(OSError):
+        with RecordWriter(path, ["x"]) as out:
+            out.write([np.array([1.0])])
+    assert not path.exists() and out.sha256 is None
