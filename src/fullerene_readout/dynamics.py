@@ -3,10 +3,11 @@ Open-system dynamics of the mobile (outside) spin.
 
 Covers the field-free phenomenological master equation with relaxation rate
 gamma0 and dephasing rate gammap (analytic closed form, and a fixed-step RK4
-integrator applied as a cached transfer matrix), the post-pulse imperfect-flip
-state produced by dwell-time jitter, the closed-form transfer probability of
-a detuned rotating-frame Rabi pulse, and the population/coherence time series
-used for plotting.
+integrator applied as a cached transfer matrix, to the end state or as a
+sampled trajectory re-Hermitized at every sample), the post-pulse
+imperfect-flip state produced by dwell-time jitter, the closed-form transfer
+probability of a detuned rotating-frame Rabi pulse, and the
+population/coherence time series used for plotting.
 
 Basis: index 0 = |up>, index 1 = |down>. The dephasing operator is the Pauli
 sigma_z (eigenvalues +/-1), so the coherence dephases at gamma0/2 + 4*gammap.
@@ -132,7 +133,7 @@ def analytic_free_evolution(rho0: np.ndarray, rates: DecoherenceRates,
 @functools.lru_cache(maxsize=16)
 def _rk4_map(rates: DecoherenceRates, dt: float, n: int = 1) -> np.ndarray:
     """n RK4 steps of dt of the master equation as one matrix on vec(rho),
-    cached: a fig2 run evolves its 4,000 samples over the same steps.
+    cached: every fig2 trajectory steps its samples with the same two maps.
 
     The generator is linear and time-independent, so its 4x4 matrix L comes
     from `lindblad_rhs` applied to the four basis matrices, and one RK4 step
@@ -150,13 +151,21 @@ def _rk4_map(rates: DecoherenceRates, dt: float, n: int = 1) -> np.ndarray:
 
 
 def evolve_numeric(rho0: np.ndarray, rates: DecoherenceRates, t: float,
-                   dt: float) -> np.ndarray:
+                   dt: float, samples: int | None = None) -> np.ndarray:
     """Fixed-step RK4 integration of the master equation over t ns.
 
     floor(t / dt) steps of dt, then one step of the remainder when it
-    exceeds 1e-12 ns, each applied as a cached transfer matrix (`_rk4_map`).
-    Re-Hermitizes the result once, at the end. Raises NumericFailure if the
-    trace drifts by more than 1e-6, as it does when the rates overflow.
+    exceeds 1e-12 ns, each applied as a cached transfer matrix (`_rk4_map`),
+    and the result re-Hermitized: the (2, 2) state at t.
+
+    With `samples=n`, returns the (n, 2, 2) states at t/n, 2t/n, ..., t
+    instead. Each interval h = t/n is stepped as a call with t=h steps it,
+    and the state re-Hermitized at every sample, so state k equals k chained
+    calls bit for bit.
+
+    Raises NumericFailure if the trace drifts by more than 1e-6 over one
+    interval, as it does when the rates overflow; the message names the
+    first such drift.
     """
     if rho0.shape != (2, 2):
         raise ValueError("density matrix must be the 2x2 outside-spin state")
@@ -164,26 +173,39 @@ def evolve_numeric(rho0: np.ndarray, rates: DecoherenceRates, t: float,
         raise ValueError("dt must be positive")
     if t < 0:
         raise ValueError("t must be non-negative")
+    if samples is not None and samples < 1:
+        raise ValueError("samples must be positive")
+    n = 1 if samples is None else samples
+    h = t / n
+    n_full = int(h // dt)
+    remainder = h - n_full * dt
     rho = rho0.astype(complex)
     trace0 = (rho[0, 0] + rho[1, 1]).real
-    n_full = int(t // dt)
-    remainder = t - n_full * dt
+    states = np.empty((n, 2, 2), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        vec = _rk4_map(rates, dt, n_full) @ rho.ravel()
-        if remainder > 1e-12:
-            vec = _rk4_map(rates, remainder) @ vec
-        rho = vec.reshape(2, 2)
-        rho = 0.5 * (rho + rho.conj().T)
-        drift = abs((rho[0, 0] + rho[1, 1]).real - trace0)
-    if not drift <= 1e-6:
-        raise NumericFailure(f"trace drifted by {drift:.3e} during integration")
-    return rho
+        full = _rk4_map(rates, dt, n_full)
+        rest = _rk4_map(rates, remainder) if remainder > 1e-12 else None
+        for k in range(n):
+            vec = full @ rho.ravel()
+            if rest is not None:
+                vec = rest @ vec
+            rho = vec.reshape(2, 2)
+            states[k] = rho = 0.5 * (rho + rho.conj().T)
+        # each interval's drift is measured from the state it started at
+        traces = (states[:, 0, 0] + states[:, 1, 1]).real
+        drift = np.abs(np.diff(traces, prepend=trace0))
+        bad = np.flatnonzero(~(drift <= 1e-6))
+    if bad.size:
+        raise NumericFailure(
+            f"trace drifted by {drift[bad[0]]:.3e} during integration")
+    return states if samples is not None else rho
 
 
 def rabi_factors(omega0, detuning):
-    """The detuning-only factors of `flip_probability`: the amplitude
-    (omega0 / Omega_R)^2, 0 where Omega_R = 0, and the rate pi * Omega_R,
-    with Omega_R = sqrt(omega0^2 + detuning^2). A caller that applies one
+    """The detuning-only factors of the pulse's transfer probability
+    (omega0^2 / Omega_R^2) * sin^2(pi * Omega_R * tau / 1000), with
+    Omega_R = sqrt(omega0^2 + detuning^2): the amplitude (omega0 / Omega_R)^2,
+    0 where Omega_R = 0, and the rate pi * Omega_R. A caller that applies one
     line to many durations computes them once."""
     omega_r = np.hypot(omega0, detuning)
     # Omega_R = 0 only when omega0 = 0, so any nonzero divisor gives 0 there.
@@ -192,22 +214,11 @@ def rabi_factors(omega0, detuning):
 
 
 def rabi_transfer(amplitude, rate, effective_duration):
-    """The time-dependent part of `flip_probability`:
-    amplitude * sin^2(rate * tau / 1000), from `rabi_factors`."""
+    """The |up> population after a rotating-frame pulse of effective
+    duration tau ns from |down>, with no dissipation during the pulse:
+    amplitude * sin^2(rate * tau / 1000), from `rabi_factors`. Arguments may
+    be scalars or broadcastable arrays."""
     return amplitude * np.sin(rate * effective_duration / 1000.0) ** 2
-
-
-def flip_probability(omega0, detuning, effective_duration):
-    """Population transfer probability of the rotating-frame pulse.
-
-    (omega0^2 / Omega_R^2) * sin^2(pi * Omega_R * tau / 1000), and 0 where
-    Omega_R = 0, with Omega_R = sqrt(omega0^2 + detuning^2): the |up>
-    population after a rotation by 2 pi Omega_R tau / 1000 about the axis
-    (omega0, 0, detuning) / Omega_R, starting from |down>, with no
-    dissipation during the pulse.
-    Arguments may be scalars or broadcastable arrays.
-    """
-    return rabi_transfer(*rabi_factors(omega0, detuning), effective_duration)
 
 
 def fig2_timeseries(alpha: float, rates: DecoherenceRates,

@@ -37,12 +37,12 @@ the normal at its mean: no electron outstays t0, every jittered pulse is
 under-rotated, and there is no overshoot.
 
 Population bookkeeping uses the closed forms of the rotating-frame pulse
-(`dynamics.flip_probability`, in its two factors) and of the field-free
+(`dynamics.rabi_factors` and `rabi_transfer`) and of the field-free
 relaxation; the test suite cross-checks both against the matrix forms in its
 reference module.
 
 Model assumption: the pulse is ideal. `run_window` treats it as the unitary
-rotation `flip_probability`, with neither gamma0 nor gammap acting during
+rotation of `rabi_transfer`, with neither gamma0 nor gammap acting during
 it; gamma0 acts only over the residual dwell after the pulse, and gammap
 never enters the readout. The driven master equation, kept in the test
 suite's reference module, measures what this leaves out: at the defaults

@@ -3,6 +3,8 @@
 `fullerene_readout` computes level energies, lines and pulse transfer from
 closed forms; the operators here build the same physics as matrices, and
 `driven_evolution` keeps the pulse's damping that production leaves out.
+`flip_probability` is the pulse transfer in one closed form, and
+`fig2_numeric` is `sim fig2`'s RK4 cross-check one call per sample.
 `run_window_reference` is the readout window's per-electron block loop, the
 stream `protocol.run_window` must reproduce bit for bit, and
 `collect_events` collects either one's per-electron columns.
@@ -19,7 +21,7 @@ from dataclasses import fields
 import numpy as np
 
 from fullerene_readout.dynamics import (SIGMA_Z, DecoherenceRates, PulseSpec,
-                                        lindblad_rhs)
+                                        evolve_numeric, lindblad_rhs)
 from fullerene_readout.errors import NumericFailure
 from fullerene_readout.protocol import (_BLOCK, CurrentTrace, InsideSpinState,
                                         TunnelEvents, TunnelingParams,
@@ -123,12 +125,35 @@ def driven_evolution(rho: np.ndarray, rates: DecoherenceRates,
     return (prop @ rho.astype(complex).ravel()).reshape(2, 2)
 
 
-def _flip_probability(omega0, detuning, effective_duration):
-    """The pulse transfer formula, evaluated per electron."""
+def flip_probability(omega0, detuning, effective_duration):
+    """Population transfer probability of the rotating-frame pulse, the
+    closed form that `dynamics.rabi_factors` and `rabi_transfer` split in two.
+
+    (omega0^2 / Omega_R^2) * sin^2(pi * Omega_R * tau / 1000), and 0 where
+    Omega_R = 0, with Omega_R = sqrt(omega0^2 + detuning^2): the |up>
+    population after a rotation by 2 pi Omega_R tau / 1000 about the axis
+    (omega0, 0, detuning) / Omega_R, starting from |down>, with no
+    dissipation during the pulse.
+    Arguments may be scalars or broadcastable arrays.
+    """
     omega_r = np.hypot(omega0, detuning)
     ratio = omega0 / np.where(omega_r == 0.0, 1.0, omega_r)
     half = np.pi * omega_r * effective_duration / 1000.0
     return ratio ** 2 * np.sin(half) ** 2
+
+
+def fig2_numeric(rho: np.ndarray, rates: DecoherenceRates,
+                 times: np.ndarray, dt: float) -> np.ndarray:
+    """fig2's numeric columns (rho_uu, |rho_ud|, rho_dd) on `times`, one
+    `evolve_numeric` call per sample from the previous one: the loop that
+    `evolve_numeric(..., samples=n)` replaced in `sim fig2`."""
+    num = np.empty((len(times), 3))
+    num[0] = [rho[0, 0].real, abs(rho[0, 1]), rho[1, 1].real]
+    for i in range(1, len(times)):
+        step = times[i] - times[i - 1]
+        rho = evolve_numeric(rho, rates, t=step, dt=dt)
+        num[i] = [rho[0, 0].real, abs(rho[0, 1]), rho[1, 1].real]
+    return num
 
 
 def _draw_dwell(params: TunnelingParams, rng: np.random.Generator,
@@ -172,7 +197,7 @@ def run_window_reference(inside: InsideSpinState, pulse: PulseSpec,
         dwell = _draw_dwell(params, rng, n)
         detuning = np.where(spin_up, detuning_up, detuning_down)
         with np.errstate(over="ignore", invalid="ignore"):
-            flip = _flip_probability(pulse.omega0, detuning,
+            flip = flip_probability(pulse.omega0, detuning,
                                      dwell * pulse.duration / params.t0)
         if not np.isfinite(flip).all():
             raise NumericFailure("pulse phase overflows: the pulse lasts "

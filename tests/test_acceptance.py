@@ -17,7 +17,7 @@ from fullerene_readout.cli import main as cli_main
 from fullerene_readout.dynamics import (DecoherenceRates, PulseSpec,
                                         analytic_free_evolution,
                                         evolve_numeric, fig2_timeseries,
-                                        flip_probability)
+                                        rabi_factors, rabi_transfer)
 from fullerene_readout.protocol import (TunnelingParams, classify,
                                         run_window, sweep_states)
 from fullerene_readout.spin_core import (MechanicsParams, PhysicalConstants,
@@ -188,8 +188,9 @@ def test_criterion_08_leakage_robustness():
         # leaked electrons sit >= 2*delta = 127 MHz off resonance
         bound = omega0 ** 2 / (omega0 ** 2 + 127.0 ** 2)
         assert bound <= 8e-4
+        factors = rabi_factors(omega0, 127.0)
         for tau in np.linspace(0.0, 300.0, 61):
-            assert flip_probability(omega0, 127.0, tau) <= 8e-4
+            assert rabi_transfer(*factors, tau) <= 8e-4
         cases = truth_table(p_leak=0.05)
         assert all(r.classified == s for s, _, r in cases)
         assert time.monotonic() - start < 10.0

@@ -14,16 +14,18 @@ import numpy as np
 import pytest
 
 from fullerene_readout import protocol, records
-from fullerene_readout.cli import main
+from fullerene_readout.cli import Manifest, main
 from fullerene_readout.config import (_SECTIONS, config_from_dict,
                                       parse_config)
-from fullerene_readout.dynamics import DecoherenceRates, PulseSpec
+from fullerene_readout.dynamics import (DecoherenceRates, PulseSpec,
+                                        fig2_timeseries, imperfect_flip_state)
 from fullerene_readout.errors import ConfigError, NumericFailure
 from fullerene_readout.protocol import (_BLOCK, MAX_EVENT_CYCLES,
                                         InsideSpinState, TunnelingParams)
 from fullerene_readout.spin_core import (MechanicsParams, PhysicalConstants,
                                          SystemParams)
-from reference import collect_events, run_window_reference, template_csv
+from reference import (collect_events, fig2_numeric, run_window_reference,
+                       template_csv)
 
 PARAMS = (SystemParams, PhysicalConstants, DecoherenceRates, PulseSpec,
           TunnelingParams, MechanicsParams)
@@ -252,6 +254,29 @@ class TestFig2Command:
                        str(tmp_path)) == 1
         assert re.search(f"fig2.alphas: {why}", capsys.readouterr().err)
         assert not list(tmp_path.iterdir())
+
+    def test_numeric_columns_match_oracle(self, tmp_path, monkeypatch):
+        # the columns as handed to the writer, so that equality is bitwise
+        written = {}
+        add_records = Manifest.add_records
+
+        def spy(manifest, name, columns):
+            written[name] = columns
+            add_records(manifest, name, columns)
+
+        monkeypatch.setattr(Manifest, "add_records", spy)
+        assert run_cli("fig2", "--alphas", "0.05,0.3", "--out",
+                       str(tmp_path)) == 0
+        for alpha in (0.05, 0.3):
+            columns = written[f"fig2_alpha_{alpha:g}.csv"]
+            series = fig2_timeseries(alpha, DecoherenceRates())
+            num = fig2_numeric(imperfect_flip_state(alpha),
+                               DecoherenceRates(), series.times, 0.1)
+            dev = np.max(np.abs(num - np.column_stack(
+                [series.P1, series.P2, series.P3])), axis=1)
+            for i, name in enumerate(["P1", "P2", "P3"]):
+                assert np.array_equal(columns[f"{name}_numeric"], num[:, i])
+            assert np.array_equal(columns["max_abs_dev"], dev)
 
     def test_alpha_02_initial_population(self, tmp_path):
         assert run_cli("fig2", "--alphas", "0.2", "--out", str(tmp_path)) == 0
@@ -507,7 +532,10 @@ class TestExitCodes:
         assert capsys.readouterr().err == ""
         assert caught == []
 
-    @pytest.mark.parametrize("rates", [{"gammap": 1e10}, {"gamma0": 1e300}])
+    # gammap 8 is past RK4's stability edge at 0.1 ns: the map is finite,
+    # and the trajectory overflows at its 119th sample for alpha 0.1
+    @pytest.mark.parametrize("rates", [{"gammap": 1e10}, {"gamma0": 1e300},
+                                       {"gammap": 8}])
     def test_overflowing_rk4_map_is_numeric_failure(self, rates, tmp_path,
                                                      capsys):
         cfg = tmp_path / "cfg.json"
@@ -519,6 +547,7 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "numeric failure: trace drifted by nan during integration\n")
         assert caught == []
+        assert not list((tmp_path / "o").iterdir())
 
     def test_sweep_beyond_work_cap_rejected(self, tmp_path, capsys,
                                             monkeypatch):

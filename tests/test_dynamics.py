@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from fullerene_readout.dynamics import (SIGMA_Z, DecoherenceRates, PulseSpec,
                                         analytic_free_evolution,
                                         evolve_numeric, fig2_timeseries,
-                                        flip_probability,
-                                        imperfect_flip_state, lindblad_rhs)
+                                        imperfect_flip_state, lindblad_rhs,
+                                        rabi_factors, rabi_transfer)
 from fullerene_readout.errors import NumericFailure
 from reference import (SIGMA_X, driven_evolution, rabi_pulse,
                        validate_density_matrix)
@@ -154,10 +154,62 @@ class TestNumericEvolution:
             evolve_numeric(imperfect_flip_state(0.1), RATES, 1.0, 0.0)
         with pytest.raises(ValueError):
             evolve_numeric(imperfect_flip_state(0.1), RATES, -1.0, 0.1)
+        with pytest.raises(ValueError, match="^samples must be positive$"):
+            evolve_numeric(imperfect_flip_state(0.1), RATES, 1.0, 0.1,
+                           samples=0)
 
     def test_nan_state_fails(self):
         with pytest.raises(NumericFailure):
             evolve_numeric(np.full((2, 2), np.nan, complex), RATES, 1.0, 0.1)
+
+
+def chained(rho, rates, h, dt, n):
+    """n calls of `evolve_numeric` over h, each from the last one's state."""
+    states = []
+    for _ in range(n):
+        rho = evolve_numeric(rho, rates, h, dt)
+        states.append(rho)
+    return np.array(states)
+
+
+class TestSampledTrajectory:
+    """`evolve_numeric(..., samples=n)` is n chained calls over t/n, bit for
+    bit, including where the chain first fails."""
+
+    @pytest.mark.parametrize("rates", [RATES, DecoherenceRates(1e-3, 0.1),
+                                       DecoherenceRates(0.0, 0.0),
+                                       DecoherenceRates(0.05, 6.9)])
+    @pytest.mark.parametrize("alpha", [0.0, 0.05, 0.3, 0.9])
+    @pytest.mark.parametrize("h, dt, n", [
+        (1.0, 0.1, 200),    # fig2's sample: nine steps and a remainder
+        (0.25, 0.1, 40),    # an interval dt does not divide
+        (0.5, 0.125, 30),   # one dt divides exactly: no remainder step
+        (7.0, 0.1, 1),
+        (0.0, 0.1, 5)])
+    def test_equals_chained_calls(self, rates, alpha, h, dt, n):
+        rho = imperfect_flip_state(alpha)
+        states = evolve_numeric(rho, rates, n * h, dt, samples=n)
+        assert states.shape == (n, 2, 2)
+        assert np.array_equal(states, chained(rho, rates, h, dt, n))
+
+    def test_fails_where_the_chain_fails(self):
+        # gammap * 4 * 0.1 ns is past RK4's stability edge: the coherence
+        # grows each step until it overflows, well after the first sample
+        rates, rho = DecoherenceRates(gammap=8.0), imperfect_flip_state(0.1)
+        message = "trace drifted by nan during integration"
+        with pytest.raises(NumericFailure) as error:
+            for k in range(1, 1001):
+                rho = evolve_numeric(rho, rates, 1.0, 0.1)
+        assert (k, str(error.value)) == (119, message)
+        rho = imperfect_flip_state(0.1)
+        # the coherence is already NaN before the trace drifts
+        assert np.array_equal(
+            evolve_numeric(rho, rates, k - 1.0, 0.1, samples=k - 1),
+            chained(rho, rates, 1.0, 0.1, k - 1), equal_nan=True)
+        for n in (k, 1000):
+            with pytest.raises(NumericFailure) as error:
+                evolve_numeric(rho, rates, float(n), 0.1, samples=n)
+            assert str(error.value) == message
 
 
 class TestTransferMap:
@@ -235,8 +287,8 @@ class TestRabiPulse:
            st.floats(min_value=-200.0, max_value=200.0))
     def test_scalar_flip_probability_agrees(self, tau, detuning):
         out = rabi_pulse(self.DOWN, self.PULSE, detuning, tau)
-        assert out[0, 0].real == pytest.approx(
-            flip_probability(self.PULSE.omega0, detuning, tau), abs=1e-12)
+        assert out[0, 0].real == pytest.approx(rabi_transfer(
+            *rabi_factors(self.PULSE.omega0, detuning), tau), abs=1e-12)
 
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
@@ -250,8 +302,8 @@ class TestRabiPulse:
         for tau in (13.3, 70.0, 140.0, 300.0):
             out = driven_evolution(self.DOWN, DecoherenceRates(0.0, 0.0), h,
                                    tau)
-            assert out[0, 0].real == pytest.approx(
-                flip_probability(omega0, detuning, tau), abs=1e-12)
+            assert out[0, 0].real == pytest.approx(rabi_transfer(
+                *rabi_factors(omega0, detuning), tau), abs=1e-12)
 
     def test_driven_oracle_without_drive_is_free_decay(self):
         rho0 = imperfect_flip_state(0.3)

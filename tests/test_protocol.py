@@ -9,7 +9,7 @@ import pytest
 
 from fullerene_readout.dynamics import (DecoherenceRates, PulseSpec,
                                         analytic_free_evolution,
-                                        flip_probability)
+                                        rabi_factors, rabi_transfer)
 from fullerene_readout.errors import NumericFailure
 from fullerene_readout.protocol import (_BLOCK, EVENT_COLUMNS, CurrentTrace,
                                         InsideSpinState, TunnelEvents,
@@ -22,7 +22,7 @@ from fullerene_readout.protocol import (_BLOCK, EVENT_COLUMNS, CurrentTrace,
 from fullerene_readout.records import RecordWriter
 from fullerene_readout.spin_core import SystemParams
 from reference import (SIGMA_X, collect_events, driven_evolution,
-                       rabi_pulse, run_window_reference)
+                       flip_probability, rabi_pulse, run_window_reference)
 
 SYS = SystemParams(nu1=10000.0, nu2=10063.5, J=50.0)
 RATES = DecoherenceRates()
@@ -178,7 +178,7 @@ class TestElectronCycle:
         carrier = resonance_frequency(OUTER_UP, SYS)
         detuning = carrier - outside_flip_frequency(SYS, m1)
         eff = dwell * pulse.duration / params.t0
-        flip = flip_probability(pulse.omega0, detuning, eff)
+        flip = rabi_transfer(*rabi_factors(pulse.omega0, detuning), eff)
         for i in range(dwell.size):
             rho = rabi_pulse(down, pulse, detuning[i], eff[i])
             # flip_prob is pre-decoherence transfer probability
