@@ -1,34 +1,24 @@
 """
 JSON configuration ingestion with strict schema checking.
 
-An empty document is a complete configuration of the standard scenario.
-Each section of the document is one params dataclass, and that dataclass
-is the only source of the section's keys, their defaults and their checks.
-Unknown keys are rejected, and validation errors name the offending field.
+An empty document is a complete configuration of the standard scenario,
+the one `SimulationConfig()` builds. Each section of the document is one
+params dataclass, and that dataclass is the only source of the section's
+keys, their defaults and their checks. Unknown keys are rejected, and
+validation errors name the offending field.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .dynamics import DecoherenceRates, PulseSpec
 from .errors import ConfigError, require
 from .protocol import TunnelingParams
 from .spin_core import MechanicsParams, PhysicalConstants, SystemParams
-
-# Each section of the document, in manifest order, and the dataclass it
-# fills; the section name is also the SimulationConfig field.
-_SECTIONS = {
-    "system": SystemParams,
-    "constants": PhysicalConstants,
-    "rates": DecoherenceRates,
-    "pulse": PulseSpec,
-    "tunneling": TunnelingParams,
-    "mechanics": MechanicsParams,
-}
 
 
 def _defaults(cls) -> dict:
@@ -38,12 +28,12 @@ def _defaults(cls) -> dict:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    system: SystemParams
-    constants: PhysicalConstants
-    rates: DecoherenceRates
-    pulse: PulseSpec
-    tunneling: TunnelingParams
-    mechanics: MechanicsParams
+    system: SystemParams = field(default_factory=SystemParams)
+    constants: PhysicalConstants = field(default_factory=PhysicalConstants)
+    rates: DecoherenceRates = field(default_factory=DecoherenceRates)
+    pulse: PulseSpec = field(default_factory=PulseSpec)
+    tunneling: TunnelingParams = field(default_factory=TunnelingParams)
+    mechanics: MechanicsParams = field(default_factory=MechanicsParams)
     seed: int = 0
     output_dir: str = "out"
 
@@ -57,11 +47,13 @@ class SimulationConfig:
 
     def to_dict(self) -> dict:
         """The resolved config, in the layout of a config document."""
-        doc = {name: {key: getattr(getattr(self, name), key)
-                      for key in _defaults(cls)}
-               for name, cls in _SECTIONS.items()}
-        return doc | {key: getattr(self, key)
-                      for key in _defaults(SimulationConfig)}
+        return asdict(self)
+
+
+# Each section of the document, in manifest order, and the dataclass it
+# fills: the SimulationConfig fields built by a default factory.
+_SECTIONS = {f.name: f.default_factory for f in fields(SimulationConfig)
+             if f.default_factory is not MISSING}
 
 
 def _section(name: str, raw: dict) -> dict:
@@ -111,7 +103,7 @@ def config_from_dict(raw: dict) -> SimulationConfig:
 def parse_config(path: str | Path | None) -> SimulationConfig:
     """Load and validate a JSON config file; None means all defaults."""
     if path is None:
-        return config_from_dict({})
+        return SimulationConfig()
     text = Path(path).read_text()   # missing file propagates as io-error
     try:
         raw = json.loads(text) if text.strip() else {}

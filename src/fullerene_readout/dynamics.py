@@ -163,9 +163,11 @@ def evolve_numeric(rho0: np.ndarray, rates: DecoherenceRates, t: float,
     and the state re-Hermitized at every sample, so state k equals k chained
     calls bit for bit.
 
-    Raises NumericFailure if the trace drifts by more than 1e-6 over one
-    interval, as it does when the rates overflow; the message names the
-    first such drift.
+    Raises NumericFailure at the first sample whose trace drifted by more
+    than 1e-6 over its interval, as when the rates overflow, or that is no
+    density matrix within 1e-6: a population below -1e-6, or |rho_ud|^2
+    above rho_uu * rho_dd + 1e-6, as past RK4's stability edge. A sample
+    that fails both is reported as a drift.
     """
     if rho0.shape != (2, 2):
         raise ValueError("density matrix must be the 2x2 outside-spin state")
@@ -192,12 +194,18 @@ def evolve_numeric(rho0: np.ndarray, rates: DecoherenceRates, t: float,
             rho = vec.reshape(2, 2)
             states[k] = rho = 0.5 * (rho + rho.conj().T)
         # each interval's drift is measured from the state it started at
-        traces = (states[:, 0, 0] + states[:, 1, 1]).real
-        drift = np.abs(np.diff(traces, prepend=trace0))
-        bad = np.flatnonzero(~(drift <= 1e-6))
+        uu, dd = states[:, 0, 0].real, states[:, 1, 1].real
+        drift = np.abs(np.diff(uu + dd, prepend=trace0))
+        physical = ((uu >= -1e-6) & (dd >= -1e-6)
+                    & (np.abs(states[:, 0, 1]) ** 2 <= uu * dd + 1e-6))
+        bad = np.flatnonzero(~((drift <= 1e-6) & physical))
     if bad.size:
+        k = bad[0]
+        if not drift[k] <= 1e-6:
+            raise NumericFailure(
+                f"trace drifted by {drift[k]:.3e} during integration")
         raise NumericFailure(
-            f"trace drifted by {drift[bad[0]]:.3e} during integration")
+            "state stopped being a density matrix during integration")
     return states if samples is not None else rho
 
 

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -144,12 +144,6 @@ class TunnelEvents:
     spin_up: np.ndarray     # bool: the source filter passed a spin-up
     flip_prob: np.ndarray   # pulse transfer probability, before relaxation
     passed: np.ndarray      # bool: counted at the drain
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TunnelEvents):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
-                   for f in fields(self))
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,13 @@
 `RecordWriter` opens a file, writes the CSV header, then takes records in
 blocks of named columns of equal length (lists, ranges or numpy arrays),
 encoding and writing each block as it arrives, so a file of any length is
-written in the memory of one block. `write_records` is its one-block use. A
-CSV field is `'%.12g' % v` for a float column (a float array, or a list of
-floats only) and `str(v)` for any other. JSONL rows are `json.dumps` of
-Python values. A block whose float column holds a NaN or an infinity is
-refused before any of it is written. The sha256 of the file is taken from
-the bytes as they are written, so no output is read back to be hashed. A
-write that fails, for any reason, removes its file: no partial output is
-left behind.
+written in the memory of one block. A CSV field is `'%.12g' % v` for a
+float column (a float array, or a list of floats only) and `str(v)` for any
+other. JSONL rows are `json.dumps` of Python values. A block whose float
+column holds a NaN or an infinity is refused before any of it is written.
+The sha256 of the file is taken from the bytes as they are written, so no
+output is read back to be hashed. A write that fails, for any reason,
+removes its file: no partial output is left behind.
 
 CSV text is built `_ROWS` rows at a time in numpy, into one `uint8` matrix
 with a row per record. Each field owns a span of bytes in every row, as wide
@@ -411,10 +410,3 @@ class RecordWriter:
             self._put(chunk)
         self.rows += len(columns[0])
 
-
-def write_records(path: str | Path, columns: dict) -> str:
-    """Write the named columns as one block of a `RecordWriter`. Returns the
-    sha256 hex digest of the file."""
-    with RecordWriter(path, columns) as out:
-        out.write(columns.values())
-    return out.sha256

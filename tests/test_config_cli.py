@@ -15,8 +15,8 @@ import pytest
 
 from fullerene_readout import protocol, records
 from fullerene_readout.cli import Manifest, main
-from fullerene_readout.config import (_SECTIONS, config_from_dict,
-                                      parse_config)
+from fullerene_readout.config import (_SECTIONS, SimulationConfig,
+                                      config_from_dict, parse_config)
 from fullerene_readout.dynamics import (DecoherenceRates, PulseSpec,
                                         fig2_timeseries, imperfect_flip_state)
 from fullerene_readout.errors import ConfigError, NumericFailure
@@ -51,6 +51,7 @@ EVERY_KEY = {
 class TestConfig:
     def test_empty_document_gives_defaults(self):
         cfg = config_from_dict({})
+        assert SimulationConfig() == cfg == parse_config(None)
         assert cfg.system.nu1 == 10000.0
         assert cfg.system.delta == 63.5
         assert cfg.rates.gammap == pytest.approx(1 / 25)
@@ -532,12 +533,17 @@ class TestExitCodes:
         assert capsys.readouterr().err == ""
         assert caught == []
 
-    # gammap 8 is past RK4's stability edge at 0.1 ns: the map is finite,
-    # and the trajectory overflows at its 119th sample for alpha 0.1
+    # Rates of 1e10 and more overflow the RK4 map to NaN. Past RK4's
+    # stability edge at 0.1 ns (gammap ~6.96, gamma0 ~27.85) the map is
+    # finite, but fig2's alpha 0.1 trajectory leaves the density matrices:
+    # at its first sample for gammap 6.97 and 8, at its third for gamma0 27.86
     @pytest.mark.parametrize("rates", [{"gammap": 1e10}, {"gamma0": 1e300},
-                                       {"gammap": 8}])
+                                       {"gammap": 8}, {"gammap": 6.97},
+                                       {"gamma0": 27.86}])
     def test_overflowing_rk4_map_is_numeric_failure(self, rates, tmp_path,
                                                      capsys):
+        failure = ("trace drifted by nan" if max(rates.values()) >= 1e10
+                   else "state stopped being a density matrix")
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"rates": rates}))
         with warnings.catch_warnings(record=True) as caught:
@@ -545,7 +551,7 @@ class TestExitCodes:
             assert run_cli("fig2", "--config", str(cfg), "--out",
                            str(tmp_path / "o")) == 3
         assert capsys.readouterr().err == (
-            "numeric failure: trace drifted by nan during integration\n")
+            f"numeric failure: {failure} during integration\n")
         assert caught == []
         assert not list((tmp_path / "o").iterdir())
 

@@ -10,14 +10,15 @@ from hypothesis.extra.numpy import arrays
 
 from fullerene_readout import records
 from fullerene_readout.errors import NumericFailure
-from fullerene_readout.records import RecordWriter, write_records
+from fullerene_readout.records import RecordWriter
 from reference import template_csv
 
 
 def assert_same_bytes(columns):
     with tempfile.TemporaryDirectory() as tmp:
         got, want = Path(tmp, "got.csv"), Path(tmp, "want.csv")
-        write_records(got, columns)
+        with RecordWriter(got, columns) as out:
+            out.write(columns.values())
         template_csv(want, columns)
         assert got.read_bytes() == want.read_bytes()
 
@@ -177,10 +178,10 @@ def test_blocks_match_template(columns, rows):
 
 def test_csv_fields_by_column_type(tmp_path):
     path = tmp_path / "r.csv"
-    write_records(path, {
-        "i": range(2), "x": np.array([1 / 3, 1e-20]),
-        "y": [2.0, -0.5], "s": np.where([True, False], "up", "down"),
-        "seed": [12345678901234, 0]})
+    with RecordWriter(path, ["i", "x", "y", "s", "seed"]) as out:
+        out.write([range(2), np.array([1 / 3, 1e-20]), [2.0, -0.5],
+                   np.where([True, False], "up", "down"),
+                   [12345678901234, 0]])
     assert path.read_text() == ("i,x,y,s,seed\n"
                                 "0,0.333333333333,2,up,12345678901234\n"
                                 "1,1e-20,-0.5,down,0\n")
@@ -189,13 +190,15 @@ def test_csv_fields_by_column_type(tmp_path):
 def test_csv_written_in_blocks(tmp_path, monkeypatch):
     monkeypatch.setattr(records, "_ROWS", 2)
     path = tmp_path / "r.csv"
-    write_records(path, {"i": range(5), "x": np.arange(5) / 4})
+    with RecordWriter(path, ["i", "x"]) as out:
+        out.write([range(5), np.arange(5) / 4])
     assert path.read_text() == "i,x\n0,0\n1,0.25\n2,0.5\n3,0.75\n4,1\n"
 
 
 def test_jsonl_rows(tmp_path):
     path = tmp_path / "r.jsonl"
-    write_records(path, {"x": [0.1 + 0.2, 1.5], "n": [3, 4]})
+    with RecordWriter(path, ["x", "n"]) as out:
+        out.write([[0.1 + 0.2, 1.5], [3, 4]])
     assert path.read_text() == ('{"x": 0.30000000000000004, "n": 3}\n'
                                 '{"x": 1.5, "n": 4}\n')
 
@@ -205,7 +208,8 @@ def test_jsonl_rows(tmp_path):
 def test_non_finite_float_column_refused(tmp_path, name, column):
     path = tmp_path / name
     with pytest.raises(NumericFailure, match=f"{name}: x is not finite"):
-        write_records(path, {"i": range(len(column)), "x": column})
+        with RecordWriter(path, ["i", "x"]) as out:
+            out.write([range(len(column)), column])
     assert not path.exists()
 
 
@@ -214,12 +218,13 @@ def test_blocks_write_as_one(tmp_path, name):
     one, blocks = tmp_path / "one" / name, tmp_path / "blocks" / name
     one.parent.mkdir()
     blocks.parent.mkdir()
-    digest = write_records(one, {"i": [1, 2, 3], "x": [0.5, 1e-20, 3.0]})
+    with RecordWriter(one, ["i", "x"]) as whole:
+        whole.write([[1, 2, 3], [0.5, 1e-20, 3.0]])
     with RecordWriter(blocks, ["i", "x"]) as out:
         out.write([[1], [0.5]])
         out.write([[2, 3], [1e-20, 3.0]])
     assert out.rows == 3
-    assert out.sha256 == digest
+    assert out.sha256 == whole.sha256
     assert blocks.read_bytes() == one.read_bytes()
 
 
