@@ -30,9 +30,9 @@ from . import __version__
 from .config import SimulationConfig, parse_config
 from .dynamics import evolve_numeric, fig2_timeseries, imperfect_flip_state
 from .errors import ConfigError, NumericFailure, as_option, require
-from .protocol import (EVENT_COLUMNS, MAX_EVENT_CYCLES, InsideSpinState,
-                       classify, fidelity_sweep, resonance_frequency,
-                       run_window, write_events_csv)
+from .protocol import (EVENT_COLUMNS, MAX_EVENT_CYCLES, classify,
+                       fidelity_sweep, resonance_frequency, run_window,
+                       sweep_states, write_events_csv)
 from .records import RecordWriter
 from .spin_core import (check_weak_coupling, eigenenergies, transition_table,
                         vibration_shift, zeeman_separation)
@@ -119,7 +119,8 @@ def cmd_table(config: SimulationConfig, manifest: Manifest, args) -> str:
 
 
 def cmd_fig2(config: SimulationConfig, manifest: Manifest, args) -> str:
-    alphas = _parse_grid(args.alphas, "fig2.alphas")
+    # + 0.0 folds -0 into 0: one value, one file name
+    alphas = [a + 0.0 for a in _parse_grid(args.alphas, "fig2.alphas")]
     require(len(alphas) > 0, "fig2.alphas", "must be non-empty")
     with as_option("fig2.alphas"):
         starts = [imperfect_flip_state(alpha) for alpha in alphas]
@@ -156,7 +157,7 @@ def cmd_fig2(config: SimulationConfig, manifest: Manifest, args) -> str:
 
 def cmd_readout(config: SimulationConfig, manifest: Manifest, args) -> str:
     m1 = _STATE_NAMES[args.true_state]
-    inside = InsideSpinState(m1, "outer" if abs(m1) == 1.5 else "inner")
+    inside = next(s for s in sweep_states("both") if s.m1 == m1)
     if args.events:
         require(config.tunneling.n_cycles <= MAX_EVENT_CYCLES,
                 "tunneling.window", f"must hold at most {MAX_EVENT_CYCLES:.0e}"
@@ -255,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_grid(text: str, option: str) -> list[float]:
     try:
-        # + 0.0 folds -0 into 0: one value, one seed, one file name
-        return [float(x) + 0.0 for x in text.split(",") if x.strip() != ""]
+        return [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"{option}: invalid grid '{text}'") from exc
 

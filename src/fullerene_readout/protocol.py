@@ -64,7 +64,6 @@ import numpy as np
 from .dynamics import (DecoherenceRates, PulseSpec, rabi_factors,
                        rabi_transfer)
 from .errors import NumericFailure, as_option, require
-from .records import RecordWriter
 from .spin_core import SystemParams, outside_flip_frequency
 
 _ENCODING_M1 = {"outer": 1.5, "inner": 0.5}
@@ -378,9 +377,10 @@ def fidelity_sweep(encoding: str, sys: SystemParams, rates: DecoherenceRates,
     return cells
 
 
-def write_events_csv(log: RecordWriter, events: TunnelEvents) -> None:
-    """Append one block to the per-electron audit log, a `RecordWriter`
-    opened on EVENT_COLUMNS: cycle,dwell_ns,spin_in,flip_prob,passed."""
+def write_events_csv(log, events: TunnelEvents) -> None:
+    """Append one block to the per-electron audit log: `log` is a
+    `records.RecordWriter` opened on EVENT_COLUMNS (cycle,dwell_ns,spin_in,
+    flip_prob,passed), or anything with `rows` and `write(columns)`."""
     start = log.rows
     log.write([range(start, start + events.dwell.size), events.dwell,
                np.where(events.spin_up, "up", "down"), events.flip_prob,

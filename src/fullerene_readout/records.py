@@ -32,18 +32,19 @@ when m lies in [1e11, 1e12 + 0.5) and its fraction lies more than 1e-3 from
 next decade when it reaches 10^12) that correctly rounded decimal output
 gives, as Python's `%` does (D. M. Gay, *Correctly Rounded Binary-Decimal
 and Decimal-Binary Conversions*, 1990). The digits come from a 0000-9999
-table; the point, the trailing zeros to drop and the exponent (fixed
-notation for X in -4..11, exponent notation otherwise) from a table with
-one row per (X, number of digits up to the last nonzero one). Any other
-value is formatted by Python's own `'%.12g' % v`, so every byte matches:
-one near a rounding tie, below 1e-11 (subnormals too), from 1e12 up, or a
-hair below a power of ten where log10 rounds up across it.
+table; the point, the trailing zeros to drop and the exponent from a table
+with one row per (X, number of digits up to the last nonzero one), each row
+Python's own `'%.12g'` of one value of that shape, split around its digits.
+Any other value is formatted by Python's own `'%.12g' % v`, so every byte
+matches: one near a rounding tie, below 1e-11 (subnormals too), from 1e12
+up, or a hair below a power of ten where log10 rounds up across it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -57,14 +58,6 @@ _ROWS = 16384
 
 _ZERO = ord("0")
 _X_MIN, _X_MAX = -11, 12      # X after a carry, within the exact powers
-
-
-def _pack(chars: np.ndarray) -> np.ndarray:
-    """Each row of up to 8 bytes as one word, the first byte least
-    significant."""
-    padded = np.zeros((len(chars), 8), np.uint8)
-    padded[:, :chars.shape[1]] = chars
-    return padded.view("<u8")[:, 0].astype(np.uint64)
 
 
 def _float_quads() -> np.ndarray:
@@ -100,38 +93,29 @@ _M_TIE = 0.5 - 1e-3
 
 
 def _float_layouts():
-    """The bytes around a float's twelve digits, one row per (exponent X,
-    digits n up to the last nonzero one, 0 for a zero) at (X - _X_MIN) * 13
-    + n, then an empty row. `masks` holds six word tables: the bytes kept
-    from the digits, the bytes taken from the digits moved one byte up to
-    make room for the point, and the point, for the first 8 bytes and then
-    for the next 8. `head` holds "0.000" before the digits, `tail` "e+XX"
-    after them, and `widths` the three parts' byte counts."""
-    x, n = np.divmod(np.arange((_X_MAX - _X_MIN + 1) * 13), 13)
-    x += _X_MIN
-    fixed, small = (x >= 0) & (x < 12), (x >= -4) & (x < 0)
-    at = np.where(fixed, x + 1, 1)[:, None]     # the point's byte
-    kept = np.maximum(n, at[:, 0])[:, None]     # digits written
-    point = (kept > at) & ~small[:, None]
-    j = np.arange(16)
-    parts = [np.where(point, j < at, j < kept), point & (j > at) & (j <= kept),
-             point & (j == at)]
-    masks = np.zeros((6, len(x) + 1), np.uint64)
-    for i, (part, char) in enumerate(zip(parts, (0xFF, 0xFF, ord(".")))):
-        masks[i, :-1] = _pack(part[:, :8] * char)
-        masks[3 + i, :-1] = _pack(part[:, 8:] * char)
-    j = j[:8]
-    head = np.where(small[:, None] & (j < 1 - x[:, None]),
-                    np.where(j == 1, ord("."), _ZERO), 0)
-    tail = np.where((fixed | small)[:, None], 0, np.stack([
-        np.full(len(x), ord("e")), np.where(x < 0, ord("-"), ord("+")),
-        _ZERO + abs(x) // 10, _ZERO + abs(x) % 10], 1))
-    widths = np.zeros((len(x) + 1, 3), np.uint8)
-    widths[:-1] = np.stack([np.where(small, 1 - x, 0),
-                            kept[:, 0] + point[:, 0],
-                            np.where(fixed | small, 0, 4)], 1)
-    return (masks, np.r_[_pack(head), 0],
-            np.r_[_pack(tail), 0].astype(np.uint32), widths)
+    """Per (exponent X, digits n up to the last nonzero one, 0 for a zero),
+    at row (X - _X_MIN) * 13 + n, then an empty row: `'%.12g'` of a value
+    of that shape, as its head ("0.000"), middle (digits and any point) and
+    tail ("e+XX"). `masks` holds six word tables: the bytes kept from the
+    digits, the bytes taken from the digits moved one byte up to make room
+    for the point, and the point, for the first 8 bytes and the next 8;
+    `head` and `tail` hold the words of those parts, `widths` their sizes."""
+    parts = [re.fullmatch(r"(0\.0*)?([^e]*)(.*)", "%.12g" % (
+        float("123456789123"[:n] or 0) * 10.0 ** (x - n + 1))).groups("")
+        for x in range(_X_MIN, _X_MAX + 1) for n in range(13)]
+    parts.append(("", "", ""))
+    head, middle, tail = zip(*parts)
+    widths = np.array([[len(p) for p in row] for row in parts], np.uint8)
+    # the point's byte, or the middle's length if it has no point
+    at = np.array([(m + ".").index(".") for m in middle])[:, None]
+    j, width = np.arange(16), widths[:, 1:2]
+    masks = np.zeros((6, len(parts)), np.uint64)
+    for i, (part, char) in enumerate(zip(
+            [j < at, (j > at) & (j < width), (j == at) & (j < width)],
+            (0xFF, 0xFF, ord(".")))):
+        masks[[i, 3 + i]] = (part * np.uint8(char)).view("<u8").T
+    return (masks, np.array(head, "S8").view("<u8"),
+            np.array(tail, "S4").view("<u4"), widths)
 
 
 _MASKS, _HEAD, _TAIL, _WIDTHS = _float_layouts()

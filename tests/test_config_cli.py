@@ -721,6 +721,28 @@ class TestManifest:
             data = (out / entry["path"]).read_bytes()
             assert entry["sha256"] == hashlib.sha256(data).hexdigest()
 
+    @pytest.mark.parametrize("argv", [
+        ["table"], ["fig2", "--alphas", "0,0.3"],
+        ["readout", "--true-state=-3/2", "--events"],
+        ["sweep", "--trials", "1", "--alphas", "0.5", "--leaks", "0.05"]],
+        ids=["table", "fig2", "readout", "sweep"])
+    def test_run_replays_from_its_manifest(self, argv, tmp_path):
+        # the manifest's config and argv rerun the same outputs
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tunneling": {
+            "window": 3e5, "alpha": 0.1, "p_leak_source": 0.05,
+            "p_leak_drain": 0.05}, "seed": 3}))
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert run_cli(*argv, "--config", str(cfg), "--out", str(first)) == 0
+        doc = json.loads((first / "manifest.json").read_text())
+        replay = tmp_path / "replay.json"
+        replay.write_text(json.dumps(doc["config"]))
+        assert run_cli(*doc["argv"], "--config", str(replay), "--out",
+                       str(again)) == 0
+        redo = json.loads((again / "manifest.json").read_text())
+        assert redo["outputs"] == doc["outputs"]
+        assert redo["config"] == doc["config"]
+
 
 class TestOutputDirSelection:
     def test_env_var_override(self, tmp_path, monkeypatch):

@@ -78,6 +78,14 @@ def block_scale_columns():
                 for m in (1.0, 1.5, 9.99999999999, 1.23456789012)]
     specials += [0.5, 150.0, 1e5, 123.4, 1.2e-5, 7e20]  # end in zeros
     specials += EDGES + NEAR_TIES + BOUNDS
+    # one value on each layout row that a value below 1e12 reaches: X in
+    # -11..11 and n = 1..12 digits up to the last nonzero one
+    shapes = [(x, n) for x in range(-11, 12) for n in range(1, 13)]
+    layouts = [int("123456789123"[:n]) * 10.0 ** (x - n + 1)
+               for x, n in shapes]
+    assert records._float_rows(np.array(layouts))[2].tolist() == [
+        (x - records._X_MIN) * 13 + n for x, n in shapes]
+    specials += layouts
     specials += [-v for v in specials]
     wide = rng.standard_normal(n) * 10.0 ** rng.integers(-15, 36, n)
     x = np.r_[np.resize(specials, rows), wide[rows:]]
