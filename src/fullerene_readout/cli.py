@@ -2,10 +2,11 @@
 Command-line harness: `sim table|fig2|readout|sweep|mechanics`.
 
 Every command loads a JSON config (all fields defaulted), writes CSV data
-files into the output directory, and records a manifest.json echoing the
-config, command line, wall time, and sha256 digests of everything written,
-listed in the order their files were completed.
-Exit codes: 0 success, 1 validation error, 2 io error, 3 numeric failure.
+files into the output directory (`--out`, default `out`), and records a
+manifest.json echoing the config, command line, wall time, and sha256 digests
+of everything written, listed in the order their files were completed.
+Exit codes: 0 success, 1 validation error (a bad config or command line),
+2 io error, 3 numeric failure.
 A command's report is printed only once the manifest is written. A run that
 fails removes every file it wrote and prints no report, so no output is left
 or named without its manifest.
@@ -17,7 +18,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
 from contextlib import contextmanager, nullcontext
@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .config import SimulationConfig, parse_config
 from .dynamics import evolve_numeric, fig2_timeseries, imperfect_flip_state
-from .errors import ConfigError, NumericFailure, as_option, require
+from .errors import ConfigError, NumericFailure, check_grid, require
 from .protocol import (EVENT_COLUMNS, MAX_EVENT_CYCLES, classify,
                        fidelity_sweep, resonance_frequency, run_window,
                        sweep_states, write_events_csv)
@@ -37,12 +37,10 @@ from .records import RecordWriter
 from .spin_core import (check_weak_coupling, eigenenergies, transition_table,
                         vibration_shift, zeeman_separation)
 
-OUTPUT_DIR_ENV = "SIM_OUTPUT_DIR"
-
 _FIG2_DT = 0.1   # ns, RK4 step of fig2's numeric cross-check
 
-_STATE_NAMES = {"+3/2": 1.5, "3/2": 1.5, "-3/2": -1.5,
-                "+1/2": 0.5, "1/2": 0.5, "-1/2": -0.5}
+# --true-state: each state the sweep reads, named by its m1 ("-3/2")
+_STATES = {f"{2 * s.m1:+g}/2": s for s in sweep_states("both")}
 
 
 class Manifest:
@@ -119,18 +117,16 @@ def cmd_table(config: SimulationConfig, manifest: Manifest, args) -> str:
 
 
 def cmd_fig2(config: SimulationConfig, manifest: Manifest, args) -> str:
-    # + 0.0 folds -0 into 0: one value, one file name
-    alphas = [a + 0.0 for a in _parse_grid(args.alphas, "fig2.alphas")]
-    require(len(alphas) > 0, "fig2.alphas", "must be non-empty")
-    with as_option("fig2.alphas"):
-        starts = [imperfect_flip_state(alpha) for alpha in alphas]
+    alphas = check_grid(_parse_grid(args.alphas, "fig2.alphas"),
+                        "fig2.alphas", imperfect_flip_state)
     names = [f"fig2_alpha_{alpha:g}.csv" for alpha in alphas]
     for i, name in enumerate(names):
         require(name not in names[:i], "fig2.alphas",
                 f"two values would write {name}: they must differ in their "
                 "first 6 significant digits")
     overall, report = 0.0, []
-    for alpha, name, rho in zip(alphas, names, starts):
+    for alpha, name in zip(alphas, names):
+        rho = imperfect_flip_state(alpha)
         series = fig2_timeseries(alpha, config.rates)
         states = evolve_numeric(rho, config.rates, t=series.times[-1],
                                 dt=_FIG2_DT, samples=len(series.times) - 1)
@@ -156,8 +152,7 @@ def cmd_fig2(config: SimulationConfig, manifest: Manifest, args) -> str:
 
 
 def cmd_readout(config: SimulationConfig, manifest: Manifest, args) -> str:
-    m1 = _STATE_NAMES[args.true_state]
-    inside = next(s for s in sweep_states("both") if s.m1 == m1)
+    inside = _STATES[args.true_state]
     if args.events:
         require(config.tunneling.n_cycles <= MAX_EVENT_CYCLES,
                 "tunneling.window", f"must hold at most {MAX_EVENT_CYCLES:.0e}"
@@ -221,8 +216,16 @@ def cmd_mechanics(config: SimulationConfig, manifest: Manifest, args) -> str:
             f"({'>=127 MHz satisfied' if ok else 'below 127 MHz'})")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ConfigError (exit 1), not by exiting
+    2; its subparsers are of this class too."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sim",
         description="SET-based single-spin readout simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -232,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(cmd=cmd)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--out", default="out", help="output directory")
         return p
 
     command("table", cmd_table, "transition table and levels")
@@ -241,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated flip-error fractions")
     p = command("readout", cmd_readout, "single readout window")
     p.add_argument("--true-state", default="+3/2",
-                   choices=sorted(_STATE_NAMES))
+                   choices=_STATES)
     p.add_argument("--events", action="store_true",
                    help="write per-electron event log")
     p = command("sweep", cmd_sweep, "misclassification-rate grid")
@@ -266,8 +269,7 @@ def run(argv: list[str]) -> None:
     config = parse_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    out_dir = Path(args.out or os.environ.get(OUTPUT_DIR_ENV)
-                   or config.output_dir)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(args.command, list(argv), config, out_dir)
     try:

@@ -35,13 +35,10 @@ class SimulationConfig:
     tunneling: TunnelingParams = field(default_factory=TunnelingParams)
     mechanics: MechanicsParams = field(default_factory=MechanicsParams)
     seed: int = 0
-    output_dir: str = "out"
 
     def __post_init__(self):
         require(type(self.seed) is int and self.seed >= 0, "seed",
                 "expected a non-negative integer")
-        require(isinstance(self.output_dir, str), "output_dir",
-                "expected a string")
         require(self.pulse.duration <= self.tunneling.cycle_period,
                 "pulse.duration", "exceeds tunneling.cycle_period")
 

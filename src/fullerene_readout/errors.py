@@ -1,6 +1,4 @@
-"""Exception types shared across the package, and the field check."""
-
-from contextlib import contextmanager
+"""Exception types shared across the package, and the input checks."""
 
 
 class ConfigError(ValueError):
@@ -21,11 +19,18 @@ def require(ok: bool, field: str, why: str) -> None:
         raise ValueError(f"{field}: {why}")
 
 
-@contextmanager
-def as_option(option: str):
-    """Re-raise a field check that fails in the block, "<field>: <why>", as
-    "<option>: <why>", naming the option that supplied the value."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ValueError(f"{option}: {str(exc).partition(': ')[2]}") from exc
+def check_grid(values, option: str, check) -> list[float]:
+    """The values of grid option `option`, with -0 folded into 0 (one value,
+    one seed or file name). Refuses an empty grid, a value that `check`
+    refuses (its "<field>: <why>" re-raised as "<option>: <why>") and a
+    grid that repeats a value."""
+    grid = [value + 0.0 for value in values]
+    require(len(grid) > 0, option, "must be non-empty")
+    for value in grid:
+        try:
+            check(value)
+        except ValueError as exc:
+            raise ValueError(
+                f"{option}: {str(exc).partition(': ')[2]}") from exc
+    require(len(set(grid)) == len(grid), option, "must not repeat a value")
+    return grid

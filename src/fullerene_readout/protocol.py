@@ -63,7 +63,7 @@ import numpy as np
 
 from .dynamics import (DecoherenceRates, PulseSpec, rabi_factors,
                        rabi_transfer)
-from .errors import NumericFailure, as_option, require
+from .errors import NumericFailure, check_grid, require
 from .spin_core import SystemParams, outside_flip_frequency
 
 _ENCODING_M1 = {"outer": 1.5, "inner": 0.5}
@@ -337,21 +337,11 @@ def fidelity_sweep(encoding: str, sys: SystemParams, rates: DecoherenceRates,
     more than MAX_SWEEP_ELECTRONS electrons, before the grid is built or any
     electron drawn.
     """
-    # + 0.0 folds -0 into 0: one value, one seed
-    alphas, leaks = [a + 0.0 for a in alphas], [x + 0.0 for x in leaks]
-    require(len(alphas) > 0, "sweep.alphas", "must be non-empty")
-    require(len(leaks) > 0, "sweep.leaks", "must be non-empty")
+    alphas = check_grid(alphas, "sweep.alphas",
+                        lambda a: replace(tunneling, alpha=a))
+    leaks = check_grid(leaks, "sweep.leaks", lambda leak: replace(
+        tunneling, p_leak_source=leak, p_leak_drain=leak))
     require(trials >= 1, "sweep.trials", "must be >= 1")
-    with as_option("sweep.alphas"):
-        for a in alphas:
-            replace(tunneling, alpha=a)
-    with as_option("sweep.leaks"):
-        for leak in leaks:
-            replace(tunneling, p_leak_source=leak, p_leak_drain=leak)
-    for option, grid in (("sweep.alphas", alphas), ("sweep.leaks", leaks)):
-        require(len(set(grid)) == len(grid), option,
-                "must not repeat a value: its cells would be drawn again "
-                "from the same seeds")
     states = sweep_states(encoding)
     electrons = (len(alphas) * len(leaks) * len(states) * trials
                  * tunneling.n_cycles)

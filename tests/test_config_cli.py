@@ -44,7 +44,6 @@ EVERY_KEY = {
                   "window": 3.2e5},
     "mechanics": {"gradient": 2e6, "spacing": 1.2e-9, "coulomb_shift": 5e-12},
     "seed": 9,
-    "output_dir": "elsewhere",
 }
 
 
@@ -248,7 +247,8 @@ class TestFig2Command:
     @pytest.mark.parametrize("alphas,why", [
         (",", "must be non-empty"), ("0.1,1.5", r"must lie in \[0, 1\)"),
         ("0.1,0.1000001", r"two values would write fig2_alpha_0\.1\.csv"),
-        ("0,-0", r"two values would write fig2_alpha_0\.csv"),
+        ("0,-0", "must not repeat a value"),
+        ("0.1,0.1", "must not repeat a value"),
         ("0.1,abc", r"invalid grid '0\.1,abc'")])
     def test_bad_grid_rejected(self, alphas, why, tmp_path, capsys):
         assert run_cli("fig2", "--alphas", alphas, "--out",
@@ -448,6 +448,23 @@ class TestExitCodes:
 
     def test_negative_seed_rejected(self, tmp_path):
         assert run_cli("table", "--seed", "-1", "--out", str(tmp_path)) == 1
+
+    # argparse's usage errors exit 1 like any other bad input, before the
+    # output directory is made
+    @pytest.mark.parametrize("argv,named", [
+        (["readout", "--true-state=5/2"], "--true-state"),
+        (["readout", "--true-state=3/2"], "--true-state"),
+        (["fig2", "--alphas", "-0.5,0.3"], "--alphas"),
+        (["table", "--bogus"], "--bogus")],
+        ids=["bad-choice", "unsigned-state", "grid-read-as-flag",
+             "unknown-flag"])
+    def test_bad_command_line_is_validation_error(self, argv, named,
+                                                   tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli(*argv, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and named in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("section,key,value", [
         ("rates", "gamma0", "NaN"),
@@ -745,17 +762,15 @@ class TestManifest:
 
 
 class TestOutputDirSelection:
-    def test_env_var_override(self, tmp_path, monkeypatch):
-        target = tmp_path / "env_out"
-        monkeypatch.setenv("SIM_OUTPUT_DIR", str(target))
+    def test_out_is_the_only_source(self, tmp_path, monkeypatch):
+        # without --out a run writes to out/ in the working directory; the
+        # environment names no output directory
+        monkeypatch.chdir(tmp_path)
+        elsewhere = tmp_path / "env_out"
+        monkeypatch.setenv("SIM_OUTPUT_DIR", str(elsewhere))
         assert run_cli("mechanics") == 0
-        assert (target / "manifest.json").exists()
-
-    def test_flag_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SIM_OUTPUT_DIR", str(tmp_path / "env_out"))
-        flag = tmp_path / "flag_out"
-        assert run_cli("mechanics", "--out", str(flag)) == 0
-        assert (flag / "manifest.json").exists()
+        assert (tmp_path / "out" / "manifest.json").exists()
+        assert not elsewhere.exists()
 
 
 class TestDeterminism:

@@ -1,8 +1,10 @@
 """Property test over generated config documents and command lines.
 
-Whatever the document and argv, `sim` exits with 0, 1, 2 or 3 and raises
-nothing else; on exit 0 every number it wrote (CSV, JSONL, manifest) is
-finite. Windows are kept to at most 2,000 cycles so each run is short.
+Whatever the document and argv, `sim` returns 0, 1, 2 or 3 and raises
+nothing, not even argparse's SystemExit; on exit 0 every number it wrote
+(CSV, JSONL, manifest) is finite, and on any other code its output directory
+is absent or empty. Windows are kept to at most 2,000 cycles so each run is
+short.
 """
 
 import csv
@@ -130,10 +132,9 @@ def test_any_input_exits_cleanly_with_finite_outputs(doc, argv):
         cfg = Path(tmp) / "cfg.json"
         cfg.write_text(json.dumps(doc))
         out = Path(tmp) / "out"
-        try:
-            code = main([*argv, "--config", str(cfg), "--out", str(out)])
-        except SystemExit as exc:   # argparse rejects the command line
-            code = exc.code
+        code = main([*argv, "--config", str(cfg), "--out", str(out)])
         assert code in (0, 1, 2, 3)
         if code == 0:
             assert_outputs_finite(out)
+        else:   # a refused run leaves nothing behind
+            assert not out.exists() or not any(out.iterdir())
