@@ -4,10 +4,11 @@ Open-system dynamics of the mobile (outside) spin.
 Covers the field-free phenomenological master equation with relaxation rate
 gamma0 and dephasing rate gammap (analytic closed form, and a fixed-step RK4
 integrator applied as a cached transfer matrix, to the end state or as a
-sampled trajectory re-Hermitized at every sample), the post-pulse
-imperfect-flip state produced by dwell-time jitter, the closed-form transfer
-probability of a detuned rotating-frame Rabi pulse, and the
-population/coherence time series used for plotting.
+sampled trajectory re-Hermitized at every sample; the matrix is four real
+factors, so after the first sample the trajectory is ufunc accumulations of
+them), the post-pulse imperfect-flip state produced by dwell-time jitter,
+the closed-form transfer probability of a detuned rotating-frame Rabi pulse,
+and the population/coherence time series used for plotting.
 
 Basis: index 0 = |up>, index 1 = |down>. The dephasing operator is the Pauli
 sigma_z (eigenvalues +/-1), so the coherence dephases at gamma0/2 + 4*gammap.
@@ -131,13 +132,19 @@ def analytic_free_evolution(rho0: np.ndarray, rates: DecoherenceRates,
 
 
 @functools.lru_cache(maxsize=16)
-def _rk4_map(rates: DecoherenceRates, dt: float, n: int = 1) -> np.ndarray:
-    """n RK4 steps of dt of the master equation as one matrix on vec(rho),
+def _rk4_map(rates: DecoherenceRates, dt: float,
+             n: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """n RK4 steps of dt of the master equation as one matrix M on
+    vec(rho) = (uu, ud, du, dd), and M as its real factors (a, c, c, b),
     cached: every fig2 trajectory steps its samples with the same two maps.
 
     The generator is linear and time-independent, so its 4x4 matrix L comes
     from `lindblad_rhs` applied to the four basis matrices, and one RK4 step
-    is exactly sum_{k<=4} (dt L)^k / k!.
+    is exactly sum_{k<=4} (dt L)^k / k!. L only decays uu into dd and scales
+    ud and du alike, so M is four real factors and zeros: uu <- a uu,
+    dd <- dd + b uu (M[3, 3] is exactly 1), ud <- c ud and du <- c du. Only a
+    map that overflowed (an infinity met its zeros) breaks that pattern; its
+    factors are NaN.
     """
     basis = np.eye(4, dtype=complex).reshape(-1, 2, 2)
     dt_gen = dt * np.stack([lindblad_rhs(e, rates).ravel() for e in basis], -1)
@@ -147,7 +154,13 @@ def _rk4_map(rates: DecoherenceRates, dt: float, n: int = 1) -> np.ndarray:
         step = step + term
     power = np.linalg.matrix_power(step, n)
     power.setflags(write=False)
-    return power
+    factors = power.real[[0, 1, 2, 3], [0, 1, 2, 0]]
+    pattern = np.diag(np.r_[factors[:3], 1.0])
+    pattern[3, 0] = factors[3]
+    if not np.array_equal(power, pattern):
+        factors[:] = np.nan
+    factors.setflags(write=False)
+    return power, factors
 
 
 def evolve_numeric(rho0: np.ndarray, rates: DecoherenceRates, t: float,
@@ -161,7 +174,12 @@ def evolve_numeric(rho0: np.ndarray, rates: DecoherenceRates, t: float,
     With `samples=n`, returns the (n, 2, 2) states at t/n, 2t/n, ..., t
     instead. Each interval h = t/n is stepped as a call with t=h steps it,
     and the state re-Hermitized at every sample, so state k equals k chained
-    calls bit for bit.
+    calls bit for bit. The first sample is computed with the whole matrices,
+    so any rho0 is taken as a call takes it. It is Hermitian, or it fails
+    the checks below, and on a Hermitian state each map is its real factors
+    (uu, Re ud, Im ud) *= (a, c, c), dd += b uu, with re-Hermitizing exact:
+    the later samples are `np.multiply.accumulate` and `np.add.accumulate`
+    of those factors, which round each product and sum in the chain's order.
 
     Raises NumericFailure at the first sample whose trace drifted by more
     than 1e-6 over its interval, as when the rates overflow, or that is no
@@ -185,14 +203,28 @@ def evolve_numeric(rho0: np.ndarray, rates: DecoherenceRates, t: float,
     trace0 = (rho[0, 0] + rho[1, 1]).real
     states = np.empty((n, 2, 2), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        full = _rk4_map(rates, dt, n_full)
-        rest = _rk4_map(rates, remainder) if remainder > 1e-12 else None
-        for k in range(n):
-            vec = full @ rho.ravel()
-            if rest is not None:
-                vec = rest @ vec
-            rho = vec.reshape(2, 2)
-            states[k] = rho = 0.5 * (rho + rho.conj().T)
+        maps = [_rk4_map(rates, dt, n_full)]
+        if remainder > 1e-12:
+            maps.append(_rk4_map(rates, remainder))
+        vec = rho.ravel()
+        for matrix, _ in maps:
+            vec = matrix @ vec
+        rho = vec.reshape(2, 2)
+        states[0] = rho = 0.5 * (rho + rho.conj().T)
+        # one row per map applied after the first sample, in order; then
+        # (uu, Re ud, Im ud) and dd after each of those maps
+        factors = np.tile(np.stack([f for _, f in maps]), (n - 1, 1))
+        scaled = np.multiply.accumulate(np.r_[
+            [[rho[0, 0].real, rho[0, 1].real, rho[0, 1].imag]],
+            factors[:, :3]])
+        populations = np.add.accumulate(np.r_[
+            rho[1, 1].real, scaled[:-1, 0] * factors[:, 3]])
+        sampled = slice(len(maps), None, len(maps))
+        states[1:, 0, 0] = scaled[sampled, 0]
+        states[1:, 0, 1].real = scaled[sampled, 1]
+        states[1:, 0, 1].imag = scaled[sampled, 2]
+        states[1:, 1, 0] = states[1:, 0, 1].conj()
+        states[1:, 1, 1] = populations[sampled]
         # each interval's drift is measured from the state it started at
         uu, dd = states[:, 0, 0].real, states[:, 1, 1].real
         drift = np.abs(np.diff(uu + dd, prepend=trace0))

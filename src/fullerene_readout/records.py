@@ -24,20 +24,22 @@ integer arrays and ranges whose every value in the block lies in 0..10^8 - 1,
 each value one word of its digits; any other non-float column goes through
 `str(v)`.
 
-Floats are exact. With X = floor(log10|x|) in -11..11, so that 10^(11 - X)
-is an exactly representable power, m = |x| * 10^(11 - X) is one correctly
-rounded product, within 2^-53 * 10^12 ~ 1.1e-4 of its exact value. So
-when m lies in [1e11, 1e12 + 0.5) and its fraction lies more than 1e-3 from
-.5, rounding m to an integer gives the twelve digits (and the carry to the
-next decade when it reaches 10^12) that correctly rounded decimal output
-gives, as Python's `%` does (D. M. Gay, *Correctly Rounded Binary-Decimal
-and Decimal-Binary Conversions*, 1990). The digits come from a 0000-9999
-table; the point, the trailing zeros to drop and the exponent from a table
-with one row per (X, number of digits up to the last nonzero one), each row
-Python's own `'%.12g'` of one value of that shape, split around its digits.
-Any other value is formatted by Python's own `'%.12g' % v`, so every byte
-matches: one near a rounding tie, below 1e-11 (subnormals too), from 1e12
-up, or a hair below a power of ten where log10 rounds up across it.
+Floats are exact. With X = floor(log10|x|) in -99..11, m = |x| *
+10^(11 - X) is one correctly rounded product of |x| and the correctly
+rounded power (exact up to 10^22): two roundings, each within a relative
+2^-53, so m lies within (1e12 + 0.5) * 2^-52 ~ 2.2e-4 of its exact value.
+So when m lies in [1e11, 1e12 + 0.5) and its fraction lies more than the
+1e-3 margin from .5, rounding m to an integer gives the twelve digits (and
+the carry to the next decade when it reaches 10^12) that correctly rounded
+decimal output gives, as Python's `%` does (D. M. Gay, *Correctly Rounded
+Binary-Decimal and Decimal-Binary Conversions*, 1990).
+The digits come from a 0000-9999 table; the point, the trailing zeros to
+drop and the exponent from a table with one row per (X, number of digits
+up to the last nonzero one), built from Python's own `'%.12g'` of one value
+of each shape, split around its digits. Any other value is formatted by
+Python's own `'%.12g' % v`, so every byte matches: one near a rounding tie,
+below 1e-99 (three-digit exponents, subnormals), from 1e12 up, or a hair
+below a power of ten where log10 rounds up across it.
 """
 
 from __future__ import annotations
@@ -57,23 +59,23 @@ from .errors import NumericFailure
 _ROWS = 16384
 
 _ZERO = ord("0")
-_X_MIN, _X_MAX = -11, 12      # X after a carry, within the exact powers
+_X_MIN, _X_MAX = -99, 12      # X after a carry, within the power table
 
 
 def _float_quads() -> np.ndarray:
     """Each base 10^4 digit ("quad") 0000..9999, then 10000 (a float's
     rounding carry) as 1000: a word of its four digits, then in byte 4 + p,
-    for each position p = 0, 1, 2 of a float's three quads, 13 * -_X_MIN
-    plus the count of the float's digits up to the quad's last nonzero one,
-    or 0 if the quad is 0 and p > 0. The largest of those three bytes is
-    the float's `_float_layouts` row less 13 * X; a carry adds 13."""
+    for each position p = 0, 1, 2 of a float's three quads, the count of
+    the float's digits up to the quad's last nonzero one, or 0 if the quad
+    is 0. The largest of those three bytes is the float's `_float_layouts`
+    row less 13 * (X - _X_MIN); a carry adds 13."""
     quads = np.r_[np.indices((10,) * 4, np.uint8).reshape(4, -1).T.copy(),
                   np.array([[1, 0, 0, 0]], np.uint8)]
     significant = ((quads > 0) * np.arange(1, 5, dtype=np.uint8)).max(1)
     digits = (_ZERO + quads).view("<u4")[:, 0].astype(np.uint64)
     for p in range(3):
-        count = np.where(significant > 0, significant + 4 * p + 13 * -_X_MIN,
-                         0 if p else 13 * -_X_MIN).astype(np.uint64)
+        count = np.where(significant > 0, significant + 4 * p,
+                         0).astype(np.uint64)
         count <<= np.uint64(32 + 8 * p)
         digits |= count
     digits[10000] += np.uint64(13 << 32)
@@ -82,8 +84,8 @@ def _float_quads() -> np.ndarray:
 
 _DIGITS = _float_quads()
 
-# 10^k for k = 0..22, each exact.
-_POW10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])
+# 10^k for k = 0..11 - _X_MIN, each correctly rounded (exact up to 10^22).
+_POW10 = np.array([float(f"1e{k}") for k in range(12 - _X_MIN)])
 # The scaled value m is exact to 12 digits in [1e11, 1e12 + 0.5), as bits;
 # |m - rint(m)| > _M_TIE holds exactly when m's fraction lies within 1e-3
 # of .5, for every m in that range (see the exactness note above).
@@ -96,30 +98,45 @@ def _float_layouts():
     """Per (exponent X, digits n up to the last nonzero one, 0 for a zero),
     at row (X - _X_MIN) * 13 + n, then an empty row: `'%.12g'` of a value
     of that shape, as its head ("0.000"), middle (digits and any point) and
-    tail ("e+XX"). `masks` holds six word tables: the bytes kept from the
-    digits, the bytes taken from the digits moved one byte up to make room
-    for the point, and the point, for the first 8 bytes and the next 8;
-    `head` and `tail` hold the words of those parts, `widths` their sizes."""
-    parts = [re.fullmatch(r"(0\.0*)?([^e]*)(.*)", "%.12g" % (
+    tail ("e+XX"). '%.12g' writes X = -4..11 in fixed form, with the point
+    placed per (X, n); every other X writes one middle per n and differs
+    only in its tail. So heads and middles are formatted once per fixed
+    (X, n), once per n for the exponent form and once for the empty row,
+    and `layout` maps each row to its one of those layout rows. `masks`
+    holds six word tables per layout row: the bytes kept from the digits,
+    the bytes taken from the digits moved one byte up to make room for the
+    point, and the point, for the first 8 bytes and the next 8; `head` the
+    words of the head per layout row. `tail` holds the words of the tail
+    per row, and `widths` the sizes of the three parts per row."""
+    fixed = range(-4, 12)
+    parts = [re.fullmatch(r"(0\.0*)?([^e]*)e?.*", "%.12g" % (
         float("123456789123"[:n] or 0) * 10.0 ** (x - n + 1))).groups("")
-        for x in range(_X_MIN, _X_MAX + 1) for n in range(13)]
-    parts.append(("", "", ""))
-    head, middle, tail = zip(*parts)
-    widths = np.array([[len(p) for p in row] for row in parts], np.uint8)
+        for x in [*fixed, _X_MIN] for n in range(13)]
+    parts.append(("", ""))
+    head, middle = zip(*parts)
+    sizes = np.array([[len(p) for p in row] for row in parts], np.uint8)
     # the point's byte, or the middle's length if it has no point
     at = np.array([(m + ".").index(".") for m in middle])[:, None]
-    j, width = np.arange(16), widths[:, 1:2]
+    j, width = np.arange(16), sizes[:, 1:2]
     masks = np.zeros((6, len(parts)), np.uint64)
     for i, (part, char) in enumerate(zip(
             [j < at, (j > at) & (j < width), (j == at) & (j < width)],
             (0xFF, 0xFF, ord(".")))):
         masks[[i, 3 + i]] = (part * np.uint8(char)).view("<u8").T
-    return (masks, np.array(head, "S8").view("<u8"),
-            np.array(tail, "S4").view("<u4"), widths)
+    xs = range(_X_MIN, _X_MAX + 1)
+    first = [(x - fixed.start if x in fixed else len(fixed)) * 13 for x in xs]
+    layout = np.r_[np.add.outer(first, np.arange(13)).ravel(), len(parts) - 1]
+    tail = ["".join(("%.12g" % 10.0**x).partition("e")[1:]) for x in xs]
+    tail.append("")
+    rows = [13] * len(xs) + [1]
+    widths = np.c_[sizes[layout],
+                   np.repeat(np.array([len(t) for t in tail], np.uint8), rows)]
+    return (masks, np.array(head, "S8").view("<u8"), layout,
+            np.repeat(np.array(tail, "S4"), rows).view("<u4"), widths)
 
 
-_MASKS, _HEAD, _TAIL, _WIDTHS = _float_layouts()
-_EMPTY = len(_HEAD) - 1
+_MASKS, _HEAD, _LAYOUT, _TAIL, _WIDTHS = _float_layouts()
+_EMPTY = len(_TAIL) - 1
 
 
 def _texts(values) -> np.ndarray:
@@ -145,8 +162,8 @@ def _float_rows(values: np.ndarray):
     x = np.zeros(len(a))
     np.log10(a, out=x, where=nonzero)
     x = np.floor(x, out=x).astype(np.int64)     # X, and 0 for a zero
-    k = 11 - x              # 10^(11 - X) = _POW10[k] if 0 <= k <= 22
-    fallback = k.view(np.uint64) > 22
+    k = 11 - x              # 10^(11 - X) ~ _POW10[k] if 0 <= k <= 110
+    fallback = k.view(np.uint64) >= len(_POW10)
     m = _POW10.take(k, mode="clip")
     m *= a
     del a, k
@@ -179,6 +196,7 @@ def _float_rows(values: np.ndarray):
     np.right_shift(w3, np.uint64(48), out=count)
     np.maximum(row, count, out=row)
     del count
+    x -= _X_MIN
     x *= 13
     x += row.view(np.int64)
     row = x
@@ -192,12 +210,12 @@ def _float_rows(values: np.ndarray):
     return w1, w3, row, fallback if any_fallback else None
 
 
-def _place(digits, moved, row, masks):
+def _place(digits, moved, layout, masks):
     """One word of a float's text: the digit bytes kept, the bytes of
     `moved` (the digits one byte up) after the point, and the point."""
-    moved &= masks[1].take(row)
-    moved |= masks[2].take(row)
-    kept = masks[0].take(row)
+    moved &= masks[1].take(layout)
+    moved |= masks[2].take(layout)
+    kept = masks[0].take(layout)
     kept &= digits
     moved |= kept
     return moved
@@ -208,20 +226,21 @@ def _floats(values: np.ndarray):
     their text."""
     values = np.asarray(values, np.float64)
     w1, w3, row, fallback = _float_rows(values)
-    used = np.zeros(len(_HEAD), bool)
+    used = np.zeros(len(_TAIL), bool)
     used[row] = True
     head, middle, tail = _WIDTHS[used].max(0).tolist()
+    layout = _LAYOUT.take(row)
     pieces = []
     sign = np.signbit(values)
     if sign.any():
         pieces.append((sign.view(np.uint8) * np.uint8(ord("-")), 1))
     if head:
-        pieces.append((_HEAD.take(row), head))
+        pieces.append((_HEAD.take(layout), head))
     if middle > 8:
         moved = w3 << np.uint64(8)
         moved |= w1 >> np.uint64(56)
-        high = _place(w3, moved, row, _MASKS[3:])
-    pieces.append((_place(w1, w1 << np.uint64(8), row, _MASKS[:3]),
+        high = _place(w3, moved, layout, _MASKS[3:])
+    pieces.append((_place(w1, w1 << np.uint64(8), layout, _MASKS[:3]),
                    min(middle, 8)))
     if middle > 8:
         pieces.append((high, middle - 8))

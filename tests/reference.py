@@ -4,7 +4,9 @@
 closed forms; the operators here build the same physics as matrices, and
 `driven_evolution` keeps the pulse's damping that production leaves out.
 `flip_probability` is the pulse transfer in one closed form, and
-`fig2_numeric` is `sim fig2`'s RK4 cross-check one call per sample.
+`fig2_numeric` is `sim fig2`'s RK4 cross-check one call per sample, and
+`sampled_trajectory` is `evolve_numeric(..., samples=n)` as the loop over
+samples that its factor accumulations replaced.
 `run_window_reference` is the readout window's per-electron block loop, the
 stream `protocol.run_window` must reproduce bit for bit, and
 `collect_events` collects either one's per-electron columns.
@@ -21,7 +23,8 @@ from dataclasses import fields
 import numpy as np
 
 from fullerene_readout.dynamics import (SIGMA_Z, DecoherenceRates, PulseSpec,
-                                        evolve_numeric, lindblad_rhs)
+                                        _rk4_map, evolve_numeric,
+                                        lindblad_rhs)
 from fullerene_readout.errors import NumericFailure
 from fullerene_readout.protocol import (_BLOCK, CurrentTrace, InsideSpinState,
                                         TunnelEvents, TunnelingParams,
@@ -154,6 +157,44 @@ def fig2_numeric(rho: np.ndarray, rates: DecoherenceRates,
         rho = evolve_numeric(rho, rates, t=step, dt=dt)
         num[i] = [rho[0, 0].real, abs(rho[0, 1]), rho[1, 1].real]
     return num
+
+
+def sampled_trajectory(rho: np.ndarray, rates: DecoherenceRates, t: float,
+                       dt: float, samples: int) -> np.ndarray:
+    """`evolve_numeric(rho, rates, t, dt, samples=samples)` one sample at a
+    time: each sample applies the interval's cached RK4 maps to the last
+    state and re-Hermitizes it, then checks it. A map is applied as
+    elementwise products summed in index order, not `@`, so that no BLAS
+    kernel's order of operations enters the oracle."""
+    h = t / samples
+    n_full = int(h // dt)
+    remainder = h - n_full * dt
+    rho = rho.astype(complex)
+    trace = (rho[0, 0] + rho[1, 1]).real
+    states = np.empty((samples, 2, 2), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        maps = [_rk4_map(rates, dt, n_full)[0]]
+        if remainder > 1e-12:
+            maps.append(_rk4_map(rates, remainder)[0])
+        for k in range(samples):
+            vec = rho.ravel()
+            for m in maps:
+                out = m[:, 0] * vec[0]
+                for j in range(1, 4):
+                    out = out + m[:, j] * vec[j]
+                vec = out
+            rho = vec.reshape(2, 2)
+            states[k] = rho = 0.5 * (rho + rho.conj().T)
+            uu, dd = rho[0, 0].real, rho[1, 1].real
+            drift, trace = abs(uu + dd - trace), uu + dd
+            if not drift <= 1e-6:
+                raise NumericFailure(
+                    f"trace drifted by {drift:.3e} during integration")
+            if not (uu >= -1e-6 and dd >= -1e-6
+                    and abs(rho[0, 1]) ** 2 <= uu * dd + 1e-6):
+                raise NumericFailure("state stopped being a density matrix "
+                                     "during integration")
+    return states
 
 
 def _draw_dwell(params: TunnelingParams, rng: np.random.Generator,

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fullerene_readout.dynamics import (SIGMA_Z, DecoherenceRates, PulseSpec,
-                                        analytic_free_evolution,
+                                        _rk4_map, analytic_free_evolution,
                                         evolve_numeric, fig2_timeseries,
                                         imperfect_flip_state, lindblad_rhs,
                                         rabi_factors, rabi_transfer)
 from fullerene_readout.errors import NumericFailure
 from reference import (SIGMA_X, driven_evolution, rabi_pulse,
-                       validate_density_matrix)
+                       sampled_trajectory, validate_density_matrix)
 
 RATES = DecoherenceRates()  # gamma0 = 4e-4, gammap = 0.04
 
@@ -172,13 +172,31 @@ def chained(rho, rates, h, dt, n):
     return np.array(states)
 
 
+def same_trajectory(rho, rates, t, dt, n):
+    """Assert that `evolve_numeric(..., samples=n)` equals the per-sample
+    loop bit for bit, or fails with its message, and return whether it
+    failed."""
+    try:
+        want = sampled_trajectory(rho, rates, t, dt, n)
+    except NumericFailure as failure:
+        with pytest.raises(NumericFailure) as error:
+            evolve_numeric(rho, rates, t, dt, samples=n)
+        assert str(error.value) == str(failure)
+        return True
+    assert np.array_equal(evolve_numeric(rho, rates, t, dt, samples=n), want)
+    return False
+
+
+GRID_RATES = [RATES, DecoherenceRates(1e-3, 0.1), DecoherenceRates(0.0, 0.0),
+              DecoherenceRates(0.05, 6.9)]
+
+
 class TestSampledTrajectory:
     """`evolve_numeric(..., samples=n)` is n chained calls over t/n, bit for
-    bit, including where the chain first fails."""
+    bit, including where the chain first fails, and the per-sample loop
+    that its factor accumulations replaced."""
 
-    @pytest.mark.parametrize("rates", [RATES, DecoherenceRates(1e-3, 0.1),
-                                       DecoherenceRates(0.0, 0.0),
-                                       DecoherenceRates(0.05, 6.9)])
+    @pytest.mark.parametrize("rates", GRID_RATES)
     @pytest.mark.parametrize("alpha", [0.0, 0.05, 0.3, 0.9])
     @pytest.mark.parametrize("h, dt, n", [
         (1.0, 0.1, 200),    # fig2's sample: nine steps and a remainder
@@ -188,6 +206,7 @@ class TestSampledTrajectory:
         (0.0, 0.1, 5)])
     def test_equals_chained_calls(self, rates, alpha, h, dt, n):
         rho = imperfect_flip_state(alpha)
+        same_trajectory(rho, rates, n * h, dt, n)
         try:
             want = chained(rho, rates, h, dt, n)
         except NumericFailure as failure:
@@ -219,6 +238,43 @@ class TestSampledTrajectory:
             with pytest.raises(NumericFailure) as error:
                 evolve_numeric(rho, rates, float(n), 0.1, samples=n)
             assert str(error.value) == message
+
+    def test_random_states_equal_the_per_sample_loop(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            rho = random_density_2x2(rng)
+            rates = DecoherenceRates(gamma0=rng.uniform(0, 0.5),
+                                     gammap=rng.uniform(0, 2.0))
+            assert not same_trajectory(rho, rates, 100.0, 0.1, 100)
+            # not Hermitian: the first sample re-Hermitizes it
+            rho = rho + 1e-3j * rng.standard_normal((2, 2))
+            assert not same_trajectory(rho, rates, 5.0, 0.01, 20)
+
+    # `test_overflowing_rk4_map_is_numeric_failure`'s rates on fig2's
+    # alpha 0.1 trajectory: overflowing maps and RK4's stability edge
+    @pytest.mark.parametrize("rates", [
+        DecoherenceRates(gammap=1e10), DecoherenceRates(gamma0=1e300),
+        DecoherenceRates(gammap=8), DecoherenceRates(gammap=6.97),
+        DecoherenceRates(gamma0=27.86)])
+    def test_failing_rates_fail_as_the_per_sample_loop(self, rates):
+        assert same_trajectory(imperfect_flip_state(0.1), rates, 1000.0,
+                               0.1, 1000)
+
+    def test_map_is_four_real_factors(self):
+        for rates in GRID_RATES + [DecoherenceRates(gamma0=27.86),
+                                   DecoherenceRates(1e-6, 2.5e-7)]:
+            for dt, n in [(0.1, 9), (0.1, 1), (0.0125, 0), (0.125, 8)]:
+                matrix, factors = _rk4_map(rates, dt, n)
+                a, c, c2, b = factors
+                want = np.zeros((4, 4))
+                want[0, 0], want[1, 1], want[2, 2], want[3, 0] = a, c, c2, b
+                want[3, 3] = 1.0
+                assert np.array_equal(matrix, want) and c == c2
+                assert a > 0 and c > 0 and np.isfinite(b)
+        # an overflowed map, where infinities met the zeros, has NaN factors
+        with np.errstate(over="ignore", invalid="ignore"):
+            matrix, factors = _rk4_map(DecoherenceRates(gammap=1e10), 0.1, 9)
+        assert not np.isfinite(matrix).all() and np.isnan(factors).all()
 
 
 class TestTransferMap:

@@ -1,5 +1,6 @@
 import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -26,15 +27,19 @@ def assert_same_bytes(columns):
 # Where `%.12g` changes shape, rounds to a tie, or leaves the exact powers.
 EDGES = [0.0, -0.0, 5e-324, 1e-5, 9.99999999999e-5, 1e-4, 1e11,
          999999999999.5, 1e12, 1e16, 1e22, 1e23, 1e308, -1e-300]
-# Values a hair off a decimal tie, where x * 10^(11 - X) rounds onto .5.
+# Values a hair off a decimal tie, where x * 10^(11 - X) rounds onto .5,
+# then one in each decade band that the inexact powers 10^23..10^110 scale.
 NEAR_TIES = [54.37207168585, 70902041.66475, 1.438819396545e-07,
-             728660.7912865]
+             728660.7912865] + [float(f"4.830172951665e-{x}")
+                                for x in range(15, 100, 10)]
 # Around powers of ten (log10 may round across them), and the ends of the
-# scaled range: X = -11 is encoded and -12 is not; from X = 12 (1e12) up,
-# Python formats every value.
+# scaled range: X = -99 is encoded and -100 (a three-digit exponent) is
+# not, nor is a value that rounds up to 1e-99 from below it; from X = 12
+# (1e12) up, Python formats every value.
 BOUNDS = [float(np.nextafter(10.0**k, d)) for k in (-5, 0, 15, 33)
           for d in (0, np.inf)] + [1e-11, 9.99999999999e-12, 1e33,
-                                   9.9999999999995e33, 1e34]
+                                   9.9999999999995e33, 1e34] + [
+    1e-99, float(np.nextafter(1e-99, 0)), 9.999999999995e-100, 1e-100]
 
 
 def test_float_edges_match_template():
@@ -74,14 +79,15 @@ def block_scale_columns():
     rows = records._ROWS
     n = 2 * rows + 1
     rng = np.random.default_rng(15)
-    specials = [m * 10.0**k for k in range(-12, 36)
+    specials = [m * 10.0**k for k in range(-101, 36)
                 for m in (1.0, 1.5, 9.99999999999, 1.23456789012)]
     specials += [0.5, 150.0, 1e5, 123.4, 1.2e-5, 7e20]  # end in zeros
     specials += EDGES + NEAR_TIES + BOUNDS
     # one value on each layout row that a value below 1e12 reaches: X in
-    # -11..11 and n = 1..12 digits up to the last nonzero one
-    shapes = [(x, n) for x in range(-11, 12) for n in range(1, 13)]
-    layouts = [int("123456789123"[:n]) * 10.0 ** (x - n + 1)
+    # -99..11 and n = 1..12 digits up to the last nonzero one, each 0.03
+    # above its twelve digits so that it is no power's neighbour
+    shapes = [(x, n) for x in range(-99, 12) for n in range(1, 13)]
+    layouts = [float(f"{'123456789123'[:n]:0<12}03e{x - 13}")
                for x, n in shapes]
     assert records._float_rows(np.array(layouts))[2].tolist() == [
         (x - records._X_MIN) * 13 + n for x, n in shapes]
@@ -122,6 +128,28 @@ def test_blocks_at_scale_match_template():
     assert ["e" in "%.12g" % v for v in columns["one_exponent"][blocks[0]]
             ].count(True) == 0
     assert_same_bytes(columns)
+
+
+def test_powers_are_correctly_rounded():
+    """Each power 10^k is the double nearest it: within half an ulp, so
+    within a relative 2^-53. Up to 10^22 each is exact."""
+    assert len(records._POW10) == 12 - records._X_MIN
+    for k, power in enumerate(records._POW10.tolist()):
+        error = abs(Fraction(power) - 10**k)
+        assert error <= Fraction(math.ulp(power)) / 2
+        assert error <= Fraction(10**k, 2**53)
+        assert (error == 0) == (k <= 22)
+
+
+def test_two_roundings_stay_inside_the_tie_margin():
+    """m = |x| * 10^k rounds twice, in 10^k and in the product, so it lies
+    within m * (2^-53 + 2^-53 + 2^-106) / (1 - 2^-53)^2 of its exact value:
+    for every m < 1e12 + 0.5 that is less than the 1e-3 by which a fraction
+    must miss .5 for m to be rounded here."""
+    u = Fraction(1, 2**53)
+    bound = Fraction(1e12 + 0.5) * ((1 + u) ** 2 - 1) / (1 - u) ** 2
+    assert bound < Fraction(0.5) - Fraction(records._M_TIE)
+    assert bound < Fraction(23, 10**5)
 
 
 def test_tie_rule_matches_the_fraction_rule():
