@@ -9,7 +9,7 @@ from .dynamics import (DecoherenceRates, PulseSpec, TimeSeries,
                        lindblad_rhs)
 from .errors import ConfigError, NumericFailure
 from .protocol import (CurrentTrace, InsideSpinState, ReadoutResult,
-                       SweepCell, TunnelEvents, TunnelingParams, classify,
+                       TunnelEvents, TunnelingParams, classify,
                        fidelity_sweep, resonance_frequency, run_window)
 from .spin_core import (EnergyLevel, MechanicsParams, PhysicalConstants,
                         SystemParams, Transition, check_weak_coupling,

@@ -1,3 +1,4 @@
-from .cli import entrypoint
+from .cli import main
 
-entrypoint()
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -164,40 +164,31 @@ def cmd_readout(config: SimulationConfig, manifest: Manifest, args) -> str:
         sink = None if log is None else partial(write_events_csv, log)
         trace = run_window(inside, config.pulse, config.system,
                            config.tunneling, config.rates, config.seed, sink)
-    result = classify(trace, config.tunneling, inside.encoding)
+    result = classify(trace, config.tunneling, inside)
     manifest.extra["interrogation_mhz"] = freq
     row = {"true_m1": [inside.m1], "encoding": [inside.encoding],
            "interrogation_mhz": [freq], "n_cycles": [trace.n_cycles],
-           "counts_on": [result.counts_on], "baseline": [result.baseline],
+           "counts_on": [trace.n_passed], "baseline": [result.baseline],
            "threshold": [result.threshold],
            "classified_m1": [result.classified.m1],
-           "contrast": [result.contrast], "seed": [trace.seed]}
+           "contrast": [result.contrast], "seed": [config.seed]}
     manifest.add_records("readout.csv", row)
     manifest.add_records("readout.jsonl", row)
     return (f"classified m1 = {result.classified.m1:+g} ({inside.encoding}), "
-            f"counts {result.counts_on}/{trace.n_cycles}, "
+            f"counts {trace.n_passed}/{trace.n_cycles}, "
             f"contrast {result.contrast:.6f}")
 
 
 def cmd_sweep(config: SimulationConfig, manifest: Manifest, args) -> str:
-    cells = fidelity_sweep(args.encoding, config.system, config.rates,
-                           _parse_grid(args.alphas, "sweep.alphas"),
-                           _parse_grid(args.leaks, "sweep.leaks"), args.trials,
-                           config.seed, tunneling=config.tunneling,
-                           pulse=config.pulse)
-    rows = {"alpha": [c.alpha for c in cells],
-            "p_leak": [c.p_leak for c in cells],
-            "encoding": [c.true_state.encoding for c in cells],
-            "true_m1": [c.true_state.m1 for c in cells],
-            "trials": [c.trials for c in cells],
-            "misclassified": [c.misclassified for c in cells],
-            "rate": [c.rate for c in cells],
-            "base_seed": [config.seed] * len(cells)}
+    rows = fidelity_sweep(args.encoding, config.system, config.rates,
+                          _parse_grid(args.alphas, "sweep.alphas"),
+                          _parse_grid(args.leaks, "sweep.leaks"), args.trials,
+                          config.seed, tunneling=config.tunneling,
+                          pulse=config.pulse)
     manifest.add_records("sweep.csv", rows)
     manifest.add_records("sweep.jsonl", rows)
-    worst = max(c.rate for c in cells)
-    return (f"sweep: {len(cells)} cells, worst misclassification rate "
-            f"{worst:.4g}")
+    return (f"sweep: {len(rows['rate'])} cells, worst misclassification "
+            f"rate {max(rows['rate']):.4g}")
 
 
 def cmd_mechanics(config: SimulationConfig, manifest: Manifest, args) -> str:
@@ -295,7 +286,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
     return 0
-
-
-def entrypoint() -> None:
-    raise SystemExit(main())

@@ -85,6 +85,11 @@ MAX_EVENT_CYCLES = 10**7
 # Columns of the per-electron audit log, events.csv.
 EVENT_COLUMNS = ("cycle", "dwell_ns", "spin_in", "flip_prob", "passed")
 
+# Columns of the misclassification table, sweep.csv: one row per
+# (alpha, leak, true state) cell, as `fidelity_sweep` returns it.
+SWEEP_COLUMNS = ("alpha", "p_leak", "encoding", "true_m1", "trials",
+                 "misclassified", "rate", "base_seed")
+
 # Largest number of electrons one sweep may draw over all its cells and
 # trials: about 15-20 minutes at ~10^7 electrons/s. A larger sweep is
 # refused before anything is sampled.
@@ -151,31 +156,14 @@ class CurrentTrace:
 
     n_cycles: int
     n_passed: int
-    seed: int
 
 
 @dataclass(frozen=True)
 class ReadoutResult:
     classified: InsideSpinState
-    counts_on: int
     baseline: float    # expected off-resonant clicks
-    contrast: float    # (baseline - counts_on) / (baseline + counts_on)
+    contrast: float    # (baseline - n_passed) / (baseline + n_passed)
     threshold: float
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    """Misclassification statistics for one (alpha, leak, true state) cell."""
-
-    alpha: float
-    p_leak: float
-    true_state: InsideSpinState
-    trials: int
-    misclassified: int
-
-    @property
-    def rate(self) -> float:
-        return self.misclassified / self.trials
 
 
 def leak_resonance_frequency(sys: SystemParams) -> float:
@@ -288,24 +276,24 @@ def run_window(inside: InsideSpinState, pulse: PulseSpec, sys: SystemParams,
             if dwell is None:
                 dwell = np.full(n, float(params.t0))
             sink(TunnelEvents(dwell, spin_up, flip, passed))
-    return CurrentTrace(n_cycles=n_cycles, n_passed=n_passed, seed=seed)
+    return CurrentTrace(n_cycles=n_cycles, n_passed=n_passed)
 
 
 def classify(trace: CurrentTrace, params: TunnelingParams,
-             encoding: str) -> ReadoutResult:
-    """Half-baseline threshold: suppressed current means the positive-m1
-    state. Counts exactly at threshold classify as the negative state."""
+             inside: InsideSpinState) -> ReadoutResult:
+    """Classify `trace`, read out from `inside`, as +/-|inside.m1| in
+    `inside.encoding`, by a half-baseline threshold: suppressed current
+    means the positive-m1 state. Counts exactly at threshold classify as
+    the negative state."""
     if trace.n_cycles == 0:
         raise ValueError("cannot classify an empty trace")
     baseline = trace.n_cycles * (1.0 - params.p_leak_source)
     threshold = baseline / 2.0
-    positive = trace.n_passed < threshold
-    # An unknown encoding gets m1 0 here; InsideSpinState then rejects it.
-    m1 = _ENCODING_M1.get(encoding, 0.0) * (1.0 if positive else -1.0)
+    m1 = abs(inside.m1) if trace.n_passed < threshold else -abs(inside.m1)
     contrast = (baseline - trace.n_passed) / (baseline + trace.n_passed)
-    return ReadoutResult(classified=InsideSpinState(m1, encoding),
-                         counts_on=trace.n_passed, baseline=baseline,
-                         contrast=contrast, threshold=threshold)
+    return ReadoutResult(classified=InsideSpinState(m1, inside.encoding),
+                         baseline=baseline, contrast=contrast,
+                         threshold=threshold)
 
 
 def derive_seed(base: int, *parts) -> int:
@@ -327,8 +315,10 @@ def sweep_states(encoding: str) -> list[InsideSpinState]:
 def fidelity_sweep(encoding: str, sys: SystemParams, rates: DecoherenceRates,
                    alphas: list[float], leaks: list[float], trials: int,
                    seed: int, tunneling: TunnelingParams = TunnelingParams(),
-                   pulse: PulseSpec = PulseSpec()) -> list[SweepCell]:
-    """Misclassification rates over an (alpha, leak) grid.
+                   pulse: PulseSpec = PulseSpec()) -> dict[str, list]:
+    """Misclassification rates over an (alpha, leak) grid, as the table
+    `{column: values}` of SWEEP_COLUMNS, one row per (alpha, leak, true
+    state) cell; `rate` is misclassified / trials.
 
     Each cell runs `trials` independent windows of `pulse` per true state,
     as `sim readout` does; leak sets both filters. Fully deterministic given
@@ -348,7 +338,7 @@ def fidelity_sweep(encoding: str, sys: SystemParams, rates: DecoherenceRates,
     require(electrons <= MAX_SWEEP_ELECTRONS, "sweep.trials",
             "cells x trials x cycles per window must be at most "
             f"{MAX_SWEEP_ELECTRONS:.0e} electrons")
-    cells: list[SweepCell] = []
+    cells = []   # rows, in SWEEP_COLUMNS order
     for a in alphas:
         for leak in leaks:
             params = replace(tunneling, alpha=a, p_leak_source=leak,
@@ -359,12 +349,12 @@ def fidelity_sweep(encoding: str, sys: SystemParams, rates: DecoherenceRates,
                     s = derive_seed(seed, a, leak, state.m1, state.encoding,
                                     trial)
                     trace = run_window(state, pulse, sys, params, rates, s)
-                    result = classify(trace, params, state.encoding)
+                    result = classify(trace, params, state)
                     if result.classified.m1 != state.m1:
                         bad += 1
-                cells.append(SweepCell(alpha=a, p_leak=leak, true_state=state,
-                                       trials=trials, misclassified=bad))
-    return cells
+                cells.append((a, leak, state.encoding, state.m1, trials, bad,
+                              bad / trials, seed))
+    return dict(zip(SWEEP_COLUMNS, map(list, zip(*cells))))
 
 
 def write_events_csv(log, events: TunnelEvents) -> None:

@@ -251,7 +251,7 @@ def run_window_reference(inside: InsideSpinState, pulse: PulseSpec,
         n_passed += int(np.count_nonzero(passed))
         if sink is not None:
             sink(TunnelEvents(dwell, spin_up, flip, passed))
-    return CurrentTrace(n_cycles=n_cycles, n_passed=n_passed, seed=seed)
+    return CurrentTrace(n_cycles=n_cycles, n_passed=n_passed)
 
 
 def collect_events(run, *args) -> tuple[CurrentTrace, TunnelEvents]:

@@ -159,7 +159,7 @@ def truth_table(p_leak, alpha=0.1, window=1e6, seeds=range(20)):
         pulse = PulseSpec()
         for seed in seeds:
             trace = run_window(state, pulse, STD, params, RATES, seed)
-            result = classify(trace, params, state.encoding)
+            result = classify(trace, params, state)
             cases.append((state, trace, result))
     return cases
 

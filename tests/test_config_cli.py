@@ -170,6 +170,21 @@ def never(*args, **kwargs):
     raise AssertionError("run_window reached")
 
 
+def assert_table(out, stem, header):
+    """`stem.csv` in `out` has exactly the header line `header`, and each
+    row of `stem.jsonl` has its keys, in order, and gives each field's
+    text: '%.12g' of a float, str of anything else."""
+    lines = (out / f"{stem}.csv").read_text().splitlines()
+    assert lines[0] == header
+    rows = [json.loads(line)
+            for line in (out / f"{stem}.jsonl").read_text().splitlines()]
+    assert len(rows) == len(lines) - 1
+    for row, line in zip(rows, lines[1:]):
+        assert ",".join(row) == header
+        assert [("%.12g" % v if isinstance(v, float) else str(v))
+                for v in row.values()] == line.split(","), line
+
+
 SMALL = {"tunneling": {"window": 3e5, "alpha": 0.1}}
 
 
@@ -310,6 +325,9 @@ class TestReadoutCommand:
         assert len(events) == 2001
         summary = json.loads((out / "readout.jsonl").read_text())
         assert summary["classified_m1"] == -1.5
+        assert_table(out, "readout", "true_m1,encoding,interrogation_mhz,"
+                     "n_cycles,counts_on,baseline,threshold,classified_m1,"
+                     "contrast,seed")
 
     def test_inner_interrogation_frequency_recorded(self, small_cfg,
                                                     tmp_path):
@@ -398,6 +416,8 @@ class TestSweepCommand:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert len(lines) == 17     # 4 cells x 4 states
         assert all(line.split(",")[6] == "0" for line in lines[1:])
+        assert_table(out, "sweep", "alpha,p_leak,encoding,true_m1,trials,"
+                     "misclassified,rate,base_seed")
 
     def test_empty_grid_is_validation_error(self, small_cfg, tmp_path,
                                             capsys):

@@ -291,8 +291,11 @@ class TestRunWindow:
         for f in fields(TunnelEvents):
             x, y = getattr(a[1], f.name), getattr(b[1], f.name)
             assert x.dtype == y.dtype and np.array_equal(x, y), f.name
-        c = run_window(OUTER_UP, outer_pulse(), SYS, params, RATES, seed=4)
-        assert c.n_passed != a[0].n_passed or c.seed != a[0].seed
+        c = collect_events(run_window, OUTER_UP, outer_pulse(), SYS, params,
+                           RATES, 4)
+        for name in ("dwell", "passed"):
+            assert not np.array_equal(getattr(c[1], name),
+                                      getattr(a[1], name)), name
 
     def test_blockade_audit(self):
         params = replace(MS_WINDOW, alpha=0.15, window=1e5)
@@ -424,36 +427,31 @@ class TestStreamGuard:
 
 class TestClassify:
     def test_suppressed_current_is_positive_state(self):
-        trace = CurrentTrace(n_cycles=66_666, n_passed=5, seed=0)
-        result = classify(trace, TunnelingParams(), "outer")
+        trace = CurrentTrace(n_cycles=66_666, n_passed=5)
+        result = classify(trace, TunnelingParams(), OUTER_DOWN)
         assert result.classified.m1 == 1.5
         assert result.contrast == pytest.approx(0.99985, abs=1e-5)
 
     def test_full_current_is_negative_state(self):
-        trace = CurrentTrace(n_cycles=1000, n_passed=1000, seed=0)
-        result = classify(trace, TunnelingParams(), "outer")
+        trace = CurrentTrace(n_cycles=1000, n_passed=1000)
+        result = classify(trace, TunnelingParams(), OUTER_UP)
         assert result.classified.m1 == -1.5
         assert result.contrast == 0.0
 
     def test_threshold_tie_breaks_negative(self):
-        trace = CurrentTrace(n_cycles=1000, n_passed=500, seed=0)
-        result = classify(trace, TunnelingParams(), "inner")
+        trace = CurrentTrace(n_cycles=1000, n_passed=500)
+        result = classify(trace, TunnelingParams(), INNER_UP)
         assert result.classified.m1 == -0.5
 
     def test_leak_shifts_baseline(self):
         params = TunnelingParams(p_leak_source=0.05)
-        trace = CurrentTrace(n_cycles=1000, n_passed=0, seed=0)
-        assert classify(trace, params, "outer").baseline == 950.0
+        trace = CurrentTrace(n_cycles=1000, n_passed=0)
+        assert classify(trace, params, OUTER_UP).baseline == 950.0
 
     def test_empty_trace_rejected(self):
-        trace = CurrentTrace(n_cycles=0, n_passed=0, seed=0)
+        trace = CurrentTrace(n_cycles=0, n_passed=0)
         with pytest.raises(ValueError):
-            classify(trace, TunnelingParams(), "outer")
-
-    def test_unknown_encoding_names_field(self):
-        trace = CurrentTrace(n_cycles=1000, n_passed=0, seed=0)
-        with pytest.raises(ValueError, match=r"^encoding: "):
-            classify(trace, TunnelingParams(), "sideways")
+            classify(trace, TunnelingParams(), OUTER_UP)
 
 
 class TestIdealPulseAssumption:
@@ -477,19 +475,19 @@ class TestIdealPulseAssumption:
 
 class TestFidelitySweep:
     def test_noiseless_grid_is_perfect(self):
-        cells = fidelity_sweep("both", SYS, RATES, [0.0], [0.0], trials=2,
+        table = fidelity_sweep("both", SYS, RATES, [0.0], [0.0], trials=2,
                                seed=0, tunneling=replace(MS_WINDOW,
                                                          window=1e5))
-        assert len(cells) == 4
-        assert all(c.misclassified == 0 for c in cells)
+        assert table["misclassified"] == [0, 0, 0, 0]
 
     def test_monotone_in_alpha(self):
         tun = replace(MS_WINDOW, window=1e5)
-        cells = fidelity_sweep("outer", SYS, RATES, [0.0, 0.05, 0.1, 0.2],
+        table = fidelity_sweep("outer", SYS, RATES, [0.0, 0.05, 0.1, 0.2],
                                [0.0], trials=50, seed=0, tunneling=tun)
         by_state = {}
-        for c in cells:
-            by_state.setdefault(c.true_state.m1, []).append((c.alpha, c.rate))
+        for m1, alpha, rate in zip(table["true_m1"], table["alpha"],
+                                   table["rate"]):
+            by_state.setdefault(m1, []).append((alpha, rate))
         for rows in by_state.values():
             rates_sorted = [r for _, r in sorted(rows)]
             assert rates_sorted == sorted(rates_sorted)
@@ -501,7 +499,7 @@ class TestFidelitySweep:
             params = replace(tun, p_leak_source=leak, p_leak_drain=leak)
             trace = run_window(OUTER_UP, outer_pulse(), SYS, params, RATES,
                                seed=0)
-            results[leak] = classify(trace, params, "outer")
+            results[leak] = classify(trace, params, OUTER_UP)
         assert results[0.05].contrast < results[0.0].contrast
         assert results[0.05].classified.m1 == results[0.0].classified.m1 == 1.5
 
@@ -522,16 +520,17 @@ class TestFidelitySweep:
         # a 10-electron window at alpha 0.5 misclassifies often, so a grid
         # value drawn from another seed would show in the counts
         tun = TunnelingParams(window=1500.0)
-        cells = {leak: fidelity_sweep("outer", SYS, RATES, [0.5], [leak],
-                                      trials=200, seed=0, tunneling=tun)
-                 for leak in (0.0, -0.0)}
-        assert ([c.misclassified for c in cells[-0.0]]
-                == [c.misclassified for c in cells[0.0]])
-        assert any(c.misclassified for c in cells[0.0])
-        assert all(math.copysign(1.0, c.p_leak) == 1.0 for c in cells[-0.0])
-        cell = fidelity_sweep("outer", SYS, RATES, [-0.0], [0.0], 1, 0,
-                              tunneling=tun)[0]
-        assert math.copysign(1.0, cell.alpha) == 1.0
+        # a tuple, not a dict keyed by leak: 0.0 and -0.0 are one dict key
+        zero, negative_zero = (
+            fidelity_sweep("outer", SYS, RATES, [0.5], [leak], trials=200,
+                           seed=0, tunneling=tun) for leak in (0.0, -0.0))
+        assert negative_zero["misclassified"] == zero["misclassified"]
+        assert any(zero["misclassified"])
+        assert all(math.copysign(1.0, p) == 1.0
+                   for p in negative_zero["p_leak"])
+        alpha = fidelity_sweep("outer", SYS, RATES, [-0.0], [0.0], 1, 0,
+                               tunneling=tun)["alpha"][0]
+        assert math.copysign(1.0, alpha) == 1.0
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
