@@ -3,10 +3,9 @@ Open-system dynamics of the mobile (outside) spin.
 
 Covers the field-free phenomenological master equation with relaxation rate
 gamma0 and dephasing rate gammap (analytic closed form, and a fixed-step RK4
-integrator applied as a cached transfer matrix, to the end state or as a
-sampled trajectory re-Hermitized at every sample; the matrix is four real
-factors, so after the first sample the trajectory is ufunc accumulations of
-them), the post-pulse imperfect-flip state produced by dwell-time jitter,
+integrator whose cached transfer map is four real factors, so the end state
+or a sampled trajectory is ufunc accumulations of them), the post-pulse
+imperfect-flip state produced by dwell-time jitter,
 the closed-form transfer probability of a detuned rotating-frame Rabi pulse,
 and the population/coherence time series used for plotting.
 
@@ -121,8 +120,7 @@ def analytic_free_evolution(rho0: np.ndarray, rates: DecoherenceRates,
     t may be an array of times; the result then has shape t.shape + (2, 2).
     """
     t = np.asarray(t, dtype=float)
-    if (t < 0).any():
-        raise ValueError("t must be non-negative")
+    require((t >= 0).all(), "t", "must be non-negative")
     if rho0.shape != (2, 2):
         raise ValueError("analytic solution is for the reduced 2x2 state")
     p_up = rho0[0, 0].real * np.exp(-rates.gamma0 * t)
@@ -132,19 +130,18 @@ def analytic_free_evolution(rho0: np.ndarray, rates: DecoherenceRates,
 
 
 @functools.lru_cache(maxsize=16)
-def _rk4_map(rates: DecoherenceRates, dt: float,
-             n: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """n RK4 steps of dt of the master equation as one matrix M on
-    vec(rho) = (uu, ud, du, dd), and M as its real factors (a, c, c, b),
+def _rk4_map(rates: DecoherenceRates, dt: float, n: int = 1) -> np.ndarray:
+    """n RK4 steps of dt of the master equation as the real factors
+    (a, c, c, b) of its matrix on vec(rho) = (uu, ud, du, dd), read-only and
     cached: every fig2 trajectory steps its samples with the same two maps.
 
     The generator is linear and time-independent, so its 4x4 matrix L comes
     from `lindblad_rhs` applied to the four basis matrices, and one RK4 step
     is exactly sum_{k<=4} (dt L)^k / k!. L only decays uu into dd and scales
-    ud and du alike, so M is four real factors and zeros: uu <- a uu,
-    dd <- dd + b uu (M[3, 3] is exactly 1), ud <- c ud and du <- c du. Only a
-    map that overflowed (an infinity met its zeros) breaks that pattern; its
-    factors are NaN.
+    ud and du alike, so the n-step matrix is four real factors and zeros:
+    uu <- a uu, dd <- dd + b uu (its [3, 3] entry is exactly 1), ud <- c ud
+    and du <- c du. Only a map that overflowed (an infinity met its zeros)
+    breaks that pattern; its factors are NaN.
     """
     basis = np.eye(4, dtype=complex).reshape(-1, 2, 2)
     dt_gen = dt * np.stack([lindblad_rhs(e, rates).ravel() for e in basis], -1)
@@ -153,14 +150,13 @@ def _rk4_map(rates: DecoherenceRates, dt: float,
         term = term @ dt_gen / k
         step = step + term
     power = np.linalg.matrix_power(step, n)
-    power.setflags(write=False)
     factors = power.real[[0, 1, 2, 3], [0, 1, 2, 0]]
     pattern = np.diag(np.r_[factors[:3], 1.0])
     pattern[3, 0] = factors[3]
     if not np.array_equal(power, pattern):
         factors[:] = np.nan
     factors.setflags(write=False)
-    return power, factors
+    return factors
 
 
 def evolve_numeric(rho0: np.ndarray, rates: DecoherenceRates, t: float,
@@ -168,18 +164,16 @@ def evolve_numeric(rho0: np.ndarray, rates: DecoherenceRates, t: float,
     """Fixed-step RK4 integration of the master equation over t ns.
 
     floor(t / dt) steps of dt, then one step of the remainder when it
-    exceeds 1e-12 ns, each applied as a cached transfer matrix (`_rk4_map`),
-    and the result re-Hermitized: the (2, 2) state at t.
+    exceeds 1e-12 ns, each a cached map of four real factors (`_rk4_map`):
+    the (2, 2) state at t. The state integrated is rho0's Hermitian part
+    (rho0 + rho0^H) / 2, taken once, on entry.
 
     With `samples=n`, returns the (n, 2, 2) states at t/n, 2t/n, ..., t
-    instead. Each interval h = t/n is stepped as a call with t=h steps it,
-    and the state re-Hermitized at every sample, so state k equals k chained
-    calls bit for bit. The first sample is computed with the whole matrices,
-    so any rho0 is taken as a call takes it. It is Hermitian, or it fails
-    the checks below, and on a Hermitian state each map is its real factors
-    (uu, Re ud, Im ud) *= (a, c, c), dd += b uu, with re-Hermitizing exact:
-    the later samples are `np.multiply.accumulate` and `np.add.accumulate`
-    of those factors, which round each product and sum in the chain's order.
+    instead, each interval h = t/n stepped as a call with t=h steps it, so
+    state k equals k chained calls bit for bit. On a Hermitian state each
+    map is (uu, Re ud, Im ud) *= (a, c, c), dd += b uu, so every sample is
+    `np.multiply.accumulate` and `np.add.accumulate` of those factors, which
+    round each product and sum in the chain's order, and is Hermitian.
 
     Raises NumericFailure at the first sample whose trace drifted by more
     than 1e-6 over its interval, as when the rates overflow, or that is no
@@ -189,42 +183,36 @@ def evolve_numeric(rho0: np.ndarray, rates: DecoherenceRates, t: float,
     """
     if rho0.shape != (2, 2):
         raise ValueError("density matrix must be the 2x2 outside-spin state")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    if samples is not None and samples < 1:
+    require(0 < dt < math.inf, "dt", "must be positive and finite")
+    require(0 <= t < math.inf, "t", "must be non-negative and finite")
+    if not (samples is None or samples >= 1):
         raise ValueError("samples must be positive")
     n = 1 if samples is None else samples
     h = t / n
     n_full = int(h // dt)
     remainder = h - n_full * dt
     rho = rho0.astype(complex)
+    rho = 0.5 * (rho + rho.conj().T)
     trace0 = (rho[0, 0] + rho[1, 1]).real
     states = np.empty((n, 2, 2), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         maps = [_rk4_map(rates, dt, n_full)]
         if remainder > 1e-12:
             maps.append(_rk4_map(rates, remainder))
-        vec = rho.ravel()
-        for matrix, _ in maps:
-            vec = matrix @ vec
-        rho = vec.reshape(2, 2)
-        states[0] = rho = 0.5 * (rho + rho.conj().T)
-        # one row per map applied after the first sample, in order; then
-        # (uu, Re ud, Im ud) and dd after each of those maps
-        factors = np.tile(np.stack([f for _, f in maps]), (n - 1, 1))
+        # one row per map, in the order applied; then (uu, Re ud, Im ud)
+        # and dd after each map
+        factors = np.tile(np.stack(maps), (n, 1))
         scaled = np.multiply.accumulate(np.r_[
             [[rho[0, 0].real, rho[0, 1].real, rho[0, 1].imag]],
             factors[:, :3]])
         populations = np.add.accumulate(np.r_[
             rho[1, 1].real, scaled[:-1, 0] * factors[:, 3]])
         sampled = slice(len(maps), None, len(maps))
-        states[1:, 0, 0] = scaled[sampled, 0]
-        states[1:, 0, 1].real = scaled[sampled, 1]
-        states[1:, 0, 1].imag = scaled[sampled, 2]
-        states[1:, 1, 0] = states[1:, 0, 1].conj()
-        states[1:, 1, 1] = populations[sampled]
+        states[:, 0, 0] = scaled[sampled, 0]
+        states[:, 0, 1].real = scaled[sampled, 1]
+        states[:, 0, 1].imag = scaled[sampled, 2]
+        states[:, 1, 0] = states[:, 0, 1].conj()
+        states[:, 1, 1] = populations[sampled]
         # each interval's drift is measured from the state it started at
         uu, dd = states[:, 0, 0].real, states[:, 1, 1].real
         drift = np.abs(np.diff(uu + dd, prepend=trace0))
@@ -238,7 +226,7 @@ def evolve_numeric(rho0: np.ndarray, rates: DecoherenceRates, t: float,
                 f"trace drifted by {drift[k]:.3e} during integration")
         raise NumericFailure(
             "state stopped being a density matrix during integration")
-    return states if samples is not None else rho
+    return states if samples is not None else states[0]
 
 
 def rabi_factors(omega0, detuning):

@@ -3,10 +3,11 @@
 `fullerene_readout` computes level energies, lines and pulse transfer from
 closed forms; the operators here build the same physics as matrices, and
 `driven_evolution` keeps the pulse's damping that production leaves out.
-`flip_probability` is the pulse transfer in one closed form, and
-`fig2_numeric` is `sim fig2`'s RK4 cross-check one call per sample, and
-`sampled_trajectory` is `evolve_numeric(..., samples=n)` as the loop over
-samples that its factor accumulations replaced.
+`flip_probability` is the pulse transfer in one closed form. `chained` is
+`evolve_numeric(..., samples=n)` as n calls, one per sample, and
+`fig2_numeric` reads `sim fig2`'s RK4 columns from it; `sampled_trajectory`
+is the same trajectory as the loop over samples that the factor
+accumulations replaced.
 `run_window_reference` is the readout window's per-electron block loop, the
 stream `protocol.run_window` must reproduce bit for bit, and
 `collect_events` collects either one's per-electron columns.
@@ -145,37 +146,50 @@ def flip_probability(omega0, detuning, effective_duration):
     return ratio ** 2 * np.sin(half) ** 2
 
 
+def chained(rho: np.ndarray, rates: DecoherenceRates, h: float, dt: float,
+            n: int) -> np.ndarray:
+    """n calls of `evolve_numeric` over h, each from the last one's state."""
+    states = []
+    for _ in range(n):
+        rho = evolve_numeric(rho, rates, h, dt)
+        states.append(rho)
+    return np.array(states)
+
+
 def fig2_numeric(rho: np.ndarray, rates: DecoherenceRates,
                  times: np.ndarray, dt: float) -> np.ndarray:
-    """fig2's numeric columns (rho_uu, |rho_ud|, rho_dd) on `times`, one
-    `evolve_numeric` call per sample from the previous one: the loop that
+    """fig2's numeric columns (rho_uu, |rho_ud|, rho_dd) on the uniform grid
+    `times`, from `chained` calls: the loop that
     `evolve_numeric(..., samples=n)` replaced in `sim fig2`."""
-    num = np.empty((len(times), 3))
-    num[0] = [rho[0, 0].real, abs(rho[0, 1]), rho[1, 1].real]
-    for i in range(1, len(times)):
-        step = times[i] - times[i - 1]
-        rho = evolve_numeric(rho, rates, t=step, dt=dt)
-        num[i] = [rho[0, 0].real, abs(rho[0, 1]), rho[1, 1].real]
-    return num
+    states = chained(rho, rates, times[1] - times[0], dt, len(times) - 1)
+    return np.array([[s[0, 0].real, abs(s[0, 1]), s[1, 1].real]
+                     for s in [rho, *states]])
 
 
 def sampled_trajectory(rho: np.ndarray, rates: DecoherenceRates, t: float,
                        dt: float, samples: int) -> np.ndarray:
     """`evolve_numeric(rho, rates, t, dt, samples=samples)` one sample at a
-    time: each sample applies the interval's cached RK4 maps to the last
-    state and re-Hermitizes it, then checks it. A map is applied as
+    time: rho's Hermitian part, then each sample applies the interval's
+    cached RK4 maps to the last state and checks it. Each map is the matrix
+    diag(a, c, c, 1) with b at [3, 0], from `_rk4_map`'s factors, applied as
     elementwise products summed in index order, not `@`, so that no BLAS
     kernel's order of operations enters the oracle."""
     h = t / samples
     n_full = int(h // dt)
     remainder = h - n_full * dt
     rho = rho.astype(complex)
+    rho = 0.5 * (rho + rho.conj().T)
     trace = (rho[0, 0] + rho[1, 1]).real
     states = np.empty((samples, 2, 2), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        maps = [_rk4_map(rates, dt, n_full)[0]]
+        factors = [_rk4_map(rates, dt, n_full)]
         if remainder > 1e-12:
-            maps.append(_rk4_map(rates, remainder)[0])
+            factors.append(_rk4_map(rates, remainder))
+        maps = []
+        for a, c, c2, b in factors:
+            m = np.diag([a, c, c2, 1.0]).astype(complex)
+            m[3, 0] = b
+            maps.append(m)
         for k in range(samples):
             vec = rho.ravel()
             for m in maps:
@@ -183,8 +197,7 @@ def sampled_trajectory(rho: np.ndarray, rates: DecoherenceRates, t: float,
                 for j in range(1, 4):
                     out = out + m[:, j] * vec[j]
                 vec = out
-            rho = vec.reshape(2, 2)
-            states[k] = rho = 0.5 * (rho + rho.conj().T)
+            states[k] = rho = vec.reshape(2, 2)
             uu, dd = rho[0, 0].real, rho[1, 1].real
             drift, trace = abs(uu + dd - trace), uu + dd
             if not drift <= 1e-6:

@@ -11,7 +11,7 @@ from fullerene_readout.dynamics import (SIGMA_Z, DecoherenceRates, PulseSpec,
                                         imperfect_flip_state, lindblad_rhs,
                                         rabi_factors, rabi_transfer)
 from fullerene_readout.errors import NumericFailure
-from reference import (SIGMA_X, driven_evolution, rabi_pulse,
+from reference import (SIGMA_X, chained, driven_evolution, rabi_pulse,
                        sampled_trajectory, validate_density_matrix)
 
 RATES = DecoherenceRates()  # gamma0 = 4e-4, gammap = 0.04
@@ -122,6 +122,14 @@ class TestAnalyticEvolution:
         with pytest.raises(ValueError):
             analytic_free_evolution(imperfect_flip_state(0.1), RATES, -1.0)
 
+    def test_nan_time_rejected_infinite_time_relaxed(self):
+        rho0 = imperfect_flip_state(0.1)
+        for t in (math.nan, [1.0, math.nan]):
+            with pytest.raises(ValueError, match="^t: must be non-negative$"):
+                analytic_free_evolution(rho0, RATES, t)
+        out = analytic_free_evolution(rho0, RATES, math.inf)
+        assert np.array_equal(out, np.diag([0.0, 1.0]))
+
 
 class TestNumericEvolution:
     def test_matches_analytic_oracle(self):
@@ -158,18 +166,22 @@ class TestNumericEvolution:
             evolve_numeric(imperfect_flip_state(0.1), RATES, 1.0, 0.1,
                            samples=0)
 
+    @pytest.mark.parametrize("t, dt, field", [
+        (1.0, math.inf, "dt: must be positive and finite"),
+        (1.0, math.nan, "dt: must be positive and finite"),
+        (1.0, -math.inf, "dt: must be positive and finite"),
+        (math.nan, 0.1, "t: must be non-negative and finite"),
+        (math.inf, 0.1, "t: must be non-negative and finite"),
+        (math.nan, math.nan, "dt: must be positive and finite")])
+    @pytest.mark.parametrize("samples", [None, 10])
+    def test_non_finite_times_name_their_field(self, t, dt, field, samples):
+        with pytest.raises(ValueError, match=f"^{field}$"):
+            evolve_numeric(imperfect_flip_state(0.1), RATES, t, dt,
+                           samples=samples)
+
     def test_nan_state_fails(self):
         with pytest.raises(NumericFailure):
             evolve_numeric(np.full((2, 2), np.nan, complex), RATES, 1.0, 0.1)
-
-
-def chained(rho, rates, h, dt, n):
-    """n calls of `evolve_numeric` over h, each from the last one's state."""
-    states = []
-    for _ in range(n):
-        rho = evolve_numeric(rho, rates, h, dt)
-        states.append(rho)
-    return np.array(states)
 
 
 def same_trajectory(rho, rates, t, dt, n):
@@ -246,7 +258,7 @@ class TestSampledTrajectory:
             rates = DecoherenceRates(gamma0=rng.uniform(0, 0.5),
                                      gammap=rng.uniform(0, 2.0))
             assert not same_trajectory(rho, rates, 100.0, 0.1, 100)
-            # not Hermitian: the first sample re-Hermitizes it
+            # not Hermitian: its Hermitian part is integrated
             rho = rho + 1e-3j * rng.standard_normal((2, 2))
             assert not same_trajectory(rho, rates, 5.0, 0.01, 20)
 
@@ -260,25 +272,48 @@ class TestSampledTrajectory:
         assert same_trajectory(imperfect_flip_state(0.1), rates, 1000.0,
                                0.1, 1000)
 
+    def test_non_hermitian_state_is_its_hermitian_part(self):
+        rng = np.random.default_rng(24)
+        for _ in range(20):
+            rho = (random_density_2x2(rng)
+                   + 1e-3j * rng.standard_normal((2, 2)))
+            part = 0.5 * (rho + rho.conj().T)
+            rates = DecoherenceRates(gamma0=rng.uniform(0, 0.5),
+                                     gammap=rng.uniform(0, 2.0))
+            for t, dt, samples in [(1.0, 0.1, None), (5.0, 0.01, None),
+                                   (5.0, 0.01, 20), (100.0, 0.1, 100)]:
+                assert np.array_equal(
+                    evolve_numeric(rho, rates, t, dt, samples=samples),
+                    evolve_numeric(part, rates, t, dt, samples=samples))
+
     def test_map_is_four_real_factors(self):
+        basis = np.eye(4, dtype=complex).reshape(-1, 2, 2)
+        on_pattern = np.zeros((4, 4), bool)
+        on_pattern[[0, 1, 2, 3, 3], [0, 1, 2, 0, 3]] = True
         for rates in GRID_RATES + [DecoherenceRates(gamma0=27.86),
                                    DecoherenceRates(1e-6, 2.5e-7)]:
             for dt, n in [(0.1, 9), (0.1, 1), (0.0125, 0), (0.125, 8)]:
-                matrix, factors = _rk4_map(rates, dt, n)
+                # the n-step map, column j the image of basis matrix j under
+                # n four-stage steps, independently of `_rk4_map`
+                images = list(basis)
+                for _ in range(n):
+                    images = [explicit_rk4_step(e, rates, dt) for e in images]
+                matrix = np.stack([e.ravel() for e in images], -1)
+                assert (matrix[~on_pattern] == 0).all() and matrix[3, 3] == 1
+                factors = _rk4_map(rates, dt, n)
+                np.testing.assert_allclose(
+                    factors, matrix[[0, 1, 2, 3], [0, 1, 2, 0]],
+                    rtol=1e-12, atol=0)
                 a, c, c2, b = factors
-                want = np.zeros((4, 4))
-                want[0, 0], want[1, 1], want[2, 2], want[3, 0] = a, c, c2, b
-                want[3, 3] = 1.0
-                assert np.array_equal(matrix, want) and c == c2
-                assert a > 0 and c > 0 and np.isfinite(b)
+                assert c == c2 and a > 0 and c > 0 and np.isfinite(b)
         # an overflowed map, where infinities met the zeros, has NaN factors
         with np.errstate(over="ignore", invalid="ignore"):
-            matrix, factors = _rk4_map(DecoherenceRates(gammap=1e10), 0.1, 9)
-        assert not np.isfinite(matrix).all() and np.isnan(factors).all()
+            factors = _rk4_map(DecoherenceRates(gammap=1e10), 0.1, 9)
+        assert np.isnan(factors).all()
 
 
 class TestTransferMap:
-    """evolve_numeric applies RK4 as a cached matrix; check it against the
+    """evolve_numeric applies RK4 as cached factors; check it against the
     four-stage step itself."""
 
     def test_one_step_is_explicit_rk4(self):
