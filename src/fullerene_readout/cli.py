@@ -34,8 +34,9 @@ from .protocol import (EVENT_COLUMNS, MAX_EVENT_CYCLES, classify,
                        fidelity_sweep, resonance_frequency, run_window,
                        sweep_states, write_events_csv)
 from .records import RecordWriter
-from .spin_core import (check_weak_coupling, eigenenergies, transition_table,
-                        vibration_shift, zeeman_separation)
+from .spin_core import (REQUIRED_SEPARATION_MHZ, check_weak_coupling,
+                        eigenenergies, transition_table, vibration_shift,
+                        zeeman_separation)
 
 _FIG2_DT = 0.1   # ns, RK4 step of fig2's numeric cross-check
 
@@ -194,7 +195,8 @@ def cmd_sweep(config: SimulationConfig, manifest: Manifest, args) -> str:
 def cmd_mechanics(config: SimulationConfig, manifest: Manifest, args) -> str:
     shift = vibration_shift(config.constants, config.mechanics)
     sep = zeeman_separation(config.constants, config.mechanics)
-    ok = sep >= 127.0
+    ok = sep >= REQUIRED_SEPARATION_MHZ
+    need = f"{REQUIRED_SEPARATION_MHZ:g} MHz"
     manifest.extra.update(vibration_shift_m=shift.shift,
                           shift_ratio=shift.ratio, zeeman_separation_mhz=sep,
                           separation_ok=ok)
@@ -204,7 +206,7 @@ def cmd_mechanics(config: SimulationConfig, manifest: Manifest, args) -> str:
             f"{config.mechanics.coulomb_shift:.4g} m\n"
             f"ratio dz / reference = {shift.ratio:.4g}\n"
             f"Zeeman separation = {sep:.4g} MHz "
-            f"({'>=127 MHz satisfied' if ok else 'below 127 MHz'})")
+            f"({f'>={need} satisfied' if ok else f'below {need}'})")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -118,13 +118,17 @@ def analytic_free_evolution(rho0: np.ndarray, rates: DecoherenceRates,
     rho_uu(t) = rho_uu(0) e^{-gamma0 t}, rho_dd = 1 - rho_uu,
     rho_ud(t) = rho_ud(0) e^{-(gamma0/2 + 4 gammap) t}.
     t may be an array of times; the result then has shape t.shape + (2, 2).
+    A decay is 1 where the rate or t is 0, even at t = inf or an infinite
+    rate, and 0 where rate * t overflows: its exact limit, with no warning.
     """
     t = np.asarray(t, dtype=float)
     require((t >= 0).all(), "t", "must be non-negative")
     if rho0.shape != (2, 2):
         raise ValueError("analytic solution is for the reduced 2x2 state")
-    p_up = rho0[0, 0].real * np.exp(-rates.gamma0 * t)
-    coh = rho0[0, 1] * np.exp(-rates.coherence_rate * t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_up, coh = (np.where((t == 0) | (rate == 0), 1.0, np.exp(-rate * t))
+                     for rate in (rates.gamma0, rates.coherence_rate))
+    p_up, coh = rho0[0, 0].real * p_up, rho0[0, 1] * coh
     return np.stack([np.stack([p_up, coh], -1),
                      np.stack([coh.conjugate(), 1.0 - p_up], -1)], -2)
 
@@ -189,6 +193,7 @@ def evolve_numeric(rho0: np.ndarray, rates: DecoherenceRates, t: float,
         raise ValueError("samples must be positive")
     n = 1 if samples is None else samples
     h = t / n
+    require(h // dt < math.inf, "dt", "too small: t / dt overflows")
     n_full = int(h // dt)
     remainder = h - n_full * dt
     rho = rho0.astype(complex)

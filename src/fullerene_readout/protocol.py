@@ -13,12 +13,11 @@ window of cycles yields a detector count that classifies the inside spin.
 The electrons of a window are independent given the config, so a window is
 drawn as numpy arrays, `_BLOCK` electrons at a time, from one
 `numpy.random.Generator(PCG64(seed))`. Per block the draws are, in order: the
-source spin, the dwell (a half-normal below t0 when t0 == cycle_period, a
-normal otherwise, with the entries outside (0, cycle_period] redrawn until
-all lie in it) and the drain Bernoulli. Per-electron records, when asked
-for, go to a sink block by block, as columns (`TunnelEvents`), as soon as
-the block is drawn. The window keeps none of them, so its memory is that of
-one block whatever the number of cycles.
+source spin, the dwell (none at alpha = 0; see `_draw_dwell`) and the drain
+Bernoulli. Per-electron records, when asked for, go to a sink block by
+block, as numbered columns (`TunnelEvents`), as soon as the block is drawn.
+The window keeps none of them, so its memory is that of one block whatever
+the number of cycles.
 
 An electron's detuning takes one of two values per window: the interrogated
 line for a spin-down electron, the leak line for a leaked spin-up one. So the
@@ -141,9 +140,9 @@ class InsideSpinState:
 
 @dataclass(frozen=True, eq=False)
 class TunnelEvents:
-    """Per-electron audit columns of one block of a window; row i is the
-    block's i-th cycle."""
+    """A block of a window's per-electron audit log, in EVENT_COLUMNS order."""
 
+    cycle: np.ndarray       # the electron's cycle number in the window
     dwell: np.ndarray       # ns
     spin_up: np.ndarray     # bool: the source filter passed a spin-up
     flip_prob: np.ndarray   # pulse transfer probability, before relaxation
@@ -183,26 +182,24 @@ def resonance_frequency(inside: InsideSpinState, sys: SystemParams) -> float:
 
 def _draw_dwell(params: TunnelingParams, rng: np.random.Generator,
                 n: int) -> np.ndarray:
-    """n dwell draws from Normal(t0, (alpha*t0)^2), alpha > 0, truncated to
-    (0, cycle_period]: each draw outside it is redrawn until all lie inside.
-
-    At t0 == cycle_period the truncation cuts the normal at its mean, so the
-    dwell is the half-normal t0 - sigma*|Z| from `standard_normal`, and only
-    a dwell <= 0 is redrawn (probability 2 Phi(-1/alpha)). Otherwise the
-    draws come from `normal(t0, sigma)`."""
+    """n dwell draws from Normal(t0, (alpha*t0)^2) truncated to
+    (0, cycle_period], all t0 at alpha == 0: each draw t0 + sigma*Z (the
+    float `normal(t0, sigma)` gives) outside it is redrawn until all lie
+    inside. At t0 == cycle_period the cut is at the mean, so Z is folded to
+    -|Z|: the half-normal t0 - sigma*|Z|, where only a dwell <= 0 is redrawn
+    (probability 2 Phi(-1/alpha))."""
     t0, cycle_period = params.t0, params.cycle_period
+    if params.alpha == 0.0:
+        return np.full(n, float(t0))
     sigma = params.alpha * t0
-    if t0 == cycle_period:
-        def draw(k):
-            z = rng.standard_normal(k)
-            # sigma*|Z| may overflow to inf; that dwell is -inf, which is
-            # <= 0 and redrawn, so the draw stays exact.
-            with np.errstate(over="ignore"):
-                np.multiply(np.abs(z, out=z), sigma, out=z)
-            return np.subtract(t0, z, out=z)
-    else:
-        def draw(k):
-            return rng.normal(t0, sigma, k)
+    def draw(k):
+        z = rng.standard_normal(k)
+        if t0 == cycle_period:
+            np.negative(np.abs(z, out=z), out=z)
+        # an overflow is an infinite dwell, redrawn: the draw stays exact
+        with np.errstate(over="ignore"):
+            np.multiply(z, sigma, out=z)
+            return np.add(t0, z, out=z)
     dwell = draw(n)
     redraw = np.flatnonzero((dwell <= 0.0) | (dwell > cycle_period))
     while redraw.size:
@@ -259,12 +256,11 @@ def run_window(inside: InsideSpinState, pulse: PulseSpec, sys: SystemParams,
     for start in range(0, n_cycles, _BLOCK):
         n = min(_BLOCK, n_cycles - start)
         spin_up = rng.random(n) < params.p_leak_source
+        dwell = _draw_dwell(params, rng, n)
         if constant_dwell:
             line = spin_up.view(np.uint8)
-            dwell = None
             flip, p_pass = line_flip.take(line), line_pass.take(line)
         else:
-            dwell = _draw_dwell(params, rng, n)
             flip, p_pass = _outcomes(spin_up, dwell, factors, pulse, params,
                                      rates)
         if not np.isfinite(flip).all():
@@ -273,9 +269,8 @@ def run_window(inside: InsideSpinState, pulse: PulseSpec, sys: SystemParams,
         passed = rng.random(n) < p_pass
         n_passed += int(np.count_nonzero(passed))
         if sink is not None:
-            if dwell is None:
-                dwell = np.full(n, float(params.t0))
-            sink(TunnelEvents(dwell, spin_up, flip, passed))
+            sink(TunnelEvents(np.arange(start, start + n), dwell, spin_up,
+                              flip, passed))
     return CurrentTrace(n_cycles=n_cycles, n_passed=n_passed)
 
 
@@ -358,10 +353,8 @@ def fidelity_sweep(encoding: str, sys: SystemParams, rates: DecoherenceRates,
 
 
 def write_events_csv(log, events: TunnelEvents) -> None:
-    """Append one block to the per-electron audit log: `log` is a
-    `records.RecordWriter` opened on EVENT_COLUMNS (cycle,dwell_ns,spin_in,
-    flip_prob,passed), or anything with `rows` and `write(columns)`."""
-    start = log.rows
-    log.write([range(start, start + events.dwell.size), events.dwell,
+    """Append one block to the per-electron audit log `log`, a
+    `records.RecordWriter` opened on EVENT_COLUMNS or any `write(columns)`."""
+    log.write([events.cycle, events.dwell,
                np.where(events.spin_up, "up", "down"), events.flip_prob,
-               events.passed.astype(np.uint8)])
+               events.passed.view(np.uint8)])

@@ -20,8 +20,8 @@ this is exact. A field is computed as words, one integer per row holding up
 to 8 of its bytes (the first byte least significant), and each word is
 stored with one strided copy into the matrix, which the writer keeps from
 block to block. ASCII string arrays are encoded directly, and so are
-integer arrays and ranges whose every value in the block lies in 0..10^8 - 1,
-each value one word of its digits; any other non-float column goes through
+integer arrays whose every value in the block lies in 0..10^8 - 1, each
+value one word of its digits; any other non-float column goes through
 `str(v)`.
 
 Floats are exact. With X = floor(log10|x|) in -99..11, m = |x| *
@@ -278,8 +278,6 @@ def _integers(values: np.ndarray) -> list | None:
 def _encode(block):
     """One column block as its pieces, (words or byte matrix, byte count)
     in order, and the rows that Python formats with their text, if any."""
-    if isinstance(block, range):
-        block = np.arange(block.start, block.stop, block.step, dtype=np.int64)
     if isinstance(block, np.ndarray):
         if block.dtype.kind == "f":
             return _floats(block)
@@ -318,7 +316,7 @@ def _put(rows: np.ndarray, offset: int, piece: np.ndarray, nbytes: int):
 
 def _csv_column(column):
     """A float list as a float array; any other column as it is."""
-    if not isinstance(column, (np.ndarray, range)) and all(
+    if not isinstance(column, np.ndarray) and all(
             isinstance(v, float) for v in column):
         return np.array(column, dtype=np.float64)
     return column
@@ -368,7 +366,6 @@ class RecordWriter:
     def __init__(self, path: str | Path, names):
         self.path = Path(path)
         self.names = list(names)
-        self.rows = 0               # rows written so far
         self.sha256: str | None = None
         self._jsonl = self.path.suffix == ".jsonl"
         self._digest = hashlib.sha256()
@@ -411,5 +408,4 @@ class RecordWriter:
             chunks = _csv_chunks(csv_columns, self._text)
         for chunk in chunks:
             self._put(chunk)
-        self.rows += len(columns[0])
 

@@ -185,6 +185,9 @@ def transition_table(params: SystemParams) -> tuple[Transition, ...]:
     return tuple(rows)
 
 
+REQUIRED_SEPARATION_MHZ = 127.0   # Zeeman separation the readout needs
+
+
 def zeeman_separation(constants: PhysicalConstants,
                       mech: MechanicsParams) -> float:
     """Full Zeeman-frequency difference between the two sites, MHz.

@@ -263,7 +263,8 @@ def run_window_reference(inside: InsideSpinState, pulse: PulseSpec,
         passed = rng.random(n) < (1.0 - p_up) + params.p_leak_drain * p_up
         n_passed += int(np.count_nonzero(passed))
         if sink is not None:
-            sink(TunnelEvents(dwell, spin_up, flip, passed))
+            sink(TunnelEvents(np.arange(start, start + n), dwell, spin_up,
+                              flip, passed))
     return CurrentTrace(n_cycles=n_cycles, n_passed=n_passed)
 
 

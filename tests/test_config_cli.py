@@ -570,13 +570,15 @@ class TestExitCodes:
         assert capsys.readouterr().err == ""
         assert caught == []
 
-    # Rates of 1e10 and more overflow the RK4 map to NaN. Past RK4's
-    # stability edge at 0.1 ns (gammap ~6.96, gamma0 ~27.85) the map is
-    # finite, but fig2's alpha 0.1 trajectory leaves the density matrices:
-    # at its first sample for gammap 6.97 and 8, at its third for gamma0 27.86
+    # Rates of 1e10 and more overflow the RK4 map to NaN; at gamma0 1e308
+    # the analytic decay's rate * t overflows too, and decays to 0 silently.
+    # Past RK4's stability edge at 0.1 ns (gammap ~6.96, gamma0 ~27.85) the
+    # map is finite, but fig2's alpha 0.1 trajectory leaves the density
+    # matrices: at its first sample for gammap 6.97 and 8, at its third for
+    # gamma0 27.86
     @pytest.mark.parametrize("rates", [{"gammap": 1e10}, {"gamma0": 1e300},
                                        {"gammap": 8}, {"gammap": 6.97},
-                                       {"gamma0": 27.86}])
+                                       {"gamma0": 27.86}, {"gamma0": 1e308}])
     def test_overflowing_rk4_map_is_numeric_failure(self, rates, tmp_path,
                                                      capsys):
         failure = ("trace drifted by nan" if max(rates.values()) >= 1e10

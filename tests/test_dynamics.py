@@ -130,6 +130,23 @@ class TestAnalyticEvolution:
         out = analytic_free_evolution(rho0, RATES, math.inf)
         assert np.array_equal(out, np.diag([0.0, 1.0]))
 
+    @pytest.mark.parametrize("t", [0.0, 1e300, math.inf,
+                                   [0.0, 1.0, math.inf]])
+    def test_zero_rates_keep_the_state_at_every_t(self, t):
+        # entries chosen so that 1 - rho_uu is rho_dd exactly
+        rho0 = np.array([[0.75, 0.25 + 0.25j], [0.25 - 0.25j, 0.25]])
+        out = analytic_free_evolution(rho0, DecoherenceRates(0.0, 0.0), t)
+        assert np.array_equal(out, np.broadcast_to(rho0, out.shape))
+
+    def test_overflowing_decay_is_relaxed_silently(self):
+        # gamma0 * t and the coherence rate itself overflow; at t = 0
+        # nothing has decayed yet (warnings are errors in this suite)
+        rho0 = np.array([[0.75, 0.25 + 0.25j], [0.25 - 0.25j, 0.25]])
+        out = analytic_free_evolution(rho0, DecoherenceRates(1e308, 1e308),
+                                      [0.0, 2.0, math.inf])
+        assert np.array_equal(out[0], rho0)
+        assert np.array_equal(out[1:], [np.diag([0.0, 1.0])] * 2)
+
 
 class TestNumericEvolution:
     def test_matches_analytic_oracle(self):
@@ -172,7 +189,9 @@ class TestNumericEvolution:
         (1.0, -math.inf, "dt: must be positive and finite"),
         (math.nan, 0.1, "t: must be non-negative and finite"),
         (math.inf, 0.1, "t: must be non-negative and finite"),
-        (math.nan, math.nan, "dt: must be positive and finite")])
+        (math.nan, math.nan, "dt: must be positive and finite"),
+        (1e30, 1e-300, "dt: too small: t / dt overflows"),
+        (1e308, 5e-324, "dt: too small: t / dt overflows")])
     @pytest.mark.parametrize("samples", [None, 10])
     def test_non_finite_times_name_their_field(self, t, dt, field, samples):
         with pytest.raises(ValueError, match=f"^{field}$"):

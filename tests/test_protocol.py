@@ -303,6 +303,7 @@ class TestRunWindow:
                                    params, RATES, 1)
         assert all(len(col) == trace.n_cycles for col in (
             ev.dwell, ev.spin_up, ev.flip_prob, ev.passed))
+        assert np.array_equal(ev.cycle, np.arange(trace.n_cycles))
         assert np.all((0 < ev.dwell) & (ev.dwell <= params.cycle_period))
         assert ev.passed.sum() == trace.n_passed
 
