@@ -3,9 +3,8 @@
 __version__ = "0.1.0"
 
 from .config import SimulationConfig, config_from_dict, parse_config
-from .dynamics import (DecoherenceRates, PulseSpec, TimeSeries,
-                       analytic_free_evolution, evolve_numeric,
-                       fig2_timeseries, imperfect_flip_state,
+from .dynamics import (DecoherenceRates, PulseSpec, analytic_free_evolution,
+                       evolve_numeric, fig2_timeseries, imperfect_flip_state,
                        lindblad_rhs)
 from .errors import ConfigError, NumericFailure
 from .protocol import (CurrentTrace, InsideSpinState, ReadoutResult,

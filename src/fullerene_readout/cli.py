@@ -80,7 +80,7 @@ class Manifest:
             "artifact_version": __version__,
             "command": self.command,
             "argv": self.argv,
-            "config": self.config.to_dict(),
+            "config": dataclasses.asdict(self.config),
             "duration_s": time.monotonic() - self._start,
             "outputs": [{"path": p.name, "sha256": digest}
                         for p, digest in self.outputs],
@@ -129,9 +129,10 @@ def cmd_fig2(config: SimulationConfig, manifest: Manifest, args) -> str:
     for alpha, name in zip(alphas, names):
         rho = imperfect_flip_state(alpha)
         series = fig2_timeseries(alpha, config.rates)
-        states = evolve_numeric(rho, config.rates, t=series.times[-1],
-                                dt=_FIG2_DT, samples=len(series.times) - 1)
-        num = np.empty((len(series.times), 3))
+        t = series["t_ns"]
+        states = evolve_numeric(rho, config.rates, t=t[-1], dt=_FIG2_DT,
+                                samples=len(t) - 1)
+        num = np.empty((len(t), 3))
         num[0] = [rho[0, 0].real, abs(rho[0, 1]), rho[1, 1].real]
         num[1:, 0] = states[:, 0, 0].real
         # hypot, as the scalar abs(rho[0, 1]) of row 0 computes it; the
@@ -139,12 +140,11 @@ def cmd_fig2(config: SimulationConfig, manifest: Manifest, args) -> str:
         np.hypot(states[:, 0, 1].real, states[:, 0, 1].imag, out=num[1:, 1])
         num[1:, 2] = states[:, 1, 1].real
         del states   # its 64 kB would raise the writer's peak RSS
-        dev = np.max(np.abs(
-            num - np.column_stack([series.P1, series.P2, series.P3])), axis=1)
+        dev = np.max(np.abs(num - np.column_stack(
+            [series["P1"], series["P2"], series["P3"]])), axis=1)
         overall = max(overall, float(dev.max()))
         manifest.add_records(name, {
-            "t_ns": series.times, "P1": series.P1, "P2": series.P2,
-            "P3": series.P3, "P1_numeric": num[:, 0], "P2_numeric": num[:, 1],
+            **series, "P1_numeric": num[:, 0], "P2_numeric": num[:, 1],
             "P3_numeric": num[:, 2], "max_abs_dev": dev})
         report.append(f"alpha={alpha:g}: max analytic/numeric deviation "
                       f"{dev.max():.3e}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .dynamics import DecoherenceRates, PulseSpec
@@ -41,10 +41,6 @@ class SimulationConfig:
                 "expected a non-negative integer")
         require(self.pulse.duration <= self.tunneling.cycle_period,
                 "pulse.duration", "exceeds tunneling.cycle_period")
-
-    def to_dict(self) -> dict:
-        """The resolved config, in the layout of a config document."""
-        return asdict(self)
 
 
 # Each section of the document, in manifest order, and the dataclass it

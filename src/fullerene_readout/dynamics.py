@@ -7,7 +7,7 @@ integrator whose cached transfer map is four real factors, so the end state
 or a sampled trajectory is ufunc accumulations of them), the post-pulse
 imperfect-flip state produced by dwell-time jitter,
 the closed-form transfer probability of a detuned rotating-frame Rabi pulse,
-and the population/coherence time series used for plotting.
+and fig2's analytic columns.
 
 Basis: index 0 = |up>, index 1 = |down>. The dephasing operator is the Pauli
 sigma_z (eigenvalues +/-1), so the coherence dephases at gamma0/2 + 4*gammap.
@@ -73,16 +73,6 @@ class PulseSpec:
     @classmethod
     def calibrated(cls, _carrier=None, **kwargs) -> "PulseSpec":
         return cls(**kwargs)   # perfbench's tests still pass a carrier
-
-
-@dataclass(frozen=True)
-class TimeSeries:
-    """Sampled density-matrix elements: P1 = rho_uu, P2 = |rho_ud|, P3 = rho_dd."""
-
-    times: np.ndarray
-    P1: np.ndarray
-    P2: np.ndarray
-    P3: np.ndarray
 
 
 def imperfect_flip_state(alpha: float) -> np.ndarray:
@@ -254,11 +244,11 @@ def rabi_transfer(amplitude, rate, effective_duration):
     return amplitude * np.sin(rate * effective_duration / 1000.0) ** 2
 
 
-def fig2_timeseries(alpha: float, rates: DecoherenceRates,
-                    t_end: float = 1000.0, dt: float = 1.0) -> TimeSeries:
-    """Free decay of the imperfect-flip state on a uniform grid."""
-    times = np.arange(0.0, t_end + 0.5 * dt, dt)
-    rho = analytic_free_evolution(imperfect_flip_state(alpha), rates,
-                                  times)
-    return TimeSeries(times=times, P1=rho[:, 0, 0].real,
-                      P2=np.abs(rho[:, 0, 1]), P3=rho[:, 1, 1].real)
+def fig2_timeseries(alpha: float, rates: DecoherenceRates) -> dict:
+    """Free decay of the imperfect-flip state every 1 ns over 0..1000 ns:
+    fig2's analytic columns, t_ns, P1 = rho_uu, P2 = |rho_ud| and
+    P3 = rho_dd."""
+    times = np.arange(0.0, 1000.5, 1.0)
+    rho = analytic_free_evolution(imperfect_flip_state(alpha), rates, times)
+    return {"t_ns": times, "P1": rho[:, 0, 0].real,
+            "P2": np.abs(rho[:, 0, 1]), "P3": rho[:, 1, 1].real}

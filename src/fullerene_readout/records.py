@@ -101,13 +101,12 @@ def _float_layouts():
     tail ("e+XX"). '%.12g' writes X = -4..11 in fixed form, with the point
     placed per (X, n); every other X writes one middle per n and differs
     only in its tail. So heads and middles are formatted once per fixed
-    (X, n), once per n for the exponent form and once for the empty row,
-    and `layout` maps each row to its one of those layout rows. `masks`
-    holds six word tables per layout row: the bytes kept from the digits,
+    (X, n), once per n for the exponent form and once for the empty row.
+    `masks` holds six word tables per row: the bytes kept from the digits,
     the bytes taken from the digits moved one byte up to make room for the
     point, and the point, for the first 8 bytes and the next 8; `head` the
-    words of the head per layout row. `tail` holds the words of the tail
-    per row, and `widths` the sizes of the three parts per row."""
+    words of the head per row, `tail` the words of the tail per row, and
+    `widths` the sizes of the three parts per row."""
     fixed = range(-4, 12)
     parts = [re.fullmatch(r"(0\.0*)?([^e]*)e?.*", "%.12g" % (
         float("123456789123"[:n] or 0) * 10.0 ** (x - n + 1))).groups("")
@@ -131,11 +130,12 @@ def _float_layouts():
     rows = [13] * len(xs) + [1]
     widths = np.c_[sizes[layout],
                    np.repeat(np.array([len(t) for t in tail], np.uint8), rows)]
-    return (masks, np.array(head, "S8").view("<u8"), layout,
+    # take, not masks[:, layout], whose rows are strided and slow to take from
+    return (masks.take(layout, 1), np.array(head, "S8").view("<u8")[layout],
             np.repeat(np.array(tail, "S4"), rows).view("<u4"), widths)
 
 
-_MASKS, _HEAD, _LAYOUT, _TAIL, _WIDTHS = _float_layouts()
+_MASKS, _HEAD, _TAIL, _WIDTHS = _float_layouts()
 _EMPTY = len(_TAIL) - 1
 
 
@@ -210,12 +210,12 @@ def _float_rows(values: np.ndarray):
     return w1, w3, row, fallback if any_fallback else None
 
 
-def _place(digits, moved, layout, masks):
+def _place(digits, moved, row, masks):
     """One word of a float's text: the digit bytes kept, the bytes of
     `moved` (the digits one byte up) after the point, and the point."""
-    moved &= masks[1].take(layout)
-    moved |= masks[2].take(layout)
-    kept = masks[0].take(layout)
+    moved &= masks[1].take(row)
+    moved |= masks[2].take(row)
+    kept = masks[0].take(row)
     kept &= digits
     moved |= kept
     return moved
@@ -229,18 +229,17 @@ def _floats(values: np.ndarray):
     used = np.zeros(len(_TAIL), bool)
     used[row] = True
     head, middle, tail = _WIDTHS[used].max(0).tolist()
-    layout = _LAYOUT.take(row)
     pieces = []
     sign = np.signbit(values)
     if sign.any():
         pieces.append((sign.view(np.uint8) * np.uint8(ord("-")), 1))
     if head:
-        pieces.append((_HEAD.take(layout), head))
+        pieces.append((_HEAD.take(row), head))
     if middle > 8:
         moved = w3 << np.uint64(8)
         moved |= w1 >> np.uint64(56)
-        high = _place(w3, moved, layout, _MASKS[3:])
-    pieces.append((_place(w1, w1 << np.uint64(8), layout, _MASKS[:3]),
+        high = _place(w3, moved, row, _MASKS[3:])
+    pieces.append((_place(w1, w1 << np.uint64(8), row, _MASKS[:3]),
                    min(middle, 8)))
     if middle > 8:
         pieces.append((high, middle - 8))

@@ -115,20 +115,20 @@ def test_criterion_05_fig2_properties():
         start = time.monotonic()
         target = RATES.gamma0 / 2 + 4 * RATES.gammap
         for alpha in (0.1, 0.2):
-            ts = fig2_timeseries(alpha, RATES, t_end=1000.0, dt=1.0)
+            ts = fig2_timeseries(alpha, RATES)
             # (a) exponential rate of the coherence
-            mask = ts.P2 > 1e-300
-            slope = np.polyfit(ts.times[:60][mask[:60]],
-                               np.log(ts.P2[:60][mask[:60]]), 1)[0]
+            mask = ts["P2"] > 1e-300
+            slope = np.polyfit(ts["t_ns"][:60][mask[:60]],
+                               np.log(ts["P2"][:60][mask[:60]]), 1)[0]
             assert -slope == pytest.approx(target, rel=5e-3)
             # (b) coherence is gone within 50 ns
-            i50 = int(np.searchsorted(ts.times, 50.0))
-            assert ts.P2[i50] / ts.P2[0] < 4e-4
+            i50 = int(np.searchsorted(ts["t_ns"], 50.0))
+            assert ts["P2"][i50] / ts["P2"][0] < 4e-4
             # (c) the flip signature survives to 1000 ns
-            assert ts.P1[-1] > ts.P3[-1]
+            assert ts["P1"][-1] > ts["P3"][-1]
         ts = fig2_timeseries(0.2, RATES)
-        assert ts.P1[-1] == pytest.approx(0.6063, abs=1e-4)
-        assert ts.P3[-1] == pytest.approx(0.3937, abs=1e-4)
+        assert ts["P1"][-1] == pytest.approx(0.6063, abs=1e-4)
+        assert ts["P3"][-1] == pytest.approx(0.3937, abs=1e-4)
         assert time.monotonic() - start < 5.0
 
 

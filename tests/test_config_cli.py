@@ -7,7 +7,7 @@ import sys
 import time
 import tracemalloc
 import warnings
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +18,7 @@ from fullerene_readout.cli import Manifest, main
 from fullerene_readout.config import (_SECTIONS, SimulationConfig,
                                       config_from_dict, parse_config)
 from fullerene_readout.dynamics import (DecoherenceRates, PulseSpec,
+                                        analytic_free_evolution,
                                         fig2_timeseries, imperfect_flip_state)
 from fullerene_readout.errors import ConfigError, NumericFailure
 from fullerene_readout.protocol import (_BLOCK, MAX_EVENT_CYCLES,
@@ -107,7 +108,7 @@ class TestConfig:
         path.write_text(json.dumps({"system": {"J": 25.0}, "seed": 11}))
         cfg = parse_config(path)
         assert cfg.system.J == 25.0 and cfg.seed == 11
-        assert cfg.to_dict()["system"]["J"] == 25.0
+        assert asdict(cfg)["system"]["J"] == 25.0
 
     def test_invalid_json_is_validation_error(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -116,18 +117,18 @@ class TestConfig:
             parse_config(path)
 
     def test_every_key_round_trips_in_order(self):
-        defaults = config_from_dict({}).to_dict()
+        defaults = asdict(config_from_dict({}))
         for name, section in EVERY_KEY.items():
             if isinstance(section, dict):
                 assert all(v != defaults[name][k] for k, v in section.items())
             else:
                 assert section != defaults[name]
-        assert (json.dumps(config_from_dict(EVERY_KEY).to_dict())
+        assert (json.dumps(asdict(config_from_dict(EVERY_KEY)))
                 == json.dumps(EVERY_KEY))
 
     def test_section_fields_are_its_keys(self):
         # a section dataclass holds its config keys and nothing else
-        doc = config_from_dict({}).to_dict()
+        doc = asdict(config_from_dict({}))
         for name, cls in _SECTIONS.items():
             assert [f.name for f in fields(cls)] == list(doc[name]), name
 
@@ -140,7 +141,7 @@ class TestConfig:
         block = json.loads(
             re.search(r"```json\n(.*?)```", readme, re.S).group(1))
         assert config_from_dict(block) == config_from_dict({})
-        defaults = config_from_dict({}).to_dict()
+        defaults = asdict(config_from_dict({}))
         defaults["pulse"]["omega0"] = None   # null: calibrated from duration
         assert block == defaults
 
@@ -259,6 +260,25 @@ class TestFig2Command:
         devs = [float(ln.split(",")[-1]) for ln in lines[1:]]
         assert max(devs) < 1e-8
 
+    def test_analytic_columns_are_the_written_table(self, tmp_path):
+        # fig2_timeseries hands over the CSV's first four columns, in order,
+        # each the closed form on the 1 ns grid bit for bit
+        assert run_cli("fig2", "--alphas", "0,0.05,0.5", "--out",
+                       str(tmp_path)) == 0
+        times = np.arange(0.0, 1001.0)
+        for alpha in (0.0, 0.05, 0.5):
+            path = tmp_path / f"fig2_alpha_{alpha:g}.csv"
+            header = path.read_text().splitlines()[0].split(",")
+            for rates in (DecoherenceRates(), DecoherenceRates(0.5, 3.0)):
+                series = fig2_timeseries(alpha, rates)
+                assert list(series) == header[:4]
+                rho = analytic_free_evolution(imperfect_flip_state(alpha),
+                                              rates, times)
+                expected = [times, rho[:, 0, 0].real, np.abs(rho[:, 0, 1]),
+                            rho[:, 1, 1].real]
+                for (name, column), want in zip(series.items(), expected):
+                    assert column.tobytes() == want.tobytes(), name
+
     @pytest.mark.parametrize("alphas,why", [
         (",", "must be non-empty"), ("0.1,1.5", r"must lie in \[0, 1\)"),
         ("0.1,0.1000001", r"two values would write fig2_alpha_0\.1\.csv"),
@@ -287,9 +307,9 @@ class TestFig2Command:
             columns = written[f"fig2_alpha_{alpha:g}.csv"]
             series = fig2_timeseries(alpha, DecoherenceRates())
             num = fig2_numeric(imperfect_flip_state(alpha),
-                               DecoherenceRates(), series.times, 0.1)
+                               DecoherenceRates(), series["t_ns"], 0.1)
             dev = np.max(np.abs(num - np.column_stack(
-                [series.P1, series.P2, series.P3])), axis=1)
+                [series["P1"], series["P2"], series["P3"]])), axis=1)
             for i, name in enumerate(["P1", "P2", "P3"]):
                 assert np.array_equal(columns[f"{name}_numeric"], num[:, i])
             assert np.array_equal(columns["max_abs_dev"], dev)
