@@ -100,6 +100,6 @@ def parse_config(path: str | Path | None) -> SimulationConfig:
     text = Path(path).read_text()   # missing file propagates as io-error
     try:
         raw = json.loads(text) if text.strip() else {}
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"invalid JSON: {exc}") from exc
     return config_from_dict(raw)

@@ -11,18 +11,18 @@ The sha256 of the file is taken from the bytes as they are written, so no
 output is read back to be hashed. A write that fails, for any reason,
 removes its file: no partial output is left behind.
 
-CSV text is built `_ROWS` rows at a time in numpy, into one `uint8` matrix
-with a row per record. Each field owns a span of bytes in every row, as wide
-as its widest value in the block: a shorter value leaves NULs in its span,
-and dropping every NUL at the end leaves exactly the fields. Text fields
-carry no NUL of their own (they come from code or argparse choices), so
-this is exact. A field is computed as words, one integer per row holding up
-to 8 of its bytes (the first byte least significant), and each word is
-stored with one strided copy into the matrix, which the writer keeps from
-block to block. ASCII string arrays are encoded directly, and so are
-integer arrays whose every value in the block lies in 0..10^8 - 1, each
-value one word of its digits; any other non-float column goes through
-`str(v)`.
+CSV text is built a block at a time, as `write` is handed it, in numpy, into
+one `uint8` matrix with a row per record. Each field owns a span of bytes in
+every row, as wide as its widest value in the block: a shorter value leaves
+NULs in its span, and dropping every NUL at the end leaves exactly the
+fields. Text fields carry no NUL of their own (they come from code or
+argparse choices), so this is exact. A field is computed as words, one
+integer per row holding up to 8 of its bytes (the first byte least
+significant), and each word is stored with one strided copy into the matrix,
+which the writer keeps from block to block. ASCII string arrays are encoded
+directly, and so are integer arrays whose every value in the block lies in
+0..10^8 - 1, each value one word of its digits; any other non-float column
+goes through `str(v)`.
 
 Floats are exact. With X = floor(log10|x|) in -99..11, m = |x| *
 10^(11 - X) is one correctly rounded product of |x| and the correctly
@@ -52,11 +52,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericFailure
-
-# CSV rows encoded per write. A block holds a few hundred bytes of words and
-# text per row, so this bounds the memory a write takes whatever the number
-# of rows.
-_ROWS = 16384
 
 _ZERO = ord("0")
 _X_MIN, _X_MAX = -99, 12      # X after a carry, within the power table
@@ -321,33 +316,32 @@ def _csv_column(column):
     return column
 
 
-def _csv_chunks(columns, text: bytearray):
-    """The CSV rows as bytes, one chunk per block of `_ROWS` rows. Each
-    block is built in `text`, a buffer kept from block to block."""
+def _csv_text(columns, text: bytearray) -> bytes:
+    """The CSV rows of one block as bytes, built in `text`, a buffer kept
+    from block to block."""
+    fields = [_encode(c) for c in columns]
+    width = len(fields) + sum(nbytes for pieces, _ in fields
+                              for _, nbytes in pieces)
+    size = len(columns[0]) * width
+    if len(text) < size:
+        text.extend(bytes(size - len(text)))
+    del text[size:]                     # every byte left is written below
+    rows = np.frombuffer(text, np.uint8).reshape(-1, width)
     separators = [ord(",")] * (len(columns) - 1) + [ord("\n")]
-    for start in range(0, len(columns[0]), _ROWS):
-        fields = [_encode(c[start:start + _ROWS]) for c in columns]
-        width = len(fields) + sum(nbytes for pieces, _ in fields
-                                  for _, nbytes in pieces)
-        size = min(_ROWS, len(columns[0]) - start) * width
-        if len(text) < size:
-            text.extend(bytes(size - len(text)))
-        del text[size:]                 # every byte left is written below
-        rows = np.frombuffer(text, np.uint8).reshape(-1, width)
-        offset = 0
-        for (pieces, patch), separator in zip(fields, separators):
-            begin = offset
-            for piece, nbytes in pieces:
-                _put(rows, offset, piece, nbytes)
-                offset += nbytes
-            if patch is not None:
-                index, chars = patch
-                rows[index, begin:offset] = 0
-                rows[index, begin:begin + chars.shape[1]] = chars
-            rows[:, offset] = separator
-            offset += 1
-        del fields, rows
-        yield text.translate(None, b"\0")
+    offset = 0
+    for (pieces, patch), separator in zip(fields, separators):
+        begin = offset
+        for piece, nbytes in pieces:
+            _put(rows, offset, piece, nbytes)
+            offset += nbytes
+        if patch is not None:
+            index, chars = patch
+            rows[index, begin:offset] = 0
+            rows[index, begin:begin + chars.shape[1]] = chars
+        rows[:, offset] = separator
+        offset += 1
+    del fields, rows    # freed first, so that the copy can reuse them
+    return text.translate(None, b"\0")
 
 
 class RecordWriter:
@@ -401,10 +395,9 @@ class RecordWriter:
                 raise NumericFailure(f"{self.path.name}: {name} is not "
                                      "finite")
         if self._jsonl:
-            chunks = (json.dumps(dict(zip(self.names, row))).encode() + b"\n"
-                      for row in zip(*columns))
-        else:
-            chunks = _csv_chunks(csv_columns, self._text)
-        for chunk in chunks:
-            self._put(chunk)
+            for row in zip(*columns):
+                self._put(json.dumps(dict(zip(self.names, row))).encode()
+                          + b"\n")
+        elif len(csv_columns[0]):
+            self._put(_csv_text(csv_columns, self._text))
 

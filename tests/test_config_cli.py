@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fullerene_readout import protocol, records
+from fullerene_readout import protocol
 from fullerene_readout.cli import Manifest, main
 from fullerene_readout.config import (_SECTIONS, SimulationConfig,
                                       config_from_dict, parse_config)
@@ -46,6 +46,10 @@ EVERY_KEY = {
     "mechanics": {"gradient": 2e6, "spacing": 1.2e-9, "coulomb_shift": 5e-12},
     "seed": 9,
 }
+
+
+# A JSON document nested past the decoder's recursion limit
+TOO_DEEP = "[" * 100000 + "]" * 100000
 
 
 class TestConfig:
@@ -112,9 +116,10 @@ class TestConfig:
 
     def test_invalid_json_is_validation_error(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text("{nope")
-        with pytest.raises(ConfigError):
-            parse_config(path)
+        for text in ["{nope", TOO_DEEP]:
+            path.write_text(text)
+            with pytest.raises(ConfigError, match="^invalid JSON: "):
+                parse_config(path)
 
     def test_every_key_round_trips_in_order(self):
         defaults = asdict(config_from_dict({}))
@@ -489,6 +494,15 @@ class TestExitCodes:
     def test_negative_seed_rejected(self, tmp_path):
         assert run_cli("table", "--seed", "-1", "--out", str(tmp_path)) == 1
 
+    def test_config_nested_too_deeply_is_validation_error(self, tmp_path,
+                                                          capsys):
+        cfg, out = tmp_path / "deep.json", tmp_path / "o"
+        cfg.write_text(TOO_DEEP)
+        assert run_cli("table", "--config", str(cfg), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(
+            "validation error: invalid JSON")
+        assert not out.exists()
+
     # argparse's usage errors exit 1 like any other bad input, before the
     # output directory is made
     @pytest.mark.parametrize("argv,named", [
@@ -681,11 +695,9 @@ class TestEventStreaming:
         small, large = peak(10**5), peak(10**6)
         assert large <= 1.5 * small, (small, large)
 
-    @pytest.mark.parametrize("rows", [records._ROWS, 1000])
     @pytest.mark.parametrize("t0", [150.0, 140.0])
     @pytest.mark.parametrize("alpha", [0.0, 0.1])
-    def test_block_boundaries_do_not_show(self, alpha, t0, rows, tmp_path,
-                                          monkeypatch):
+    def test_block_boundaries_do_not_show(self, alpha, t0, tmp_path):
         doc = {"seed": 11, "tunneling": {
             **self.LEAKY, "alpha": alpha, "t0": t0,
             "window": 150.0 * (_BLOCK + 123)}}
@@ -699,7 +711,6 @@ class TestEventStreaming:
             "cycle": range(ev.dwell.size), "dwell_ns": ev.dwell,
             "spin_in": np.where(ev.spin_up, "up", "down"),
             "flip_prob": ev.flip_prob, "passed": ev.passed.astype(np.uint8)})
-        monkeypatch.setattr(records, "_ROWS", rows)
         code, out = self.readout(tmp_path, doc)
         assert code == 0
         assert (out / "events.csv").read_bytes() == want.read_bytes()

@@ -98,6 +98,8 @@ class TestLindbladRhs:
             lindblad_rhs(eight, RATES)
         with pytest.raises(ValueError):
             evolve_numeric(eight, RATES, 1.0, 0.1)
+        with pytest.raises(ValueError, match="reduced 2x2 state"):
+            analytic_free_evolution(eight, RATES, 1.0)
 
 
 class TestAnalyticEvolution:

@@ -15,11 +15,19 @@ from fullerene_readout.records import RecordWriter
 from reference import template_csv
 
 
-def assert_same_bytes(columns):
+def assert_same_bytes(columns, rows=None):
+    """`columns` give the template's bytes, written in one write or, given
+    `rows`, in successive writes of `rows` rows."""
     with tempfile.TemporaryDirectory() as tmp:
         got, want = Path(tmp, "got.csv"), Path(tmp, "want.csv")
         with RecordWriter(got, columns) as out:
-            out.write(columns.values())
+            if rows is None:
+                out.write(columns.values())
+            else:
+                n = len(next(iter(columns.values())))
+                for start in range(0, n, rows):
+                    out.write(c[start:start + rows]
+                              for c in columns.values())
         template_csv(want, columns)
         assert got.read_bytes() == want.read_bytes()
 
@@ -72,11 +80,10 @@ def test_integer_edges_match_template():
         "cross": range(10**8 - 4, 10**8 + 5)})
 
 
-def block_scale_columns():
-    """Columns of 2 * _ROWS + 1 rows, so they are written as two full
-    blocks and a one-row block, each with its own field widths and sign
+def block_scale_columns(rows):
+    """Columns of 2 * rows + 1 rows, so that writes of `rows` rows are two
+    full blocks and a one-row block, each with its own field widths and sign
     decisions."""
-    rows = records._ROWS
     n = 2 * rows + 1
     rng = np.random.default_rng(15)
     specials = [m * 10.0**k for k in range(-101, 36)
@@ -118,8 +125,8 @@ def block_scale_columns():
 
 
 def test_blocks_at_scale_match_template():
-    columns = block_scale_columns()
-    rows = records._ROWS
+    rows = 16384
+    columns = block_scale_columns(rows)
     blocks = [slice(0, rows), slice(rows, 2 * rows), slice(2 * rows, None)]
     assert [int((columns["one_negative"][b] < 0).sum()) for b in blocks] \
         == [1, 0, 0]
@@ -127,7 +134,7 @@ def test_blocks_at_scale_match_template():
             ].count(True) == 1
     assert ["e" in "%.12g" % v for v in columns["one_exponent"][blocks[0]]
             ].count(True) == 0
-    assert_same_bytes(columns)
+    assert_same_bytes(columns, rows)
 
 
 def test_powers_are_correctly_rounded():
@@ -207,9 +214,7 @@ def column_sets(draw):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(columns=column_sets(), rows=st.integers(1, 5))
 def test_blocks_match_template(columns, rows):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(records, "_ROWS", rows)
-        assert_same_bytes(columns)
+    assert_same_bytes(columns, rows)
 
 
 def test_csv_fields_by_column_type(tmp_path):
@@ -221,14 +226,6 @@ def test_csv_fields_by_column_type(tmp_path):
     assert path.read_text() == ("i,x,y,s,seed\n"
                                 "0,0.333333333333,2,up,12345678901234\n"
                                 "1,1e-20,-0.5,down,0\n")
-
-
-def test_csv_written_in_blocks(tmp_path, monkeypatch):
-    monkeypatch.setattr(records, "_ROWS", 2)
-    path = tmp_path / "r.csv"
-    with RecordWriter(path, ["i", "x"]) as out:
-        out.write([range(5), np.arange(5) / 4])
-    assert path.read_text() == "i,x\n0,0\n1,0.25\n2,0.5\n3,0.75\n4,1\n"
 
 
 def test_jsonl_rows(tmp_path):
@@ -258,6 +255,7 @@ def test_blocks_write_as_one(tmp_path, name):
         whole.write([[1, 2, 3], [0.5, 1e-20, 3.0]])
     with RecordWriter(blocks, ["i", "x"]) as out:
         out.write([[1], [0.5]])
+        out.write([[], []])
         out.write([[2, 3], [1e-20, 3.0]])
     assert out.sha256 == whole.sha256
     assert blocks.read_bytes() == one.read_bytes()
