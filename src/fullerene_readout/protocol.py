@@ -22,13 +22,24 @@ the number of cycles.
 An electron's detuning takes one of two values per window: the interrogated
 line for a spin-down electron, the leak line for a leaked spin-up one. So the
 pulse's detuning-only factors (`dynamics.rabi_factors`) are computed once per
-window, on the two lines, and gathered per electron by spin; only the
-time-dependent part (`dynamics.rabi_transfer`) is evaluated per electron.
-With alpha = 0 every dwell is exactly t0, so the flip and drain-pass
-probabilities take one value per line as well: they are evaluated once per
-window, and a block draws its two uniform arrays and gathers. Both give the
-same floats as evaluating every electron on its own; the test suite holds
-the window to that per-electron loop, kept in its reference module.
+window, on the two lines, and gathered per electron by spin. With alpha = 0
+every dwell is exactly t0, so the flip and drain-pass probabilities take one
+value per line as well: they are evaluated once per window, and a block
+draws its two uniform arrays and gathers. A jittered block evaluates the
+time-dependent part (`dynamics.rabi_transfer`) per electron; with no sink,
+where no flip probability is logged, only for the electrons its drain
+uniforms u leave undecided. A spin-down electron on a line of amplitude a
+passes whatever its dwell when u < fl(1 - a), less a few ulps
+(`_sure_pass`): the float sin^2 is at most 1 and the relaxation factor at
+most 1, so its pass probability (1 - p_up) + p_leak_drain * p_up is at
+least fl(1 - a), and the drain leak only adds. Off resonance a is 5.7e-4
+(outer) or 5.1e-3 (inner), so a block evaluates its leaked electrons and
+about a fraction a of the rest; on resonance a = 1, and it evaluates all.
+A block whose phase at its longest dwell overflows is evaluated in full, so
+the overflow failure fires exactly when some electron's phase overflows.
+Every path gives the counts, and where it evaluates the floats, of
+evaluating each electron on its own; the test suite holds the window to
+that per-electron loop, kept in its reference module.
 
 Model assumption: the dwell is Normal(t0, (alpha t0)^2) truncated to
 (0, cycle_period]. With the defaults t0 == cycle_period the truncation cuts
@@ -208,6 +219,14 @@ def _draw_dwell(params: TunnelingParams, rng: np.random.Generator,
     return dwell
 
 
+def _sure_pass(amplitude: float) -> float:
+    """The drain uniform below which a spin-down electron passes whatever
+    its dwell, for its line's `rabi_factors` amplitude: fl(1 - amplitude)
+    (see the module docstring), four ulps of 1 lower for a sin or exp that
+    is off by a few ulps. Negative on resonance: no electron is sure."""
+    return float(1.0 - amplitude) - 4 * np.finfo(float).eps
+
+
 def _outcomes(spin_up: np.ndarray, dwell: np.ndarray, factors: tuple,
               pulse: PulseSpec, params: TunnelingParams,
               rates: DecoherenceRates) -> tuple[np.ndarray, np.ndarray]:
@@ -252,21 +271,38 @@ def run_window(inside: InsideSpinState, pulse: PulseSpec, sys: SystemParams,
         line_flip, line_pass = _outcomes(np.array([False, True]),
                                          np.full(2, float(params.t0)),
                                          factors, pulse, params, rates)
+    sure = _sure_pass(factors[0][0])
     n_passed = 0
     for start in range(0, n_cycles, _BLOCK):
         n = min(_BLOCK, n_cycles - start)
         spin_up = rng.random(n) < params.p_leak_source
         dwell = _draw_dwell(params, rng, n)
+        u = rng.random(n)
         if constant_dwell:
             line = spin_up.view(np.uint8)
             flip, p_pass = line_flip.take(line), line_pass.take(line)
         else:
+            if sink is None and sure > 0.0:
+                # Spin-down electrons with u below `sure` pass unevaluated,
+                # unless the interrogated line's phase at the block's longest
+                # dwell overflows: a phase grows with the dwell, so
+                # otherwise no skipped phase overflows.
+                undecided = u >= sure
+                undecided |= spin_up
+                todo = np.flatnonzero(undecided)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    phase = factors[1][0] * (dwell.max() * pulse.duration
+                                             / params.t0)
+                if todo.size < n and np.isfinite(phase):
+                    n_passed += n - todo.size
+                    spin_up, dwell, u = (a.take(todo)
+                                         for a in (spin_up, dwell, u))
             flip, p_pass = _outcomes(spin_up, dwell, factors, pulse, params,
                                      rates)
         if not np.isfinite(flip).all():
             raise NumericFailure("pulse phase overflows: the pulse lasts "
                                  "too long for its Rabi frequency")
-        passed = rng.random(n) < p_pass
+        passed = u < p_pass
         n_passed += int(np.count_nonzero(passed))
         if sink is not None:
             sink(TunnelEvents(np.arange(start, start + n), dwell, spin_up,

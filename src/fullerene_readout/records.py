@@ -4,12 +4,13 @@
 blocks of named columns of equal length (lists, ranges or numpy arrays),
 encoding and writing each block as it arrives, so a file of any length is
 written in the memory of one block. A CSV field is `'%.12g' % v` for a
-float column (a float array, or a list of floats only) and `str(v)` for any
-other. JSONL rows are `json.dumps` of Python values. A block whose float
-column holds a NaN or an infinity is refused before any of it is written.
-The sha256 of the file is taken from the bytes as they are written, so no
-output is read back to be hashed. A write that fails, for any reason,
-removes its file: no partial output is left behind.
+float, in a float array or in a list, and `str(v)` for any other value, so
+a list that mixes types writes alike in one write or in several. JSONL
+rows are `json.dumps` of Python values. A block whose float column holds a
+NaN or an infinity is refused before any of it is written. The sha256 of
+the file is taken from the bytes as they are written, so no output is read
+back to be hashed. A write that fails, for any reason, removes its file: no
+partial output is left behind.
 
 CSV text is built a block at a time, as `write` is handed it, in numpy, into
 one `uint8` matrix with a row per record. Each field owns a span of bytes in
@@ -22,7 +23,7 @@ significant), and each word is stored with one strided copy into the matrix,
 which the writer keeps from block to block. ASCII string arrays are encoded
 directly, and so are integer arrays whose every value in the block lies in
 0..10^8 - 1, each value one word of its digits; any other non-float column
-goes through `str(v)`.
+is formatted by Python, value by value.
 
 Floats are exact. With X = floor(log10|x|) in -99..11, m = |x| *
 10^(11 - X) is one correctly rounded product of |x| and the correctly
@@ -135,8 +136,10 @@ _EMPTY = len(_TAIL) - 1
 
 
 def _texts(values) -> np.ndarray:
-    """`str(v)` of each value, UTF-8, as a NUL-padded byte matrix."""
-    data = np.array([str(v).encode() for v in values], dtype=bytes)
+    """Each value's field, `'%.12g' % v` for a float and `str(v)` for any
+    other, UTF-8, as a NUL-padded byte matrix."""
+    data = np.array([("%.12g" % v if isinstance(v, float) else str(v))
+                     .encode() for v in values], dtype=bytes)
     return data.view(np.uint8).reshape(len(data), -1)
 
 
@@ -243,7 +246,7 @@ def _floats(values: np.ndarray):
     if fallback is None:
         return pieces, None
     index = np.flatnonzero(fallback)
-    text = _texts("%.12g" % v for v in values[index].tolist())
+    text = _texts(values[index].tolist())
     pad = text.shape[1] - sum(nbytes for _, nbytes in pieces)
     zeros = np.zeros(len(values), np.uint64)
     pieces += [(zeros, min(8, pad - i)) for i in range(0, pad, 8)]

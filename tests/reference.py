@@ -279,18 +279,14 @@ def collect_events(run, *args) -> tuple[CurrentTrace, TunnelEvents]:
 
 
 def template_csv(path, columns):
-    """The row-template writer the block encoder replaced, kept as its
-    oracle: one `%.12g`/`%s` line template filled per row."""
-    def spec(column):
-        if isinstance(column, np.ndarray):
-            floats = column.dtype.kind == "f"
-        else:
-            floats = all(isinstance(v, float) for v in column)
-        return "%.12g" if floats else "%s"
+    """A plain row-by-row CSV writer, kept as the block encoder's oracle:
+    `'%.12g' % v` of each float and `str(v)` of any other value."""
+    def field(v):
+        return "%.12g" % v if isinstance(v, float) else str(v)
 
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
-        line = ",".join(spec(c) for c in columns.values()) + "\n"
         block = [c.tolist() if isinstance(c, np.ndarray) else c
                  for c in columns.values()]
-        fh.writelines(map(line.__mod__, zip(*block)))
+        fh.writelines(",".join(map(field, row)) + "\n"
+                      for row in zip(*block))

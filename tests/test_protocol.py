@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import warnings
 from dataclasses import fields, replace
@@ -14,7 +15,8 @@ from fullerene_readout.errors import NumericFailure
 from fullerene_readout.protocol import (_BLOCK, EVENT_COLUMNS, CurrentTrace,
                                         InsideSpinState, TunnelEvents,
                                         TunnelingParams, _draw_dwell,
-                                        classify, fidelity_sweep,
+                                        _outcomes, _sure_pass, classify,
+                                        fidelity_sweep,
                                         leak_resonance_frequency,
                                         outside_flip_frequency,
                                         resonance_frequency, run_window,
@@ -424,6 +426,52 @@ class TestStreamGuard:
             warnings.simplefilter("error")
             with pytest.raises(NumericFailure, match="pulse phase overflows"):
                 run_window(OUTER_DOWN, pulse, SYS, params, RATES, 0)
+
+
+class TestSurePass:
+    """A no-sink jittered window lets a spin-down electron whose drain
+    uniform lies below `_sure_pass` of its line's amplitude pass
+    unevaluated; that is exact only if no pass probability lies below it."""
+
+    @pytest.mark.parametrize("amplitude", [0.0, 5.7e-4, 5.1e-3, 0.5,
+                                           1.0 - 2.0**-53, 1.0])
+    def test_spin_down_pass_probability_bounded_below(self, amplitude):
+        pulse = PulseSpec()
+        # dwells across (0, cycle_period], and dwell == duration, where the
+        # relaxation factor is exactly 1
+        dwell = np.append(np.linspace(0.0, 150.0, 10_001)[1:],
+                          pulse.duration)
+        spin_up = np.zeros(dwell.size, bool)
+        sure = _sure_pass(amplitude)
+        lowest = 1.0
+        # t0 < cycle_period over-rotates; at the first rate, the default
+        # pulse's on resonance, sin^2 reaches 1
+        for t0, gamma0, leak in itertools.product(
+                (150.0, 140.0), (0.0, RATES.gamma0), (0.0, 0.05, 0.3)):
+            params = TunnelingParams(t0=t0, p_leak_drain=leak)
+            rates = DecoherenceRates(gamma0, RATES.gammap)
+            for rate in np.pi * np.array([500.0 / 140.0, 500.0 / t0, 150.0,
+                                          1234.5]):
+                factors = (np.full(2, amplitude), np.full(2, rate))
+                _, p_pass = _outcomes(spin_up, dwell, factors, pulse,
+                                      params, rates)
+                assert p_pass.min() >= sure, (t0, gamma0, leak, rate)
+                lowest = min(lowest, p_pass.min())
+        # the grid reaches the bound's argument itself
+        assert lowest == 1.0 - amplitude
+
+    def test_jittered_overflow_on_a_line_no_electron_takes(self):
+        # dwell ~ 1 +/- 0.05 ns: the off state's interrogated line keeps a
+        # finite phase, the leak line's overflows, and most electrons pass
+        # unevaluated
+        params = TunnelingParams(t0=1.0, alpha=0.01, cycle_period=3.5e305,
+                                 window=4e307)
+        pulse = PulseSpec(duration=3.5e305)
+        TestStreamGuard.assert_same_window(OUTER_DOWN, pulse, params, seed=0)
+        leaky = replace(params, p_leak_source=0.5)
+        for run in (run_window, run_window_reference):
+            with pytest.raises(NumericFailure, match="pulse phase overflows"):
+                run(OUTER_DOWN, pulse, SYS, leaky, RATES, 0)
 
 
 class TestClassify:

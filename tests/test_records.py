@@ -55,7 +55,11 @@ def test_float_edges_match_template():
     top = [999999999999.4, 999999999999.6, 1.5e12]
     values = EDGES + NEAR_TIES + BOUNDS + top
     values = np.array(values + [-v for v in values])
-    assert_same_bytes({"x": values, "y": values.tolist()})
+    # a list that mixes ints and floats, in one write and row by row
+    mixed = [k if k % 2 else v for k, v in enumerate(values.tolist())]
+    for rows in (None, 1):
+        assert_same_bytes({"x": values, "y": values.tolist(), "m": mixed},
+                          rows)
     text = [("%.12g" % v) for v in values.tolist()]
     assert text[:3] == ["0", "-0", "4.94065645841e-324"]
     assert text[6:10] == ["100000000000", "1e+12", "1e+12", "1e+16"]
