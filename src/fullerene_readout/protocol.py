@@ -46,6 +46,14 @@ Model assumption: the dwell is Normal(t0, (alpha t0)^2) truncated to
 the normal at its mean: no electron outstays t0, every jittered pulse is
 under-rotated, and there is no overshoot.
 
+Model assumption: a leaked spin-up electron is detuned from the leak line
+`leak_resonance_frequency` = 2 nu1 + J/2, the inside spin's flip line at
+m2 = +1/2, while a spin-down one is detuned from the interrogated line.
+`spin_core.level_energy` gives an outside flip 2 nu2 + J m1 in either
+direction, so nothing in the level scheme derives the leak line; it stays
+until the benchmark's oracle, which pins it, can move with it (ROADMAP
+Open item 12).
+
 Population bookkeeping uses the closed forms of the rotating-frame pulse
 (`dynamics.rabi_factors` and `rabi_transfer`) and of the field-free
 relaxation; the test suite cross-checks both against the matrix forms in its

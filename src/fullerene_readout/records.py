@@ -6,11 +6,11 @@ encoding and writing each block as it arrives, so a file of any length is
 written in the memory of one block. A CSV field is `'%.12g' % v` for a
 float, in a float array or in a list, and `str(v)` for any other value, so
 a list that mixes types writes alike in one write or in several. JSONL
-rows are `json.dumps` of Python values. A block whose float column holds a
-NaN or an infinity is refused before any of it is written. The sha256 of
-the file is taken from the bytes as they are written, so no output is read
-back to be hashed. A write that fails, for any reason, removes its file: no
-partial output is left behind.
+rows are `json.dumps` of Python values. A block that holds a NaN or an
+infinity, in a float array or anywhere in a list, is refused before any of
+it is written. The sha256 of the file is taken from the bytes as they are
+written, so no output is read back to be hashed. A write that fails, for
+any reason, removes its file: no partial output is left behind.
 
 CSV text is built a block at a time, as `write` is handed it, in numpy, into
 one `uint8` matrix with a row per record. Each field owns a span of bytes in
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -393,8 +394,12 @@ class RecordWriter:
         columns = list(columns)
         csv_columns = [_csv_column(c) for c in columns]
         for name, column in zip(self.names, csv_columns):
-            if isinstance(column, np.ndarray) and column.dtype.kind == "f" \
-                    and not np.isfinite(column).all():
+            if isinstance(column, np.ndarray):
+                finite = column.dtype.kind != "f" or np.isfinite(column).all()
+            else:   # each float of a list, whatever else it holds
+                finite = all(math.isfinite(v) for v in column
+                             if isinstance(v, float))
+            if not finite:
                 raise NumericFailure(f"{self.path.name}: {name} is not "
                                      "finite")
         if self._jsonl:

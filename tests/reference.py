@@ -31,6 +31,7 @@ from fullerene_readout.protocol import (_BLOCK, CurrentTrace, InsideSpinState,
                                         TunnelEvents, TunnelingParams,
                                         leak_resonance_frequency)
 from fullerene_readout.spin_core import SystemParams, outside_flip_frequency
+from outputs import text
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -279,14 +280,10 @@ def collect_events(run, *args) -> tuple[CurrentTrace, TunnelEvents]:
 
 
 def template_csv(path, columns):
-    """A plain row-by-row CSV writer, kept as the block encoder's oracle:
-    `'%.12g' % v` of each float and `str(v)` of any other value."""
-    def field(v):
-        return "%.12g" % v if isinstance(v, float) else str(v)
-
+    """Row by row, each value's `outputs.text`: the block encoder's oracle."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
         block = [c.tolist() if isinstance(c, np.ndarray) else c
                  for c in columns.values()]
-        fh.writelines(",".join(map(field, row)) + "\n"
+        fh.writelines(",".join(map(text, row)) + "\n"
                       for row in zip(*block))

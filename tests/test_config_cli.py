@@ -25,6 +25,7 @@ from fullerene_readout.protocol import (_BLOCK, MAX_EVENT_CYCLES,
                                         InsideSpinState, TunnelingParams)
 from fullerene_readout.spin_core import (MechanicsParams, PhysicalConstants,
                                          SystemParams)
+from outputs import check_run
 from reference import (collect_events, fig2_numeric, run_window_reference,
                        template_csv)
 
@@ -174,21 +175,6 @@ def run_cli(*args):
 
 def never(*args, **kwargs):
     raise AssertionError("run_window reached")
-
-
-def assert_table(out, stem, header):
-    """`stem.csv` in `out` has exactly the header line `header`, and each
-    row of `stem.jsonl` has its keys, in order, and gives each field's
-    text: '%.12g' of a float, str of anything else."""
-    lines = (out / f"{stem}.csv").read_text().splitlines()
-    assert lines[0] == header
-    rows = [json.loads(line)
-            for line in (out / f"{stem}.jsonl").read_text().splitlines()]
-    assert len(rows) == len(lines) - 1
-    for row, line in zip(rows, lines[1:]):
-        assert ",".join(row) == header
-        assert [("%.12g" % v if isinstance(v, float) else str(v))
-                for v in row.values()] == line.split(","), line
 
 
 SMALL = {"tunneling": {"window": 3e5, "alpha": 0.1}}
@@ -350,9 +336,10 @@ class TestReadoutCommand:
         assert len(events) == 2001
         summary = json.loads((out / "readout.jsonl").read_text())
         assert summary["classified_m1"] == -1.5
-        assert_table(out, "readout", "true_m1,encoding,interrogation_mhz,"
-                     "n_cycles,counts_on,baseline,threshold,classified_m1,"
-                     "contrast,seed")
+        assert (out / "readout.csv").read_text().startswith(
+            "true_m1,encoding,interrogation_mhz,n_cycles,counts_on,baseline,"
+            "threshold,classified_m1,contrast,seed\n")
+        check_run(out)
 
     def test_inner_interrogation_frequency_recorded(self, small_cfg,
                                                     tmp_path):
@@ -441,8 +428,9 @@ class TestSweepCommand:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert len(lines) == 17     # 4 cells x 4 states
         assert all(line.split(",")[6] == "0" for line in lines[1:])
-        assert_table(out, "sweep", "alpha,p_leak,encoding,true_m1,trials,"
-                     "misclassified,rate,base_seed")
+        assert lines[0] == ("alpha,p_leak,encoding,true_m1,trials,"
+                            "misclassified,rate,base_seed")
+        check_run(out)
 
     def test_empty_grid_is_validation_error(self, small_cfg, tmp_path,
                                             capsys):
@@ -787,9 +775,7 @@ class TestManifest:
         assert run_cli(*argv, "--config", str(cfg), "--out", str(out)) == 0
         doc = json.loads((out / "manifest.json").read_text())
         assert [entry["path"] for entry in doc["outputs"]] == paths
-        for entry in doc["outputs"]:
-            data = (out / entry["path"]).read_bytes()
-            assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+        check_run(out)
 
     @pytest.mark.parametrize("argv", [
         ["table"], ["fig2", "--alphas", "0,0.3"],
@@ -812,6 +798,34 @@ class TestManifest:
         redo = json.loads((again / "manifest.json").read_text())
         assert redo["outputs"] == doc["outputs"]
         assert redo["config"] == doc["config"]
+
+
+class TestCheckRun:
+    # a real run passes `outputs.check_run`, and a mutant per rule fails it;
+    # all but the digest's update the manifest, so that their rule fires
+    @pytest.mark.parametrize("name,pattern,new,message", [
+        # a trailing zero, which '%.12g' never writes after the point
+        ("events.csv", r"(,down,[^,]*)\d,", r"\g<1>0,", "row 1, flip_prob"),
+        ("events.csv", r",1\n", ",1.0\n", r"row \d+, passed"),
+        ("readout.csv", ",", ";", "not as .* lists"),
+        ("stray.csv", "^", "x\n", "not as .* lists"),
+        ("readout.jsonl", '"counts_on": ', '"counts_on": 1', "row 1, counts"),
+        ("events.csv", r"[^\n]*\n\Z", "", "1999 rows, not 2000"),
+        ("events.csv", r",down,[^,]*,", ",down,nan,", "row 1, flip_prob")],
+        ids=["digit", "integer", "digest", "stray", "jsonl", "rows", "nan"])
+    def test_mutant_rejected(self, name, pattern, new, message, tmp_path):
+        code, out = TestEventStreaming.readout(tmp_path, SMALL)
+        assert code == 0 and len(check_run(out)) == 4
+        path = out / name
+        text = path.read_text() if path.exists() else ""
+        path.write_text(re.sub(pattern, new, text, count=1))
+        doc = json.loads((out / "manifest.json").read_text())
+        for entry in doc["outputs"] if name != "readout.csv" else []:
+            data = (out / entry["path"]).read_bytes()
+            entry["sha256"] = hashlib.sha256(data).hexdigest()
+        (out / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(AssertionError, match=f"^{name}: {message}"):
+            check_run(out)
 
 
 class TestOutputDirSelection:

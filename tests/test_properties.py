@@ -1,13 +1,11 @@
 """Property test over generated config documents and command lines.
 
 Whatever the document and argv, `sim` returns 0, 1, 2 or 3 and raises
-nothing, not even argparse's SystemExit; on exit 0 every number it wrote
-(CSV, JSONL, manifest) is finite, and on any other code its output directory
-is absent or empty. Windows are kept to at most 2,000 cycles so each run is
-short.
+nothing, not even argparse's SystemExit; on exit 0 its output directory
+keeps the rules of `outputs.check_run`, and on any other code it is absent
+or empty. Windows are kept to at most 2,000 cycles so each run is short.
 """
 
-import csv
 import json
 import math
 import tempfile
@@ -18,6 +16,7 @@ from hypothesis import strategies as st
 
 from fullerene_readout.cli import main
 from fullerene_readout.config import _SECTIONS, _defaults
+from outputs import check_run
 
 MAX_WINDOW_CYCLES = 2000
 
@@ -90,40 +89,6 @@ def command_lines(draw):
     return argv
 
 
-def _numbers(value):
-    if isinstance(value, dict):
-        for v in value.values():
-            yield from _numbers(v)
-    elif isinstance(value, list):
-        for v in value:
-            yield from _numbers(v)
-    elif isinstance(value, float):
-        yield value
-
-
-def _reject_constant(name):
-    raise AssertionError(f"non-finite JSON constant {name}")
-
-
-def assert_outputs_finite(out: Path) -> None:
-    for path in out.iterdir():
-        if path.suffix == ".csv":
-            with open(path, newline="") as fh:
-                for row in csv.reader(fh):
-                    for cell in row:
-                        try:
-                            value = float(cell)
-                        except ValueError:
-                            continue
-                        assert math.isfinite(value), (path.name, row)
-        else:
-            lines = (path.read_text().splitlines()
-                     if path.suffix == ".jsonl" else [path.read_text()])
-            for line in lines:
-                doc = json.loads(line, parse_constant=_reject_constant)
-                assert all(map(math.isfinite, _numbers(doc))), path.name
-
-
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(doc=documents(), argv=command_lines())
@@ -135,6 +100,6 @@ def test_any_input_exits_cleanly_with_finite_outputs(doc, argv):
         code = main([*argv, "--config", str(cfg), "--out", str(out)])
         assert code in (0, 1, 2, 3)
         if code == 0:
-            assert_outputs_finite(out)
+            check_run(out)
         else:   # a refused run leaves nothing behind
             assert not out.exists() or not any(out.iterdir())

@@ -241,7 +241,8 @@ def test_jsonl_rows(tmp_path):
 
 
 @pytest.mark.parametrize("name", ["r.csv", "r.jsonl"])
-@pytest.mark.parametrize("column", [[1.0, math.inf], np.array([math.nan])])
+@pytest.mark.parametrize("column", [[1.0, math.inf], np.array([math.nan]),
+                                    [1, math.inf], [1, math.nan]])
 def test_non_finite_float_column_refused(tmp_path, name, column):
     path = tmp_path / name
     with pytest.raises(NumericFailure, match=f"{name}: x is not finite"):
