@@ -75,7 +75,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -157,8 +157,7 @@ class InsideSpinState:
                 f"'{self.encoding}'")
 
 
-@dataclass(frozen=True, eq=False)
-class TunnelEvents:
+class TunnelEvents(NamedTuple):
     """A block of a window's per-electron audit log, in EVENT_COLUMNS order."""
 
     cycle: np.ndarray       # the electron's cycle number in the window
@@ -168,16 +167,14 @@ class TunnelEvents:
     passed: np.ndarray      # bool: counted at the drain
 
 
-@dataclass(frozen=True)
-class CurrentTrace:
+class CurrentTrace(NamedTuple):
     """Detector-count record for one readout window."""
 
     n_cycles: int
     n_passed: int
 
 
-@dataclass(frozen=True)
-class ReadoutResult:
+class ReadoutResult(NamedTuple):
     classified: InsideSpinState
     baseline: float    # expected off-resonant clicks
     contrast: float    # (baseline - n_passed) / (baseline + n_passed)
@@ -187,8 +184,10 @@ class ReadoutResult:
 def leak_resonance_frequency(sys: SystemParams) -> float:
     """Resonance relevant to a leaked spin-up electron, 2 nu1 + J/2 (MHz).
 
-    With a nonzero gradient this sits at least 2*delta away from either
-    interrogation frequency, so leaked electrons are far off resonance.
+    An encoding's interrogation line, 2 nu2 + J |m1|, lies 2 delta +
+    J (|m1| - 1/2) above it: 2 delta + J for outer, 2 delta for inner. So
+    leaked electrons are far off resonance at the defaults, but the outer
+    gap closes at J = -2 delta, which the config accepts.
     """
     return 2.0 * sys.nu1 + 0.5 * sys.J
 

@@ -20,10 +20,11 @@ fields. Text fields carry no NUL of their own (they come from code or
 argparse choices), so this is exact. A field is computed as words, one
 integer per row holding up to 8 of its bytes (the first byte least
 significant), and each word is stored with one strided copy into the matrix,
-which the writer keeps from block to block. ASCII string arrays are encoded
-directly, and so are integer arrays whose every value in the block lies in
-0..10^8 - 1, each value one word of its digits; any other non-float column
-is formatted by Python, value by value.
+which the writer keeps from block to block. Float arrays are encoded as
+below; ASCII string arrays are encoded directly, and so are integer arrays
+whose every value in the block lies in 0..10^8 - 1, each one word of digits. A
+list (the tables of a few rows) and any other array are formatted by Python,
+value by value.
 
 Floats are exact. With X = floor(log10|x|) in -99..11, m = |x| *
 10^(11 - X) is one correctly rounded product of |x| and the correctly
@@ -312,14 +313,6 @@ def _put(rows: np.ndarray, offset: int, piece: np.ndarray, nbytes: int):
         nbytes -= size
 
 
-def _csv_column(column):
-    """A float list as a float array; any other column as it is."""
-    if not isinstance(column, np.ndarray) and all(
-            isinstance(v, float) for v in column):
-        return np.array(column, dtype=np.float64)
-    return column
-
-
 def _csv_text(columns, text: bytearray) -> bytes:
     """The CSV rows of one block as bytes, built in `text`, a buffer kept
     from block to block."""
@@ -392,8 +385,7 @@ class RecordWriter:
     def write(self, columns) -> None:
         """Append one block of rows: `columns` in the order of `names`."""
         columns = list(columns)
-        csv_columns = [_csv_column(c) for c in columns]
-        for name, column in zip(self.names, csv_columns):
+        for name, column in zip(self.names, columns):
             if isinstance(column, np.ndarray):
                 finite = column.dtype.kind != "f" or np.isfinite(column).all()
             else:   # each float of a list, whatever else it holds
@@ -406,6 +398,6 @@ class RecordWriter:
             for row in zip(*columns):
                 self._put(json.dumps(dict(zip(self.names, row))).encode()
                           + b"\n")
-        elif len(csv_columns[0]):
-            self._put(_csv_text(csv_columns, self._text))
+        elif len(columns[0]):
+            self._put(_csv_text(columns, self._text))
 

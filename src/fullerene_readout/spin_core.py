@@ -89,8 +89,7 @@ class MechanicsParams:
         require(self.coulomb_shift > 0, "coulomb_shift", "must be positive")
 
 
-@dataclass(frozen=True)
-class EnergyLevel:
+class EnergyLevel(NamedTuple):
     """One (m1, m2) product level and its energy in MHz."""
 
     m1: float
@@ -98,8 +97,7 @@ class EnergyLevel:
     energy: float
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     """A selection-rule-allowed transition between product levels."""
 
     initial: tuple[float, float]   # (m1, m2)

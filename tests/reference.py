@@ -19,7 +19,6 @@ encoder in `records`. Test modules import them with `from reference import
 from __future__ import annotations
 
 import math
-from dataclasses import fields
 
 import numpy as np
 
@@ -275,8 +274,8 @@ def collect_events(run, *args) -> tuple[CurrentTrace, TunnelEvents]:
     blocks = []
     trace = run(*args, blocks.append)
     return trace, TunnelEvents(*(
-        np.concatenate([getattr(b, f.name) for b in blocks])
-        for f in fields(TunnelEvents)))
+        np.concatenate([getattr(b, name) for b in blocks])
+        for name in TunnelEvents._fields))
 
 
 def template_csv(path, columns):

@@ -2,7 +2,7 @@ import hashlib
 import itertools
 import math
 import warnings
-from dataclasses import fields, replace
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -22,7 +22,8 @@ from fullerene_readout.protocol import (_BLOCK, EVENT_COLUMNS, CurrentTrace,
                                         resonance_frequency, run_window,
                                         sweep_states, write_events_csv)
 from fullerene_readout.records import RecordWriter
-from fullerene_readout.spin_core import SystemParams
+from fullerene_readout.spin_core import (SystemParams, eigenenergies,
+                                        transition_table)
 from reference import (SIGMA_X, collect_events, driven_evolution,
                        flip_probability, rabi_pulse, run_window_reference)
 
@@ -132,10 +133,13 @@ class TestFrequencies:
             InsideSpinState(0.5, "inner"), p)
 
     def test_leak_resonance_is_far_detuned(self):
-        for state in (OUTER_UP, INNER_UP):
-            detuning = (resonance_frequency(state, SYS)
-                        - leak_resonance_frequency(SYS))
-            assert detuning >= 2 * SYS.delta - 1e-9
+        # 2 delta + J (|m1| - 1/2): 77 MHz for outer at J = -50, delta = 63.5
+        for J, delta in itertools.product((50.0, -50.0), (63.5, -63.5)):
+            sys = replace(SYS, nu2=SYS.nu1 + delta, J=J)
+            for state in (OUTER_UP, INNER_UP):
+                detuning = (resonance_frequency(state, sys)
+                            - leak_resonance_frequency(sys))
+                assert detuning == 2 * delta + J * (state.m1 - 0.5)
 
 
 class TestInsideSpinState:
@@ -149,6 +153,17 @@ class TestInsideSpinState:
         with pytest.raises(ValueError,
                            match="^encoding: must be 'outer' or 'inner'$"):
             InsideSpinState(1.5, "sideways")
+
+
+class TestResultRecords:
+    def test_results_refuse_assignment(self):
+        trace, events = collect_events(run_window, OUTER_UP, outer_pulse(),
+                                       SYS, MS_WINDOW, RATES, 0)
+        for record in (eigenenergies(SYS)[0], transition_table(SYS)[0],
+                       events, trace, classify(trace, MS_WINDOW, OUTER_UP)):
+            for name in (*record._fields, "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(record, name, 0)
 
 
 class TestElectronCycle:
@@ -290,9 +305,9 @@ class TestRunWindow:
         b = collect_events(run_window, OUTER_UP, outer_pulse(), SYS, params,
                            RATES, 3)
         assert a[0] == b[0]
-        for f in fields(TunnelEvents):
-            x, y = getattr(a[1], f.name), getattr(b[1], f.name)
-            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        for name in TunnelEvents._fields:
+            x, y = getattr(a[1], name), getattr(b[1], name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
         c = collect_events(run_window, OUTER_UP, outer_pulse(), SYS, params,
                            RATES, 4)
         for name in ("dwell", "passed"):
@@ -353,10 +368,10 @@ class TestStreamGuard:
                                            pulse, SYS, params, rates, seed)
         assert got.n_cycles == want.n_cycles
         assert got.n_passed == want.n_passed, (state, params)
-        for f in fields(TunnelEvents):
-            a, b = getattr(got_events, f.name), getattr(want_events, f.name)
+        for name in TunnelEvents._fields:
+            a, b = getattr(got_events, name), getattr(want_events, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), (
-                f.name, state, params)
+                name, state, params)
         assert run_window(state, pulse, SYS, params, rates,
                           seed).n_passed == want.n_passed
 
