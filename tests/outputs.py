@@ -1,7 +1,8 @@
 """The rules every `sim` output directory keeps: `check_run(directory)`
 checks one `--out` directory and returns a line per file, which `python
 tests/outputs.py DIR...` prints. A violation raises AssertionError naming
-the file, the 1-based row and the field."""
+the file, the 1-based row and the field; the rules are asserts, so the
+script refuses to run under `python -O`, which strips them."""
 
 import hashlib
 import json
@@ -91,5 +92,7 @@ def check_run(directory) -> list[str]:
 
 
 if __name__ == "__main__":
+    if not __debug__:
+        sys.exit("outputs.py: python -O strips the asserts that are its rules")
     for directory in sys.argv[1:] or sys.exit("usage: outputs.py DIR..."):
         print("\n".join(check_run(directory)))

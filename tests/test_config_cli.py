@@ -169,53 +169,56 @@ def test_nan_field_rejected(cls, name):
         cls(**{**required, name: math.nan})
 
 
-def run_cli(*args):
-    return main(list(args))
-
-
 def never(*args, **kwargs):
     raise AssertionError("run_window reached")
 
 
 SMALL = {"tunneling": {"window": 3e5, "alpha": 0.1}}
+EVENTS = ("readout", "--true-state=-3/2", "--events")
 
 
-@pytest.fixture
-def small_cfg(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(SMALL))
-    return str(path)
+def sim(tmp_path, *argv, config=None, out="o"):
+    """Run `sim` in process with `--out tmp_path/out`, and with `config` (a
+    document, or raw JSON text) written to `out`.json beside that directory;
+    return the exit code and the output directory."""
+    out = tmp_path / out
+    if config is not None:
+        path = tmp_path / f"{out.name}.json"
+        path.write_text(config if isinstance(config, str)
+                        else json.dumps(config))
+        argv += ("--config", str(path))
+    return main([*argv, "--out", str(out)]), out
 
 
 class TestTableCommand:
     def test_reference_row(self, tmp_path, capsys):
-        assert run_cli("table", "--out", str(tmp_path)) == 0
-        lines = (tmp_path / "transitions.csv").read_text().splitlines()
+        code, out = sim(tmp_path, "table")
+        assert code == 0
+        lines = (out / "transitions.csv").read_text().splitlines()
         assert len(lines) == 11
         row1 = lines[1].split(",")
         assert float(row1[-1]) == pytest.approx(20202.0, rel=1e-12)
         assert "weak-coupling" in capsys.readouterr().out
 
     def test_anisotropy_leaves_outside_rows(self, tmp_path):
-        base, aniso = tmp_path / "a", tmp_path / "b"
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"system": {"D2": 10.0, "D4": 0.5}}))
-        assert run_cli("table", "--out", str(base)) == 0
-        assert run_cli("table", "--config", str(cfg), "--out",
-                       str(aniso)) == 0
+        code, base = sim(tmp_path, "table", out="a")
+        assert code == 0
+        code, aniso = sim(tmp_path, "table", out="b",
+                          config={"system": {"D2": 10.0, "D4": 0.5}})
+        assert code == 0
         rows_a = (base / "transitions.csv").read_text().splitlines()[1:]
         rows_b = (aniso / "transitions.csv").read_text().splitlines()[1:]
         assert rows_a[:4] == rows_b[:4]
         assert rows_a[4:] != rows_b[4:]
 
     def test_roundtrip_against_levels(self, tmp_path):
-        assert run_cli("table", "--out", str(tmp_path)) == 0
+        code, out = sim(tmp_path, "table")
+        assert code == 0
         levels = {}
-        for line in (tmp_path / "levels.csv").read_text().splitlines()[1:]:
+        for line in (out / "levels.csv").read_text().splitlines()[1:]:
             m1, m2, e = (float(v) for v in line.split(","))
             levels[(m1, m2)] = e
-        for line in (tmp_path / "transitions.csv").read_text(
-        ).splitlines()[1:]:
+        for line in (out / "transitions.csv").read_text().splitlines()[1:]:
             parts = line.split(",")
             ini = (float(parts[2]), float(parts[3]))
             fin = (float(parts[4]), float(parts[5]))
@@ -224,26 +227,26 @@ class TestTableCommand:
                 freq, rel=1e-9)
 
     def test_manifest_written(self, tmp_path):
-        assert run_cli("table", "--out", str(tmp_path)) == 0
-        doc = json.loads((tmp_path / "manifest.json").read_text())
+        code, out = sim(tmp_path, "table")
+        assert code == 0
+        doc = json.loads((out / "manifest.json").read_text())
         assert doc["command"] == "table"
         assert {o["path"] for o in doc["outputs"]} == {"transitions.csv",
                                                        "levels.csv"}
         assert doc["config"]["system"]["nu1"] == 10000.0
 
     def test_manifest_echoes_every_key(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(EVERY_KEY))
-        out = tmp_path / "o"
-        assert run_cli("table", "--config", str(cfg), "--out", str(out)) == 0
+        code, out = sim(tmp_path, "table", config=EVERY_KEY)
+        assert code == 0
         doc = json.loads((out / "manifest.json").read_text())
         assert json.dumps(doc["config"]) == json.dumps(EVERY_KEY)
 
 
 class TestFig2Command:
     def test_outputs(self, tmp_path):
-        assert run_cli("fig2", "--alphas", "0.1", "--out", str(tmp_path)) == 0
-        lines = (tmp_path / "fig2_alpha_0.1.csv").read_text().splitlines()
+        code, out = sim(tmp_path, "fig2", "--alphas", "0.1")
+        assert code == 0
+        lines = (out / "fig2_alpha_0.1.csv").read_text().splitlines()
         assert lines[0].startswith("t_ns,P1,P2,P3")
         assert len(lines) == 1002
         first = [float(v) for v in lines[1].split(",")]
@@ -253,12 +256,13 @@ class TestFig2Command:
 
     def test_analytic_columns_are_the_written_table(self, tmp_path):
         # fig2_timeseries hands over the CSV's first four columns, in order,
-        # each the closed form on the 1 ns grid bit for bit
-        assert run_cli("fig2", "--alphas", "0,0.05,0.5", "--out",
-                       str(tmp_path)) == 0
+        # each the closed form on the 1 ns grid bit for bit; at alpha 0 the
+        # flip is perfect and the coherence P2 is all zeros
+        code, out = sim(tmp_path, "fig2", "--alphas", "0,0.05,0.5")
+        assert code == 0
         times = np.arange(0.0, 1001.0)
         for alpha in (0.0, 0.05, 0.5):
-            path = tmp_path / f"fig2_alpha_{alpha:g}.csv"
+            path = out / f"fig2_alpha_{alpha:g}.csv"
             header = path.read_text().splitlines()[0].split(",")
             for rates in (DecoherenceRates(), DecoherenceRates(0.5, 3.0)):
                 series = fig2_timeseries(alpha, rates)
@@ -269,6 +273,7 @@ class TestFig2Command:
                             rho[:, 1, 1].real]
                 for (name, column), want in zip(series.items(), expected):
                     assert column.tobytes() == want.tobytes(), name
+        check_run(out)
 
     @pytest.mark.parametrize("alphas,why", [
         (",", "must be non-empty"), ("0.1,1.5", r"must lie in \[0, 1\)"),
@@ -277,10 +282,10 @@ class TestFig2Command:
         ("0.1,0.1", "must not repeat a value"),
         ("0.1,abc", r"invalid grid '0\.1,abc'")])
     def test_bad_grid_rejected(self, alphas, why, tmp_path, capsys):
-        assert run_cli("fig2", "--alphas", alphas, "--out",
-                       str(tmp_path)) == 1
+        code, out = sim(tmp_path, "fig2", "--alphas", alphas)
+        assert code == 1
         assert re.search(f"fig2.alphas: {why}", capsys.readouterr().err)
-        assert not list(tmp_path.iterdir())
+        assert not list(out.iterdir())
 
     def test_numeric_columns_match_oracle(self, tmp_path, monkeypatch):
         # the columns as handed to the writer, so that equality is bitwise
@@ -292,8 +297,7 @@ class TestFig2Command:
             add_records(manifest, name, columns)
 
         monkeypatch.setattr(Manifest, "add_records", spy)
-        assert run_cli("fig2", "--alphas", "0.05,0.3", "--out",
-                       str(tmp_path)) == 0
+        assert sim(tmp_path, "fig2", "--alphas", "0.05,0.3")[0] == 0
         for alpha in (0.05, 0.3):
             columns = written[f"fig2_alpha_{alpha:g}.csv"]
             series = fig2_timeseries(alpha, DecoherenceRates())
@@ -306,30 +310,27 @@ class TestFig2Command:
             assert np.array_equal(columns["max_abs_dev"], dev)
 
     def test_alpha_02_initial_population(self, tmp_path):
-        assert run_cli("fig2", "--alphas", "0.2", "--out", str(tmp_path)) == 0
-        lines = (tmp_path / "fig2_alpha_0.2.csv").read_text().splitlines()
+        code, out = sim(tmp_path, "fig2", "--alphas", "0.2")
+        assert code == 0
+        lines = (out / "fig2_alpha_0.2.csv").read_text().splitlines()
         first = [float(v) for v in lines[1].split(",")]
         assert first[1] == pytest.approx(0.9045, abs=1e-4)
 
 
 class TestReadoutCommand:
     def test_blocked_case(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"tunneling": {"window": 3e5},
-                                   "rates": {"gamma0": 0.0}}))
-        assert run_cli("readout", "--config", str(cfg), "--true-state",
-                       "+3/2", "--out", str(tmp_path / "o")) == 0
-        row = (tmp_path / "o" / "readout.csv").read_text().splitlines()[1]
+        code, out = sim(tmp_path, "readout", "--true-state", "+3/2",
+                        config={"tunneling": {"window": 3e5},
+                                "rates": {"gamma0": 0.0}})
+        assert code == 0
+        row = (out / "readout.csv").read_text().splitlines()[1]
         fields = row.split(",")
         assert int(fields[4]) == 0           # counts_on
         assert float(fields[7]) == 1.5       # classified_m1
 
-    def test_transmitting_case_with_jitter(self, small_cfg, tmp_path,
-                                           capsys):
-        out = tmp_path / "o"
-        assert run_cli("readout", "--config", small_cfg,
-                       "--true-state=-3/2", "--seed", "7", "--events",
-                       "--out", str(out)) == 0
+    def test_transmitting_case_with_jitter(self, tmp_path, capsys):
+        code, out = sim(tmp_path, *EVENTS, "--seed", "7", config=SMALL)
+        assert code == 0
         assert "classified m1 = -1.5" in capsys.readouterr().out
         events = (out / "events.csv").read_text().splitlines()
         assert events[0] == "cycle,dwell_ns,spin_in,flip_prob,passed"
@@ -341,16 +342,15 @@ class TestReadoutCommand:
             "threshold,classified_m1,contrast,seed\n")
         check_run(out)
 
-    def test_inner_interrogation_frequency_recorded(self, small_cfg,
-                                                    tmp_path):
-        out = tmp_path / "o"
-        assert run_cli("readout", "--config", small_cfg, "--true-state",
-                       "+1/2", "--out", str(out)) == 0
+    def test_inner_interrogation_frequency_recorded(self, tmp_path):
+        code, out = sim(tmp_path, "readout", "--true-state", "+1/2",
+                        config=SMALL)
+        assert code == 0
         doc = json.loads((out / "manifest.json").read_text())
         assert doc["interrogation_mhz"] == pytest.approx(20152.0)
 
-    def test_interrogation_reads_no_transition_table(self, small_cfg,
-                                                     tmp_path, monkeypatch):
+    def test_interrogation_reads_no_transition_table(self, tmp_path,
+                                                     monkeypatch):
         # the interrogation line is the flip-line formula, not a table row
         def no_table(*args, **kwargs):
             raise AssertionError("transition_table reached")
@@ -358,26 +358,23 @@ class TestReadoutCommand:
         for module in ("spin_core", "protocol", "cli"):
             monkeypatch.setattr(f"fullerene_readout.{module}.transition_table",
                                 no_table, raising=False)
-        assert run_cli("readout", "--config", small_cfg, "--true-state=+1/2",
-                       "--out", str(tmp_path / "r")) == 0
-        assert run_cli("sweep", "--config", small_cfg, "--alphas", "0.1",
-                       "--leaks", "0", "--trials", "1", "--out",
-                       str(tmp_path / "s")) == 0
+        assert sim(tmp_path, "readout", "--true-state=+1/2", config=SMALL,
+                   out="r")[0] == 0
+        assert sim(tmp_path, "sweep", "--alphas", "0.1", "--leaks", "0",
+                   "--trials", "1", config=SMALL, out="s")[0] == 0
 
 
 class TestSweepCommand:
     def test_sweep_uses_configured_pulse(self, tmp_path, capsys):
         # omega0 = 0 is no pulse at all: nothing is ever blocked, so every
         # state reads as negative, in the sweep as in a single readout
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"pulse": {"omega0": 0},
-                                   "tunneling": {"window": 3e5}}))
-        assert run_cli("readout", "--true-state=+3/2", "--config", str(cfg),
-                       "--out", str(tmp_path / "r")) == 0
+        doc = {"pulse": {"omega0": 0}, "tunneling": {"window": 3e5}}
+        assert sim(tmp_path, "readout", "--true-state=+3/2", config=doc,
+                   out="r")[0] == 0
         assert "classified m1 = -1.5" in capsys.readouterr().out
-        out = tmp_path / "s"
-        assert run_cli("sweep", "--alphas", "0", "--leaks", "0", "--trials",
-                       "1", "--config", str(cfg), "--out", str(out)) == 0
+        code, out = sim(tmp_path, "sweep", "--alphas", "0", "--leaks", "0",
+                        "--trials", "1", config=doc, out="s")
+        assert code == 0
         rows = [json.loads(line)
                 for line in (out / "sweep.jsonl").read_text().splitlines()]
         assert len(rows) == 4
@@ -390,8 +387,7 @@ class TestSweepCommand:
                                           capsys, monkeypatch):
         monkeypatch.setattr("fullerene_readout.protocol.run_window", never)
         start = time.perf_counter()
-        assert run_cli("sweep", f"--{option}", grid, "--out",
-                       str(tmp_path)) == 1
+        assert sim(tmp_path, "sweep", f"--{option}", grid)[0] == 1
         assert time.perf_counter() - start < 0.5
         assert (f"sweep.{option}: must lie in [0, 1)"
                 in capsys.readouterr().err)
@@ -401,30 +397,29 @@ class TestSweepCommand:
     def test_repeated_grid_value_rejected(self, option, grid, tmp_path,
                                           capsys, monkeypatch):
         monkeypatch.setattr("fullerene_readout.protocol.run_window", never)
-        assert run_cli("sweep", f"--{option}", grid, "--trials", "2",
-                       "--out", str(tmp_path)) == 1
+        code, out = sim(tmp_path, "sweep", f"--{option}", grid, "--trials",
+                        "2")
+        assert code == 1
         assert capsys.readouterr().err.startswith(
             f"validation error: sweep.{option}: must not repeat a value")
-        assert not list(tmp_path.iterdir())
+        assert not list(out.iterdir())
 
     @pytest.mark.parametrize("option", ["alphas", "leaks"])
-    def test_negative_zero_is_zero(self, option, small_cfg, tmp_path):
+    def test_negative_zero_is_zero(self, option, tmp_path):
         # -0 is the same grid value as 0: same seeds, same rows
         outputs = []
         for value in ("0", "-0"):
-            out = tmp_path / value
-            assert run_cli("sweep", "--config", small_cfg, f"--{option}",
-                           value, "--trials", "2", "--out", str(out)) == 0
+            code, out = sim(tmp_path, "sweep", f"--{option}", value,
+                            "--trials", "2", config=SMALL, out=value)
+            assert code == 0
             outputs.append([(out / name).read_bytes()
                             for name in ("sweep.csv", "sweep.jsonl")])
         assert outputs[0] == outputs[1]
 
-    def test_grid_shape_and_zero_misclassification(self, small_cfg,
-                                                   tmp_path):
-        out = tmp_path / "o"
-        assert run_cli("sweep", "--config", small_cfg, "--alphas", "0.1,0.2",
-                       "--leaks", "0,0.05", "--trials", "3", "--out",
-                       str(out)) == 0
+    def test_grid_shape_and_zero_misclassification(self, tmp_path):
+        code, out = sim(tmp_path, "sweep", "--alphas", "0.1,0.2", "--leaks",
+                        "0,0.05", "--trials", "3", config=SMALL)
+        assert code == 0
         lines = (out / "sweep.csv").read_text().splitlines()
         assert len(lines) == 17     # 4 cells x 4 states
         assert all(line.split(",")[6] == "0" for line in lines[1:])
@@ -432,63 +427,54 @@ class TestSweepCommand:
                             "misclassified,rate,base_seed")
         check_run(out)
 
-    def test_empty_grid_is_validation_error(self, small_cfg, tmp_path,
-                                            capsys):
-        assert run_cli("sweep", "--config", small_cfg, "--alphas", "",
-                       "--out", str(tmp_path)) == 1
-        assert run_cli("sweep", "--config", small_cfg, "--leaks", "0,x",
-                       "--out", str(tmp_path)) == 1
+    def test_empty_grid_is_validation_error(self, tmp_path, capsys):
+        assert sim(tmp_path, "sweep", "--alphas", "", config=SMALL)[0] == 1
+        assert sim(tmp_path, "sweep", "--leaks", "0,x", config=SMALL)[0] == 1
         assert capsys.readouterr().err.endswith(
             "validation error: sweep.leaks: invalid grid '0,x'\n")
 
 
 class TestMechanicsCommand:
     def test_report(self, tmp_path, capsys):
-        assert run_cli("mechanics", "--out", str(tmp_path)) == 0
+        assert sim(tmp_path, "mechanics")[0] == 0
         out = capsys.readouterr().out
         assert "2.122e-18" in out
         assert "5.306e-07" in out
         assert "127.8" in out and ">=127 MHz satisfied" in out
 
     def test_overflow_is_numeric_failure(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"constants": {"muB_over_h": 1e308},
-                                   "mechanics": {"spacing": 1.0}}))
-        assert run_cli("mechanics", "--config", str(cfg), "--out",
-                       str(tmp_path)) == 3
+        assert sim(tmp_path, "mechanics", config={
+            "constants": {"muB_over_h": 1e308},
+            "mechanics": {"spacing": 1.0}})[0] == 3
         out, err = capsys.readouterr()
         assert "manifest.json" in err
         assert out == ""
 
     def test_zero_gradient(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"mechanics": {"gradient": 0.0}}))
-        assert run_cli("mechanics", "--config", str(cfg), "--out",
-                       str(tmp_path)) == 0
+        assert sim(tmp_path, "mechanics",
+                   config={"mechanics": {"gradient": 0.0}})[0] == 0
         assert "below 127 MHz" in capsys.readouterr().out
 
 
 class TestExitCodes:
     def test_missing_config_is_io_error(self, tmp_path):
-        assert run_cli("table", "--config", str(tmp_path / "nope.json"),
-                       "--out", str(tmp_path)) == 2
+        assert sim(tmp_path, "table", "--config",
+                   str(tmp_path / "nope.json"))[0] == 2
 
     def test_bad_value_is_validation_error(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"tunneling": {"alpha": 1.5}}))
-        assert run_cli("table", "--config", str(cfg), "--out",
-                       str(tmp_path)) == 1
+        assert sim(tmp_path, "table",
+                   config={"tunneling": {"alpha": 1.5}})[0] == 1
 
     def test_negative_seed_rejected(self, tmp_path):
-        assert run_cli("table", "--seed", "-1", "--out", str(tmp_path)) == 1
+        assert sim(tmp_path, "table", "--seed", "-1")[0] == 1
 
     def test_config_nested_too_deeply_is_validation_error(self, tmp_path,
                                                           capsys):
-        cfg, out = tmp_path / "deep.json", tmp_path / "o"
-        cfg.write_text(TOO_DEEP)
-        assert run_cli("table", "--config", str(cfg), "--out", str(out)) == 1
-        assert capsys.readouterr().err.startswith(
-            "validation error: invalid JSON")
+        # one error line: no traceback, nothing printed before it
+        code, out = sim(tmp_path, "table", config=TOO_DEEP)
+        assert code == 1
+        assert re.fullmatch(r"validation error: invalid JSON: [^\n]*\n",
+                            capsys.readouterr().err)
         assert not out.exists()
 
     # argparse's usage errors exit 1 like any other bad input, before the
@@ -502,8 +488,8 @@ class TestExitCodes:
              "unknown-flag"])
     def test_bad_command_line_is_validation_error(self, argv, named,
                                                    tmp_path, capsys):
-        out = tmp_path / "o"
-        assert run_cli(*argv, "--out", str(out)) == 1
+        code, out = sim(tmp_path, *argv)
+        assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("validation error: ") and named in err
         assert not out.exists()
@@ -518,61 +504,50 @@ class TestExitCodes:
     ])
     def test_non_finite_number_rejected(self, section, key, value, tmp_path,
                                         capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(f'{{"{section}": {{"{key}": {value}}}}}')
-        assert run_cli("readout", "--config", str(cfg), "--out",
-                       str(tmp_path / "o")) == 1
+        assert sim(tmp_path, "readout",
+                   config=f'{{"{section}": {{"{key}": {value}}}}}')[0] == 1
         assert (f"{section}.{key}: expected a finite number"
                 in capsys.readouterr().err)
 
     def test_window_beyond_cycle_cap_rejected(self, tmp_path, capsys,
                                               monkeypatch):
         monkeypatch.setattr("fullerene_readout.cli.run_window", never)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"tunneling": {"window": 1e300}}))
         start = time.perf_counter()
-        assert run_cli("readout", "--config", str(cfg), "--out",
-                       str(tmp_path / "o")) == 1
+        assert sim(tmp_path, "readout",
+                   config={"tunneling": {"window": 1e300}})[0] == 1
         assert time.perf_counter() - start < 0.5
         assert "tunneling.window" in capsys.readouterr().err
 
     def test_events_window_capped(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("fullerene_readout.cli.run_window", never)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(
-            {"tunneling": {"window": 150.0 * (MAX_EVENT_CYCLES + 1)}}))
+        doc = {"tunneling": {"window": 150.0 * (MAX_EVENT_CYCLES + 1)}}
         start = time.perf_counter()
-        assert run_cli("readout", "--events", "--config", str(cfg), "--out",
-                       str(tmp_path / "o")) == 1
+        assert sim(tmp_path, "readout", "--events", config=doc)[0] == 1
         assert time.perf_counter() - start < 0.5
         assert "tunneling.window" in capsys.readouterr().err
 
     def test_overflowing_pulse_is_numeric_failure(self, tmp_path, capsys):
         # dwell * duration overflows: the flip probability would be NaN and
         # every electron silently blocked
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "tunneling": {"t0": 1e300, "cycle_period": 1e300,
-                          "window": 1e300},
-            "pulse": {"duration": 1e300}}))
+        doc = {"tunneling": {"t0": 1e300, "cycle_period": 1e300,
+                             "window": 1e300},
+               "pulse": {"duration": 1e300}}
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert run_cli("readout", "--true-state=-3/2", "--config",
-                           str(cfg), "--out", str(tmp_path / "o")) == 3
+            assert sim(tmp_path, "readout", "--true-state=-3/2",
+                       config=doc)[0] == 3
         assert "pulse phase overflows" in capsys.readouterr().err
         assert caught == []
 
     def test_overflowing_dwell_draw_is_silent(self, tmp_path, capsys):
         # seed 3's first half-normal draw overflows sigma |Z| and is
         # redrawn; the dwell * duration of the pulse then overflows
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "tunneling": {"t0": 1.7e308, "cycle_period": 1.7e308,
-                          "window": 1.7e308, "alpha": 0.9}}))
+        doc = {"tunneling": {"t0": 1.7e308, "cycle_period": 1.7e308,
+                             "window": 1.7e308, "alpha": 0.9}}
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert run_cli("readout", "--seed", "3", "--config", str(cfg),
-                           "--out", str(tmp_path / "o")) == 3
+            assert sim(tmp_path, "readout", "--seed", "3",
+                       config=doc)[0] == 3
         assert capsys.readouterr().err == (
             "numeric failure: pulse phase overflows: the pulse lasts too "
             "long for its Rabi frequency\n")
@@ -580,15 +555,12 @@ class TestExitCodes:
 
     def test_overflowing_relaxation_decays_silently(self, tmp_path, capsys):
         # gamma0 * residual dwell overflows to inf; exp(-inf) = 0 is exact
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "rates": {"gamma0": 1e300},
-            "tunneling": {"t0": 1e10, "cycle_period": 1e10,
-                          "window": 3e10}}))
+        doc = {"rates": {"gamma0": 1e300},
+               "tunneling": {"t0": 1e10, "cycle_period": 1e10,
+                             "window": 3e10}}
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert run_cli("readout", "--config", str(cfg), "--out",
-                           str(tmp_path / "o")) == 0
+            assert sim(tmp_path, "readout", config=doc)[0] == 0
         assert capsys.readouterr().err == ""
         assert caught == []
 
@@ -605,23 +577,20 @@ class TestExitCodes:
                                                      capsys):
         failure = ("trace drifted by nan" if max(rates.values()) >= 1e10
                    else "state stopped being a density matrix")
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"rates": rates}))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert run_cli("fig2", "--config", str(cfg), "--out",
-                           str(tmp_path / "o")) == 3
+            code, out = sim(tmp_path, "fig2", config={"rates": rates})
+        assert code == 3
         assert capsys.readouterr().err == (
             f"numeric failure: {failure} during integration\n")
         assert caught == []
-        assert not list((tmp_path / "o").iterdir())
+        assert not list(out.iterdir())
 
     def test_sweep_beyond_work_cap_rejected(self, tmp_path, capsys,
                                             monkeypatch):
         monkeypatch.setattr("fullerene_readout.protocol.run_window", never)
         start = time.perf_counter()
-        assert run_cli("sweep", "--trials", "1000000000", "--out",
-                       str(tmp_path)) == 1
+        assert sim(tmp_path, "sweep", "--trials", "1000000000")[0] == 1
         assert time.perf_counter() - start < 0.5
         assert "sweep.trials" in capsys.readouterr().err
 
@@ -631,15 +600,6 @@ class TestEventStreaming:
     drawn."""
 
     LEAKY = {"alpha": 0.1, "p_leak_source": 0.05, "p_leak_drain": 0.05}
-
-    @staticmethod
-    def readout(tmp_path, doc, name="o"):
-        cfg = tmp_path / f"{name}.json"
-        cfg.write_text(json.dumps(doc))
-        out = tmp_path / name
-        code = run_cli("readout", "--true-state=-3/2", "--events",
-                       "--config", str(cfg), "--out", str(out))
-        return code, out
 
     @pytest.mark.parametrize("error, code", [
         (NumericFailure("injected"), 3), (OSError("injected"), 2),
@@ -660,10 +620,10 @@ class TestEventStreaming:
                              "window": 150.0 * (_BLOCK + 123)}}
         if code is None:
             with pytest.raises(KeyboardInterrupt):
-                self.readout(tmp_path, doc)
+                sim(tmp_path, *EVENTS, config=doc)
             out = tmp_path / "o"
         else:
-            got, out = self.readout(tmp_path, doc)
+            got, out = sim(tmp_path, *EVENTS, config=doc)
             assert got == code
         assert len(calls) == 2
         assert out.is_dir() and not (out / "events.csv").exists()
@@ -673,7 +633,7 @@ class TestEventStreaming:
             doc = {"tunneling": {**self.LEAKY, "window": 150.0 * cycles}}
             tracemalloc.start()
             try:
-                code, _ = self.readout(tmp_path, doc, f"w{cycles}")
+                code, _ = sim(tmp_path, *EVENTS, config=doc, out=f"w{cycles}")
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -699,7 +659,7 @@ class TestEventStreaming:
             "cycle": range(ev.dwell.size), "dwell_ns": ev.dwell,
             "spin_in": np.where(ev.spin_up, "up", "down"),
             "flip_prob": ev.flip_prob, "passed": ev.passed.astype(np.uint8)})
-        code, out = self.readout(tmp_path, doc)
+        code, out = sim(tmp_path, *EVENTS, config=doc)
         assert code == 0
         assert (out / "events.csv").read_bytes() == want.read_bytes()
 
@@ -711,30 +671,28 @@ class TestFailedRunLeavesNothing:
     def outputs(out):
         return sorted(p.name for p in out.iterdir())
 
-    def test_failure_after_the_window(self, small_cfg, tmp_path):
+    def test_failure_after_the_window(self, tmp_path):
         # events.csv and readout.csv are complete when readout.jsonl fails
         out = tmp_path / "o"
         (out / "readout.jsonl").mkdir(parents=True)
         (out / "notes.txt").write_text("not ours\n")
-        assert run_cli("readout", "--true-state=-3/2", "--events",
-                       "--config", small_cfg, "--out", str(out)) == 2
+        assert sim(tmp_path, *EVENTS, config=SMALL)[0] == 2
         assert self.outputs(out) == ["notes.txt", "readout.jsonl"]
         assert (out / "notes.txt").read_text() == "not ours\n"
 
     @pytest.mark.parametrize("argv", [
         ["table"], ["fig2", "--alphas", "0.1"],
-        ["readout", "--true-state=-3/2", "--events"],
+        list(EVENTS),
         ["sweep", "--trials", "1"], ["mechanics"]], ids=lambda a: a[0])
-    def test_failed_manifest_write(self, argv, small_cfg, tmp_path, capsys):
+    def test_failed_manifest_write(self, argv, tmp_path, capsys):
         out = tmp_path / "o"
         (out / "manifest.json").mkdir(parents=True)
-        assert run_cli(*argv, "--config", small_cfg, "--out", str(out)) == 2
+        assert sim(tmp_path, *argv, config=SMALL)[0] == 2
         assert self.outputs(out) == ["manifest.json"]
         # no report names the files that the failure removed
         assert capsys.readouterr().out == ""
 
-    def test_manifest_write_fails_midway(self, small_cfg, tmp_path,
-                                         monkeypatch):
+    def test_manifest_write_fails_midway(self, tmp_path, monkeypatch):
         class DiskFull:
             """A file that takes a few bytes, then reports a full disk."""
 
@@ -753,9 +711,8 @@ class TestFailedRunLeavesNothing:
 
         monkeypatch.setattr("fullerene_readout.cli.open", DiskFull,
                             raising=False)
-        out = tmp_path / "o"
-        assert run_cli("readout", "--true-state=-3/2", "--events",
-                       "--config", small_cfg, "--out", str(out)) == 2
+        code, out = sim(tmp_path, *EVENTS, config=SMALL)
+        assert code == 2
         assert self.outputs(out) == []
 
 
@@ -764,43 +721,53 @@ class TestManifest:
     @pytest.mark.parametrize("argv,paths", [
         (["table"], ["transitions.csv", "levels.csv"]),
         (["fig2", "--alphas", "0.1"], ["fig2_alpha_0.1.csv"]),
-        (["readout", "--true-state=-3/2", "--events"],
-         ["events.csv", "readout.csv", "readout.jsonl"]),
+        (list(EVENTS), ["events.csv", "readout.csv", "readout.jsonl"]),
         (["sweep", "--trials", "1"], ["sweep.csv", "sweep.jsonl"])],
         ids=["table", "fig2", "readout", "sweep"])
     def test_digests_match_files(self, argv, paths, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(SMALL))
-        out = tmp_path / "o"
-        assert run_cli(*argv, "--config", str(cfg), "--out", str(out)) == 0
+        code, out = sim(tmp_path, *argv, config=SMALL)
+        assert code == 0
         doc = json.loads((out / "manifest.json").read_text())
         assert [entry["path"] for entry in doc["outputs"]] == paths
         check_run(out)
 
     @pytest.mark.parametrize("argv", [
         ["table"], ["fig2", "--alphas", "0,0.3"],
-        ["readout", "--true-state=-3/2", "--events"],
+        list(EVENTS),
         ["sweep", "--trials", "1", "--alphas", "0.5", "--leaks", "0.05"]],
         ids=["table", "fig2", "readout", "sweep"])
     def test_run_replays_from_its_manifest(self, argv, tmp_path):
         # the manifest's config and argv rerun the same outputs
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"tunneling": {
-            "window": 3e5, "alpha": 0.1, "p_leak_source": 0.05,
-            "p_leak_drain": 0.05}, "seed": 3}))
-        first, again = tmp_path / "first", tmp_path / "again"
-        assert run_cli(*argv, "--config", str(cfg), "--out", str(first)) == 0
+        code, first = sim(tmp_path, *argv, out="first", config={
+            "tunneling": {"window": 3e5, "alpha": 0.1, "p_leak_source": 0.05,
+                          "p_leak_drain": 0.05}, "seed": 3})
+        assert code == 0
         doc = json.loads((first / "manifest.json").read_text())
-        replay = tmp_path / "replay.json"
-        replay.write_text(json.dumps(doc["config"]))
-        assert run_cli(*doc["argv"], "--config", str(replay), "--out",
-                       str(again)) == 0
+        code, again = sim(tmp_path, *doc["argv"], config=doc["config"],
+                          out="again")
+        assert code == 0
         redo = json.loads((again / "manifest.json").read_text())
         assert redo["outputs"] == doc["outputs"]
         assert redo["config"] == doc["config"]
 
 
 class TestCheckRun:
+    @staticmethod
+    def mutant(tmp_path, name, pattern, new, rehash=True):
+        """A checked `readout --events` run with one re.sub on one file; its
+        manifest lists the new digests if rehash is true."""
+        code, out = sim(tmp_path, *EVENTS, config=SMALL)
+        assert code == 0 and len(check_run(out)) == 4
+        path = out / name
+        text = path.read_text() if path.exists() else ""
+        path.write_text(re.sub(pattern, new, text, count=1))
+        doc = json.loads((out / "manifest.json").read_text())
+        for entry in doc["outputs"] if rehash else []:
+            data = (out / entry["path"]).read_bytes()
+            entry["sha256"] = hashlib.sha256(data).hexdigest()
+        (out / "manifest.json").write_text(json.dumps(doc))
+        return out
+
     # a real run passes `outputs.check_run`, and a mutant per rule fails it;
     # all but the digest's update the manifest, so that their rule fires
     @pytest.mark.parametrize("name,pattern,new,message", [
@@ -814,18 +781,22 @@ class TestCheckRun:
         ("events.csv", r",down,[^,]*,", ",down,nan,", "row 1, flip_prob")],
         ids=["digit", "integer", "digest", "stray", "jsonl", "rows", "nan"])
     def test_mutant_rejected(self, name, pattern, new, message, tmp_path):
-        code, out = TestEventStreaming.readout(tmp_path, SMALL)
-        assert code == 0 and len(check_run(out)) == 4
-        path = out / name
-        text = path.read_text() if path.exists() else ""
-        path.write_text(re.sub(pattern, new, text, count=1))
-        doc = json.loads((out / "manifest.json").read_text())
-        for entry in doc["outputs"] if name != "readout.csv" else []:
-            data = (out / entry["path"]).read_bytes()
-            entry["sha256"] = hashlib.sha256(data).hexdigest()
-        (out / "manifest.json").write_text(json.dumps(doc))
+        out = self.mutant(tmp_path, name, pattern, new,
+                          rehash=name != "readout.csv")
         with pytest.raises(AssertionError, match=f"^{name}: {message}"):
             check_run(out)
+
+    def test_script_refuses_optimized_python(self, tmp_path):
+        # the rules are asserts, which python -O strips: the script refuses
+        # to run there rather than pass a run that breaks them
+        out = self.mutant(tmp_path, "events.csv", ",down,", ",dwn,")
+        with pytest.raises(AssertionError, match="^events.csv: row 1, spin"):
+            check_run(out)
+        proc = subprocess.run(
+            [sys.executable, "-O", str(Path(__file__).with_name("outputs.py")),
+             str(out)], capture_output=True, text=True)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert re.fullmatch(r"outputs\.py: [^\n]* -O[^\n]*\n", proc.stderr)
 
 
 class TestOutputDirSelection:
@@ -835,7 +806,7 @@ class TestOutputDirSelection:
         monkeypatch.chdir(tmp_path)
         elsewhere = tmp_path / "env_out"
         monkeypatch.setenv("SIM_OUTPUT_DIR", str(elsewhere))
-        assert run_cli("mechanics") == 0
+        assert main(["mechanics"]) == 0
         assert (tmp_path / "out" / "manifest.json").exists()
         assert not elsewhere.exists()
 
@@ -846,12 +817,11 @@ class TestDeterminism:
         ("readout", "--true-state=-3/2", "--seed", "5"),
         ("sweep", "--alphas", "0.1", "--leaks", "0", "--trials", "2"),
     ])
-    def test_reruns_are_byte_identical(self, argv, small_cfg, tmp_path):
+    def test_reruns_are_byte_identical(self, argv, tmp_path):
         outs = []
         for name in ("r1", "r2"):
-            out = tmp_path / name
-            assert run_cli(*argv, "--config", small_cfg, "--out",
-                           str(out)) == 0
+            code, out = sim(tmp_path, *argv, config=SMALL, out=name)
+            assert code == 0
             outs.append(out)
         csvs = sorted(p.name for p in outs[0].glob("*.csv"))
         assert csvs
@@ -861,8 +831,18 @@ class TestDeterminism:
 
 
 def test_console_entrypoint_smoke(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "fullerene_readout", "table", "--out",
-         str(tmp_path)], capture_output=True, text=True)
-    assert proc.returncode == 0
+    def sim_m(*argv):   # `sim` as `python -m fullerene_readout`
+        return subprocess.run([sys.executable, "-m", "fullerene_readout",
+                               *argv], capture_output=True, text=True)
+
+    assert sim_m("table", "--out", str(tmp_path)).returncode == 0
     assert (tmp_path / "transitions.csv").exists()
+    # a refused run's exit code comes through SystemExit, after one error
+    # line and no traceback, and it makes no output directory
+    deep = tmp_path / "deep.json"
+    deep.write_text(TOO_DEEP)
+    proc = sim_m("table", "--config", str(deep), "--out", str(tmp_path / "d"))
+    assert proc.returncode == 1
+    assert re.fullmatch(r"validation error: invalid JSON: [^\n]*\n",
+                        proc.stderr)
+    assert not (tmp_path / "d").exists()
