@@ -3,10 +3,10 @@ Open-system dynamics of the mobile (outside) spin.
 
 Covers the field-free phenomenological master equation with relaxation rate
 gamma0 and dephasing rate gammap (analytic closed form, and a fixed-step RK4
-integrator whose cached transfer map is four real factors, so the end state
-or a sampled trajectory is ufunc accumulations of them), the post-pulse
-imperfect-flip state produced by dwell-time jitter,
-the closed-form transfer probability of a detuned rotating-frame Rabi pulse,
+integrator whose cached transfer map is four real factors, so a sampled
+trajectory, one sample by default, is ufunc accumulations of them), the
+post-pulse imperfect-flip state produced by dwell-time jitter, the
+closed-form transfer probability of a detuned rotating-frame Rabi pulse,
 and fig2's analytic columns.
 
 Basis: index 0 = |up>, index 1 = |down>. The dephasing operator is the Pauli
@@ -154,18 +154,17 @@ def _rk4_map(rates: DecoherenceRates, dt: float, n: int = 1) -> np.ndarray:
 
 
 def evolve_numeric(rho0: np.ndarray, rates: DecoherenceRates, t: float,
-                   dt: float, samples: int | None = None) -> np.ndarray:
-    """Fixed-step RK4 integration of the master equation over t ns.
+                   dt: float, samples: int = 1) -> np.ndarray:
+    """Fixed-step RK4 integration of the master equation over t ns: the
+    (n, 2, 2) states at t/n, 2t/n, ..., t for `samples=n`, so `[0]` of the
+    default is the state at t.
 
-    floor(t / dt) steps of dt, then one step of the remainder when it
-    exceeds 1e-12 ns, each a cached map of four real factors (`_rk4_map`):
-    the (2, 2) state at t. The state integrated is rho0's Hermitian part
-    (rho0 + rho0^H) / 2, taken once, on entry.
-
-    With `samples=n`, returns the (n, 2, 2) states at t/n, 2t/n, ..., t
-    instead, each interval h = t/n stepped as a call with t=h steps it, so
-    state k equals k chained calls bit for bit. On a Hermitian state each
-    map is (uu, Re ud, Im ud) *= (a, c, c), dd += b uu, so every sample is
+    Each interval h = t/n takes floor(h / dt) steps of dt, then one step of
+    the remainder when it exceeds 1e-12 ns, each a cached map of four real
+    factors (`_rk4_map`), so state k equals k chained calls over h bit for
+    bit. The state integrated is rho0's Hermitian part (rho0 + rho0^H) / 2,
+    taken once, on entry. On a Hermitian state each map is
+    (uu, Re ud, Im ud) *= (a, c, c), dd += b uu, so every sample is
     `np.multiply.accumulate` and `np.add.accumulate` of those factors, which
     round each product and sum in the chain's order, and is Hermitian.
 
@@ -179,24 +178,23 @@ def evolve_numeric(rho0: np.ndarray, rates: DecoherenceRates, t: float,
         raise ValueError("density matrix must be the 2x2 outside-spin state")
     require(0 < dt < math.inf, "dt", "must be positive and finite")
     require(0 <= t < math.inf, "t", "must be non-negative and finite")
-    if not (samples is None or samples >= 1):
+    if samples < 1:
         raise ValueError("samples must be positive")
-    n = 1 if samples is None else samples
-    h = t / n
+    h = t / samples
     require(h // dt < math.inf, "dt", "too small: t / dt overflows")
     n_full = int(h // dt)
     remainder = h - n_full * dt
     rho = rho0.astype(complex)
     rho = 0.5 * (rho + rho.conj().T)
     trace0 = (rho[0, 0] + rho[1, 1]).real
-    states = np.empty((n, 2, 2), dtype=complex)
+    states = np.empty((samples, 2, 2), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         maps = [_rk4_map(rates, dt, n_full)]
         if remainder > 1e-12:
             maps.append(_rk4_map(rates, remainder))
         # one row per map, in the order applied; then (uu, Re ud, Im ud)
         # and dd after each map
-        factors = np.tile(np.stack(maps), (n, 1))
+        factors = np.tile(np.stack(maps), (samples, 1))
         scaled = np.multiply.accumulate(np.r_[
             [[rho[0, 0].real, rho[0, 1].real, rho[0, 1].imag]],
             factors[:, :3]])
@@ -221,7 +219,7 @@ def evolve_numeric(rho0: np.ndarray, rates: DecoherenceRates, t: float,
                 f"trace drifted by {drift[k]:.3e} during integration")
         raise NumericFailure(
             "state stopped being a density matrix during integration")
-    return states if samples is not None else states[0]
+    return states
 
 
 def rabi_factors(omega0, detuning):

@@ -35,8 +35,9 @@ most 1, so its pass probability (1 - p_up) + p_leak_drain * p_up is at
 least fl(1 - a), and the drain leak only adds. Off resonance a is 5.7e-4
 (outer) or 5.1e-3 (inner), so a block evaluates its leaked electrons and
 about a fraction a of the rest; on resonance a = 1, and it evaluates all.
-A block whose phase at its longest dwell overflows is evaluated in full, so
-the overflow failure fires exactly when some electron's phase overflows.
+A window whose interrogated line's phase at cycle_period, the longest
+dwell, overflows is evaluated in full, so the overflow failure fires
+exactly when some electron's phase overflows.
 Every path gives the counts, and where it evaluates the floats, of
 evaluating each electron on its own; the test suite holds the window to
 that per-electron loop, kept in its reference module.
@@ -278,7 +279,13 @@ def run_window(inside: InsideSpinState, pulse: PulseSpec, sys: SystemParams,
         line_flip, line_pass = _outcomes(np.array([False, True]),
                                          np.full(2, float(params.t0)),
                                          factors, pulse, params, rates)
+    # Spin-down electrons with u below `sure` pass unevaluated, unless the
+    # phase at the longest dwell overflows: it bounds every skipped phase.
     sure = _sure_pass(factors[0][0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        longest = factors[1][0] * (params.cycle_period * pulse.duration
+                                   / params.t0)
+    skip = sink is None and sure > 0.0 and np.isfinite(longest)
     n_passed = 0
     for start in range(0, n_cycles, _BLOCK):
         n = min(_BLOCK, n_cycles - start)
@@ -289,18 +296,11 @@ def run_window(inside: InsideSpinState, pulse: PulseSpec, sys: SystemParams,
             line = spin_up.view(np.uint8)
             flip, p_pass = line_flip.take(line), line_pass.take(line)
         else:
-            if sink is None and sure > 0.0:
-                # Spin-down electrons with u below `sure` pass unevaluated,
-                # unless the interrogated line's phase at the block's longest
-                # dwell overflows: a phase grows with the dwell, so
-                # otherwise no skipped phase overflows.
+            if skip:
                 undecided = u >= sure
                 undecided |= spin_up
                 todo = np.flatnonzero(undecided)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    phase = factors[1][0] * (dwell.max() * pulse.duration
-                                             / params.t0)
-                if todo.size < n and np.isfinite(phase):
+                if todo.size < n:
                     n_passed += n - todo.size
                     spin_up, dwell, u = (a.take(todo)
                                          for a in (spin_up, dwell, u))

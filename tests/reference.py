@@ -151,7 +151,7 @@ def chained(rho: np.ndarray, rates: DecoherenceRates, h: float, dt: float,
     """n calls of `evolve_numeric` over h, each from the last one's state."""
     states = []
     for _ in range(n):
-        rho = evolve_numeric(rho, rates, h, dt)
+        rho = evolve_numeric(rho, rates, h, dt)[0]
         states.append(rho)
     return np.array(states)
 

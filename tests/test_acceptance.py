@@ -1,6 +1,7 @@
 """
-Acceptance suite: one test per criterion, each printing a PASS/FAIL line
-(run with `pytest tests/test_acceptance.py -v -s` to see them).
+Acceptance suite: one test per criterion, each the one check of the facts
+it pins, and each printing a PASS/FAIL line (run with
+`pytest tests/test_acceptance.py -v -s` to see them).
 """
 
 import contextlib
@@ -17,13 +18,14 @@ from fullerene_readout.cli import main as cli_main
 from fullerene_readout.dynamics import (DecoherenceRates, PulseSpec,
                                         analytic_free_evolution,
                                         evolve_numeric, fig2_timeseries,
-                                        rabi_factors, rabi_transfer)
+                                        imperfect_flip_state, rabi_factors,
+                                        rabi_transfer)
 from fullerene_readout.protocol import (TunnelingParams, classify,
                                         run_window, sweep_states)
 from fullerene_readout.spin_core import (MechanicsParams, PhysicalConstants,
                                          SystemParams, eigenenergies,
-                                         transition_table, vibration_shift,
-                                         zeeman_separation)
+                                         level_energy, transition_table,
+                                         vibration_shift, zeeman_separation)
 from reference import build_hamiltonian
 
 STD = SystemParams(nu1=10000.0, nu2=10063.5, J=50.0)
@@ -45,7 +47,8 @@ def criterion(number, name):
 
 def random_params(rng):
     return SystemParams(nu1=rng.uniform(1e3, 5e4), nu2=rng.uniform(1e3, 5e4),
-                        J=rng.uniform(0.0, 200.0))
+                        J=rng.uniform(0.0, 200.0), D2=rng.uniform(-100, 100),
+                        D4=rng.uniform(-10, 10))
 
 
 def hamiltonian_frequency_oracle(params, row):
@@ -61,15 +64,18 @@ def test_criterion_01_table_reproduction():
     with criterion(1, "Table reproduction"):
         start = time.monotonic()
         table = transition_table(STD)
-        assert table[0].frequency == pytest.approx(20202.0, rel=1e-9)
-        for row in table[4:7]:
-            assert row.frequency == pytest.approx(20025.0, rel=1e-9)
+        assert table[0].frequency == pytest.approx(20202.0, rel=1e-12)
+        for row, want in zip(table[4:], [20025.0] * 3 + [19975.0] * 3):
+            assert row.frequency == pytest.approx(want, rel=1e-12)
         rng = np.random.default_rng(101)
         for _ in range(100):
             p = random_params(rng)
             for row in transition_table(p):
                 oracle = hamiltonian_frequency_oracle(p, row)
                 assert abs(row.frequency - oracle) <= 1e-9 * oracle
+                diff = (level_energy(*row.initial, p)
+                        - level_energy(*row.final, p))
+                assert abs(row.frequency - abs(diff)) < 1e-9 * row.frequency
         assert time.monotonic() - start < 1.0
 
 
@@ -80,11 +86,9 @@ def test_criterion_02_eigenenergy_identity():
         for _ in range(1000):
             p = random_params(rng)
             diag = np.diag(build_hamiltonian(p)).real
-            closed = np.array(
-                [2 * p.nu1 * lv.m1 + 2 * p.nu2 * lv.m2
-                 + p.J * lv.m1 * lv.m2 for lv in eigenenergies(p)])
+            closed = np.array([lv.energy for lv in eigenenergies(p)])
             scale = np.abs(closed).max()
-            assert np.max(np.abs(diag - closed)) <= 1e-9 * scale
+            assert np.max(np.abs(diag - closed)) < 1e-9 * scale
         assert time.monotonic() - start < 1.0
 
 
@@ -106,7 +110,7 @@ def test_criterion_03_anisotropy_invariance():
 def test_criterion_04_gradient_bound():
     with criterion(4, "Gradient bound"):
         sep = zeeman_separation(PhysicalConstants(), MechanicsParams())
-        assert sep == pytest.approx(127.8, rel=0.01)
+        assert sep == pytest.approx(127.8, rel=1e-3)
         assert sep >= 127.0
 
 
@@ -121,11 +125,12 @@ def test_criterion_05_fig2_properties():
             slope = np.polyfit(ts["t_ns"][:60][mask[:60]],
                                np.log(ts["P2"][:60][mask[:60]]), 1)[0]
             assert -slope == pytest.approx(target, rel=5e-3)
-            # (b) coherence is gone within 50 ns
-            i50 = int(np.searchsorted(ts["t_ns"], 50.0))
+            # (b) coherence is below 1 % by 29 ns and gone within 50 ns
+            i29, i50 = np.searchsorted(ts["t_ns"], [29.0, 50.0])
+            assert ts["P2"][i29] / ts["P2"][0] < 0.01
             assert ts["P2"][i50] / ts["P2"][0] < 4e-4
-            # (c) the flip signature survives to 1000 ns
-            assert ts["P1"][-1] > ts["P3"][-1]
+            # (c) the flip signature holds at every sample to 1000 ns
+            assert np.all(ts["P1"] > ts["P3"])
         ts = fig2_timeseries(0.2, RATES)
         assert ts["P1"][-1] == pytest.approx(0.6063, abs=1e-4)
         assert ts["P3"][-1] == pytest.approx(0.3937, abs=1e-4)
@@ -143,10 +148,15 @@ def test_criterion_06_integrator_oracle():
             rates = DecoherenceRates(gamma0=rng.uniform(0, 0.1),
                                      gammap=rng.uniform(0, 0.1))
             t = rng.uniform(1.0, 50.0)
-            num = evolve_numeric(rho0, rates, t, 0.02)
+            num = evolve_numeric(rho0, rates, t, 0.02)[0]
             ana = analytic_free_evolution(rho0, rates, t)
             assert np.max(np.abs(num - ana)) <= 1e-8
             assert abs(np.trace(num).real - 1.0) <= 1e-10
+        # fig2's alpha 0.1 decay over its full 1000 ns
+        rho0 = imperfect_flip_state(0.1)
+        num = evolve_numeric(rho0, RATES, 1000.0, 0.05)[0]
+        ana = analytic_free_evolution(rho0, RATES, 1000.0)
+        assert np.max(np.abs(num - ana)) < 1e-8
         assert time.monotonic() - start < 30.0
 
 
@@ -199,7 +209,8 @@ def test_criterion_08_leakage_robustness():
 def test_criterion_09_mechanics_report():
     with criterion(9, "Mechanics report"):
         shift = vibration_shift(PhysicalConstants(), MechanicsParams())
-        assert shift.shift == pytest.approx(2.12e-18, rel=0.01)
+        # abs=0: approx's default abs of 1e-12 would pass any shift of 1e-18
+        assert shift.shift == pytest.approx(2.12e-18, rel=5e-3, abs=0)
         assert shift.shift / 4e-12 < 1e-5
 
 
@@ -213,10 +224,15 @@ def test_criterion_10_determinism(tmp_path):
             out = tmp_path / name
             for argv in (["table"],
                          ["readout", "--true-state=-3/2", "--seed", "9"],
-                         ["fig2", "--alphas", "0.1"]):
+                         ["fig2", "--alphas", "0.1"],
+                         ["sweep", "--alphas", "0.1", "--leaks", "0",
+                          "--trials", "2"]):
                 assert cli_main(argv + ["--config", str(cfg), "--out",
                                         str(out)]) == 0
             digests.append({
                 p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in sorted(out.glob("*.csv"))})
-        assert digests[0] and digests[0] == digests[1]
+        assert sorted(digests[0]) == [
+            "fig2_alpha_0.1.csv", "levels.csv", "readout.csv", "sweep.csv",
+            "transitions.csv"]
+        assert digests[0] == digests[1]

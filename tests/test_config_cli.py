@@ -811,25 +811,6 @@ class TestOutputDirSelection:
         assert not elsewhere.exists()
 
 
-class TestDeterminism:
-    @pytest.mark.parametrize("argv", [
-        ("table",),
-        ("readout", "--true-state=-3/2", "--seed", "5"),
-        ("sweep", "--alphas", "0.1", "--leaks", "0", "--trials", "2"),
-    ])
-    def test_reruns_are_byte_identical(self, argv, tmp_path):
-        outs = []
-        for name in ("r1", "r2"):
-            code, out = sim(tmp_path, *argv, config=SMALL, out=name)
-            assert code == 0
-            outs.append(out)
-        csvs = sorted(p.name for p in outs[0].glob("*.csv"))
-        assert csvs
-        for name in csvs:
-            assert (outs[0] / name).read_bytes() == (
-                outs[1] / name).read_bytes()
-
-
 def test_console_entrypoint_smoke(tmp_path):
     def sim_m(*argv):   # `sim` as `python -m fullerene_readout`
         return subprocess.run([sys.executable, "-m", "fullerene_readout",

@@ -477,8 +477,10 @@ class TestSurePass:
 
     def test_jittered_overflow_on_a_line_no_electron_takes(self):
         # dwell ~ 1 +/- 0.05 ns: the off state's interrogated line keeps a
-        # finite phase, the leak line's overflows, and most electrons pass
-        # unevaluated
+        # finite phase at every drawn dwell, the leak line's overflows. At
+        # the longest possible dwell, cycle_period, the interrogated line's
+        # phase overflows too, so the no-sink window evaluates every
+        # electron and must still count as the per-electron loop does
         params = TunnelingParams(t0=1.0, alpha=0.01, cycle_period=3.5e305,
                                  window=4e307)
         pulse = PulseSpec(duration=3.5e305)
