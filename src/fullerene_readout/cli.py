@@ -194,6 +194,9 @@ def cmd_sweep(config: SimulationConfig, manifest: Manifest, args) -> str:
 
 def cmd_mechanics(config: SimulationConfig, manifest: Manifest, args) -> str:
     shift = vibration_shift(config.constants, config.mechanics)
+    pm = shift.shift * 1e12
+    if not math.isfinite(pm):
+        raise NumericFailure(f"vibration shift {shift.shift:.4g} m is {pm} pm")
     sep = zeeman_separation(config.constants, config.mechanics)
     ok = sep >= REQUIRED_SEPARATION_MHZ
     need = f"{REQUIRED_SEPARATION_MHZ:g} MHz"
@@ -201,7 +204,7 @@ def cmd_mechanics(config: SimulationConfig, manifest: Manifest, args) -> str:
                           shift_ratio=shift.ratio, zeeman_separation_mhz=sep,
                           separation_ok=ok)
     return (f"vibration shift dz = {shift.shift:.4g} m "
-            f"({shift.shift * 1e12:.4g} pm)\n"
+            f"({pm:.4g} pm)\n"
             f"Coulomb displacement reference = "
             f"{config.mechanics.coulomb_shift:.4g} m\n"
             f"ratio dz / reference = {shift.ratio:.4g}\n"

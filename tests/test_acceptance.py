@@ -26,7 +26,7 @@ from fullerene_readout.spin_core import (MechanicsParams, PhysicalConstants,
                                          SystemParams, eigenenergies,
                                          level_energy, transition_table,
                                          vibration_shift, zeeman_separation)
-from reference import build_hamiltonian
+from reference import build_hamiltonian, validate_density_matrix
 
 STD = SystemParams(nu1=10000.0, nu2=10063.5, J=50.0)
 RATES = DecoherenceRates(gamma0=1 / 2500, gammap=1 / 25)
@@ -152,11 +152,13 @@ def test_criterion_06_integrator_oracle():
             ana = analytic_free_evolution(rho0, rates, t)
             assert np.max(np.abs(num - ana)) <= 1e-8
             assert abs(np.trace(num).real - 1.0) <= 1e-10
-        # fig2's alpha 0.1 decay over its full 1000 ns
+            validate_density_matrix(num, tol=1e-9)
+        # fig2's alpha 0.1 decay over its full 1000 ns: 20,000 steps
         rho0 = imperfect_flip_state(0.1)
         num = evolve_numeric(rho0, RATES, 1000.0, 0.05)[0]
         ana = analytic_free_evolution(rho0, RATES, 1000.0)
         assert np.max(np.abs(num - ana)) < 1e-8
+        assert abs(np.trace(num).real - 1.0) < 1e-10
         assert time.monotonic() - start < 30.0
 
 

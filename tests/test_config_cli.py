@@ -20,7 +20,7 @@ from fullerene_readout.config import (_SECTIONS, SimulationConfig,
 from fullerene_readout.dynamics import (DecoherenceRates, PulseSpec,
                                         analytic_free_evolution,
                                         fig2_timeseries, imperfect_flip_state)
-from fullerene_readout.errors import ConfigError, NumericFailure
+from fullerene_readout.errors import NumericFailure
 from fullerene_readout.protocol import (_BLOCK, MAX_EVENT_CYCLES,
                                         InsideSpinState, TunnelingParams)
 from fullerene_readout.spin_core import (MechanicsParams, PhysicalConstants,
@@ -52,6 +52,59 @@ EVERY_KEY = {
 # A JSON document nested past the decoder's recursion limit
 TOO_DEEP = "[" * 100000 + "]" * 100000
 
+# Each run that its config or command line refuses before the output
+# directory is made: (id, extra argv, config document or raw JSON text, exit
+# code, its one stderr line after "validation error: " or "io error: ")
+REFUSED = [
+    ("unknown-section", (), {"sistem": {}}, 1, "sistem: unknown key"),
+    ("unknown-key", (), {"tunneling": {"t_zero": 100.0}}, 1,
+     "tunneling.t_zero: unknown key"),
+    ("no-period-key", (), {"pulse": {"period": 150.0}}, 1,
+     "pulse.period: unknown key"),
+    ("no-carrier-key", (), {"pulse": {"frequency": 12345.0}}, 1,
+     "pulse.frequency: unknown key"),
+    ("alpha-range", (), {"tunneling": {"alpha": 1.5}}, 1,
+     "tunneling.alpha: must lie in [0, 1)"),
+    ("nu1-negative", (), {"system": {"nu1": -5.0}}, 1,
+     "system.nu1: must lie in (0, 1e+09] MHz"),
+    # values whose levels or pi-time would overflow to inf
+    ("levels-overflow", (), {"system": {"nu1": 1e308, "nu2": 1e308}}, 1,
+     "system.nu1: must lie in (0, 1e+09] MHz"),
+    ("omega0-overflow", (), {"pulse": {"omega0": 1e308}}, 1,
+     "pulse.omega0: must lie in [0, 1e+09] MHz (null: 500 / duration)"),
+    ("pi-time-overflow", (), {"pulse": {"duration": 5e-324}}, 1,
+     "pulse.omega0: must lie in [0, 1e+09] MHz (null: 500 / duration)"),
+    ("pulse-beyond-cycle", (), {"pulse": {"duration": 300.0}}, 1,
+     "pulse.duration: exceeds tunneling.cycle_period"),
+    ("string", (), {"system": {"J": "fifty"}}, 1,
+     "system.J: expected a number"),
+    ("null", (), {"tunneling": {"alpha": None}}, 1,
+     "tunneling.alpha: expected a number"),
+    ("section-not-object", (), {"system": 3}, 1,
+     "system: expected an object"),
+    ("top-not-object", (), [1], 1, "top level: expected an object"),
+    ("gamma0-nan", (), '{"rates": {"gamma0": NaN}}', 1,
+     "rates.gamma0: expected a finite number"),
+    ("omega0-nan", (), '{"pulse": {"omega0": NaN}}', 1,
+     "pulse.omega0: expected a finite number"),
+    ("gammap-inf", (), '{"rates": {"gammap": Infinity}}', 1,
+     "rates.gammap: expected a finite number"),
+    ("window-inf", (), '{"tunneling": {"window": Infinity}}', 1,
+     "tunneling.window: expected a finite number"),
+    ("gradient-nan", (), '{"mechanics": {"gradient": NaN}}', 1,
+     "mechanics.gradient: expected a finite number"),
+    ("integer-beyond-float", (), '{"system": {"J": 1%s}}' % ("0" * 400), 1,
+     "system.J: expected a finite number"),
+    ("invalid-json", (), "{nope", 1, "invalid JSON: Expecting property name "
+     "enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("nested-too-deeply", (), TOO_DEEP, 1, "invalid JSON: maximum recursion "
+     "depth exceeded while decoding a JSON array from a unicode string"),
+    ("missing-file", ("--config", "/nonexistent/cfg.json"), None, 2,
+     "[Errno 2] No such file or directory: '/nonexistent/cfg.json'"),
+    ("negative-seed", ("--seed", "-1"), None, 1,
+     "seed: expected a non-negative integer"),
+]
+
 
 class TestConfig:
     def test_empty_document_gives_defaults(self):
@@ -66,47 +119,9 @@ class TestConfig:
         assert cfg.pulse.omega0 == pytest.approx(500.0 / 140.0)
         assert cfg.seed == 0
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown key"):
-            config_from_dict({"sistem": {}})
-        with pytest.raises(ConfigError, match="tunneling.t_zero"):
-            config_from_dict({"tunneling": {"t_zero": 100.0}})
-        with pytest.raises(ConfigError, match="pulse.period: unknown key"):
-            config_from_dict({"pulse": {"period": 150.0}})
-        with pytest.raises(ConfigError, match="pulse.frequency: unknown key"):
-            config_from_dict({"pulse": {"frequency": 12345.0}})
-
-    def test_validation_names_field(self):
-        with pytest.raises(ConfigError, match="tunneling.alpha"):
-            config_from_dict({"tunneling": {"alpha": 1.5}})
-        with pytest.raises(ConfigError, match="system"):
-            config_from_dict({"system": {"nu1": -5.0}})
-        # values whose levels or pi-time would overflow to inf
-        with pytest.raises(ConfigError, match="^system.nu1: "):
-            config_from_dict({"system": {"nu1": 1e308, "nu2": 1e308}})
-        with pytest.raises(ConfigError, match="^pulse.omega0: "):
-            config_from_dict({"pulse": {"omega0": 1e308}})
-        with pytest.raises(ConfigError, match="^pulse.omega0: "):
-            config_from_dict({"pulse": {"duration": 5e-324}})
-
     def test_negative_delta_accepted(self):
         cfg = config_from_dict({"system": {"nu1": 10063.5, "nu2": 10000.0}})
         assert cfg.system.delta == -63.5
-
-    def test_non_numeric_rejected(self):
-        with pytest.raises(ConfigError, match="system.J"):
-            config_from_dict({"system": {"J": "fifty"}})
-        with pytest.raises(ConfigError, match="tunneling.alpha"):
-            config_from_dict({"tunneling": {"alpha": None}})
-        with pytest.raises(ConfigError, match="^system: expected an object$"):
-            config_from_dict({"system": 3})
-        with pytest.raises(ConfigError,
-                           match="^top level: expected an object$"):
-            config_from_dict([1])
-
-    def test_missing_file_is_io_error(self):
-        with pytest.raises(OSError):
-            parse_config("/nonexistent/cfg.json")
 
     def test_parse_file_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -114,13 +129,6 @@ class TestConfig:
         cfg = parse_config(path)
         assert cfg.system.J == 25.0 and cfg.seed == 11
         assert asdict(cfg)["system"]["J"] == 25.0
-
-    def test_invalid_json_is_validation_error(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        for text in ["{nope", TOO_DEEP]:
-            path.write_text(text)
-            with pytest.raises(ConfigError, match="^invalid JSON: "):
-                parse_config(path)
 
     def test_every_key_round_trips_in_order(self):
         defaults = asdict(config_from_dict({}))
@@ -137,10 +145,6 @@ class TestConfig:
         doc = asdict(config_from_dict({}))
         for name, cls in _SECTIONS.items():
             assert [f.name for f in fields(cls)] == list(doc[name]), name
-
-    def test_pulse_must_fit_cycle(self):
-        with pytest.raises(ConfigError, match="pulse.duration"):
-            config_from_dict({"pulse": {"duration": 300.0}})
 
     def test_readme_config_block_is_the_defaults(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -225,15 +229,6 @@ class TestTableCommand:
             freq = float(parts[-1])
             assert abs(levels[ini] - levels[fin]) == pytest.approx(
                 freq, rel=1e-9)
-
-    def test_manifest_written(self, tmp_path):
-        code, out = sim(tmp_path, "table")
-        assert code == 0
-        doc = json.loads((out / "manifest.json").read_text())
-        assert doc["command"] == "table"
-        assert {o["path"] for o in doc["outputs"]} == {"transitions.csv",
-                                                       "levels.csv"}
-        assert doc["config"]["system"]["nu1"] == 10000.0
 
     def test_manifest_echoes_every_key(self, tmp_path):
         code, out = sim(tmp_path, "table", config=EVERY_KEY)
@@ -406,15 +401,22 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("option", ["alphas", "leaks"])
     def test_negative_zero_is_zero(self, option, tmp_path):
-        # -0 is the same grid value as 0: same seeds, same rows
+        # -0 is the same grid value as 0: same seeds, same rows. A window of
+        # ten electrons at alpha 0.5 (or at leak 0.3) misclassifies often, so
+        # a seed derived from -0.0 would show in the counts
+        other = {"alphas": ("--leaks", "0.3"), "leaks": ("--alphas", "0.5")}
         outputs = []
         for value in ("0", "-0"):
-            code, out = sim(tmp_path, "sweep", f"--{option}", value,
-                            "--trials", "2", config=SMALL, out=value)
+            code, out = sim(tmp_path, "sweep", "--encoding", "outer",
+                            f"--{option}", value, *other[option],
+                            "--trials", "200", out=value,
+                            config={"tunneling": {"window": 1500.0}})
             assert code == 0
             outputs.append([(out / name).read_bytes()
                             for name in ("sweep.csv", "sweep.jsonl")])
         assert outputs[0] == outputs[1]
+        assert any(json.loads(row)["misclassified"]
+                   for row in outputs[0][1].splitlines())
 
     def test_grid_shape_and_zero_misclassification(self, tmp_path):
         code, out = sim(tmp_path, "sweep", "--alphas", "0.1,0.2", "--leaks",
@@ -428,10 +430,12 @@ class TestSweepCommand:
         check_run(out)
 
     def test_empty_grid_is_validation_error(self, tmp_path, capsys):
-        assert sim(tmp_path, "sweep", "--alphas", "", config=SMALL)[0] == 1
-        assert sim(tmp_path, "sweep", "--leaks", "0,x", config=SMALL)[0] == 1
-        assert capsys.readouterr().err.endswith(
-            "validation error: sweep.leaks: invalid grid '0,x'\n")
+        for argv, line in [(("--alphas", ""), "alphas: must be non-empty"),
+                           (("--leaks", "0,x"), "leaks: invalid grid '0,x'"),
+                           (("--trials", "0"), "trials: must be >= 1")]:
+            assert sim(tmp_path, "sweep", *argv, config=SMALL)[0] == 1
+            assert capsys.readouterr().err == (
+                f"validation error: sweep.{line}\n")
 
 
 class TestMechanicsCommand:
@@ -443,12 +447,18 @@ class TestMechanicsCommand:
         assert "127.8" in out and ">=127 MHz satisfied" in out
 
     def test_overflow_is_numeric_failure(self, tmp_path, capsys):
-        assert sim(tmp_path, "mechanics", config={
-            "constants": {"muB_over_h": 1e308},
-            "mechanics": {"spacing": 1.0}})[0] == 3
-        out, err = capsys.readouterr()
-        assert "manifest.json" in err
-        assert out == ""
+        for doc, figure in [
+                ({"constants": {"muB_over_h": 1e308},
+                  "mechanics": {"spacing": 1.0}},
+                 "manifest.json: zeeman_separation_mhz is inf"),
+                # a finite shift of 1e297 m whose picometre figure overflows
+                ({"constants": {"g": 5e296, "muB": 1.0, "k_spring": 1.0},
+                  "mechanics": {"gradient": 1.0, "coulomb_shift": 1.0}},
+                 "vibration shift 1e+297 m is inf pm")]:
+            code, out = sim(tmp_path, "mechanics", config=doc)
+            assert code == 3
+            assert capsys.readouterr() == ("", f"numeric failure: {figure}\n")
+            assert not list(out.iterdir())
 
     def test_zero_gradient(self, tmp_path, capsys):
         assert sim(tmp_path, "mechanics",
@@ -457,24 +467,15 @@ class TestMechanicsCommand:
 
 
 class TestExitCodes:
-    def test_missing_config_is_io_error(self, tmp_path):
-        assert sim(tmp_path, "table", "--config",
-                   str(tmp_path / "nope.json"))[0] == 2
-
-    def test_bad_value_is_validation_error(self, tmp_path):
-        assert sim(tmp_path, "table",
-                   config={"tunneling": {"alpha": 1.5}})[0] == 1
-
-    def test_negative_seed_rejected(self, tmp_path):
-        assert sim(tmp_path, "table", "--seed", "-1")[0] == 1
-
-    def test_config_nested_too_deeply_is_validation_error(self, tmp_path,
-                                                          capsys):
+    @pytest.mark.parametrize("argv, config, code, line",
+                             [row[1:] for row in REFUSED],
+                             ids=[row[0] for row in REFUSED])
+    def test_refused_config(self, argv, config, code, line, tmp_path,
+                            capsys):
         # one error line: no traceback, nothing printed before it
-        code, out = sim(tmp_path, "table", config=TOO_DEEP)
-        assert code == 1
-        assert re.fullmatch(r"validation error: invalid JSON: [^\n]*\n",
-                            capsys.readouterr().err)
+        got, out = sim(tmp_path, "table", *argv, config=config)
+        kind = "io error" if code == 2 else "validation error"
+        assert (got, capsys.readouterr().err) == (code, f"{kind}: {line}\n")
         assert not out.exists()
 
     # argparse's usage errors exit 1 like any other bad input, before the
@@ -493,21 +494,6 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("validation error: ") and named in err
         assert not out.exists()
-
-    @pytest.mark.parametrize("section,key,value", [
-        ("rates", "gamma0", "NaN"),
-        ("pulse", "omega0", "NaN"),
-        ("rates", "gammap", "Infinity"),
-        ("tunneling", "window", "Infinity"),
-        ("mechanics", "gradient", "NaN"),
-        ("system", "J", "1" + "0" * 400),
-    ])
-    def test_non_finite_number_rejected(self, section, key, value, tmp_path,
-                                        capsys):
-        assert sim(tmp_path, "readout",
-                   config=f'{{"{section}": {{"{key}": {value}}}}}')[0] == 1
-        assert (f"{section}.{key}: expected a finite number"
-                in capsys.readouterr().err)
 
     def test_window_beyond_cycle_cap_rejected(self, tmp_path, capsys,
                                               monkeypatch):
@@ -728,6 +714,7 @@ class TestManifest:
         code, out = sim(tmp_path, *argv, config=SMALL)
         assert code == 0
         doc = json.loads((out / "manifest.json").read_text())
+        assert doc["command"] == argv[0]
         assert [entry["path"] for entry in doc["outputs"]] == paths
         check_run(out)
 

@@ -1,9 +1,7 @@
-import hashlib
 import itertools
 import math
 import warnings
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -12,7 +10,7 @@ from fullerene_readout.dynamics import (DecoherenceRates, PulseSpec,
                                         analytic_free_evolution,
                                         rabi_factors, rabi_transfer)
 from fullerene_readout.errors import NumericFailure
-from fullerene_readout.protocol import (_BLOCK, EVENT_COLUMNS, CurrentTrace,
+from fullerene_readout.protocol import (_BLOCK, CurrentTrace,
                                         InsideSpinState, TunnelEvents,
                                         TunnelingParams, _draw_dwell,
                                         _outcomes, _sure_pass, classify,
@@ -20,8 +18,7 @@ from fullerene_readout.protocol import (_BLOCK, EVENT_COLUMNS, CurrentTrace,
                                         leak_resonance_frequency,
                                         outside_flip_frequency,
                                         resonance_frequency, run_window,
-                                        sweep_states, write_events_csv)
-from fullerene_readout.records import RecordWriter
+                                        sweep_states)
 from fullerene_readout.spin_core import (SystemParams, eigenenergies,
                                         transition_table)
 from reference import (SIGMA_X, collect_events, driven_evolution,
@@ -35,44 +32,8 @@ INNER_UP = InsideSpinState(0.5, "inner")
 MS_WINDOW = TunnelingParams(window=1e6)  # 6666 cycles
 
 
-def outer_pulse():
-    return PulseSpec()
-
-
-def window_events(params, n, seed, state=OUTER_UP, rates=RATES):
-    """Event columns of an n-electron window."""
-    trace, events = collect_events(
-        run_window, state, outer_pulse(), SYS,
-        replace(params, window=n * params.cycle_period), rates, seed)
-    assert trace.n_cycles == n
-    return events
-
-
 class TestSampleDwell:
     """The dwell column of the array sampler."""
-
-    def test_zero_alpha_is_exact(self):
-        ev = window_events(TunnelingParams(alpha=0.0), 100, seed=0)
-        assert np.all(ev.dwell == 150.0)
-
-    def test_statistics(self):
-        # headroom above t0 so truncation does not bias the draw
-        params = TunnelingParams(alpha=0.1, cycle_period=1500.0)
-        draws = window_events(params, 100_000, seed=123).dwell
-        assert draws.mean() == pytest.approx(150.0, abs=0.15)
-        assert draws.std() == pytest.approx(15.0, abs=0.5)
-
-    def test_bounded_by_cycle(self):
-        params = TunnelingParams(alpha=0.3)
-        d = window_events(params, 10_000, seed=5).dwell
-        assert np.all((0.0 < d) & (d <= params.cycle_period))
-
-    def test_deterministic_for_fixed_seed(self):
-        params = TunnelingParams(alpha=0.1)
-        a = window_events(params, 1000, seed=42).dwell
-        for _ in range(3):
-            assert np.array_equal(window_events(params, 1000, seed=42).dwell,
-                                  a)
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5])
     @pytest.mark.parametrize("t0", [150.0, 140.0],
@@ -84,6 +45,7 @@ class TestSampleDwell:
         params = TunnelingParams(t0=t0, alpha=alpha)
         n = 10**6
         dwell = np.sort(_draw_dwell(params, np.random.default_rng(0), n))
+        assert 0.0 < dwell[0] and dwell[-1] <= params.cycle_period
         scale = alpha * t0 * math.sqrt(2.0)
         lo = math.erf(-t0 / scale)
         hi = math.erf((params.cycle_period - t0) / scale)
@@ -108,14 +70,11 @@ class TestSampleDwell:
 class TestSourceEmit:
     """The spin column of the array sampler."""
 
-    def test_perfect_filter(self):
-        ev = window_events(TunnelingParams(), 1000, seed=0)
-        assert not ev.spin_up.any()
-
     def test_leak_fraction(self):
-        params = TunnelingParams(p_leak_source=0.05)
-        ups = window_events(params, 100_000, seed=9).spin_up
-        assert ups.mean() == pytest.approx(0.05, abs=0.003)
+        params = TunnelingParams(p_leak_source=0.05, window=1.5e7)
+        _, ev = collect_events(run_window, OUTER_UP, PulseSpec(), SYS, params,
+                               RATES, 9)
+        assert ev.spin_up.mean() == pytest.approx(0.05, abs=0.003)
 
 
 class TestFrequencies:
@@ -157,7 +116,7 @@ class TestInsideSpinState:
 
 class TestResultRecords:
     def test_results_refuse_assignment(self):
-        trace, events = collect_events(run_window, OUTER_UP, outer_pulse(),
+        trace, events = collect_events(run_window, OUTER_UP, PulseSpec(),
                                        SYS, MS_WINDOW, RATES, 0)
         for record in (eigenenergies(SYS)[0], transition_table(SYS)[0],
                        events, trace, classify(trace, MS_WINDOW, OUTER_UP)):
@@ -169,25 +128,10 @@ class TestResultRecords:
 class TestElectronCycle:
     """Per-electron outcomes of the array sampler."""
 
-    def test_resonant_perfect_pulse_blocks(self):
-        # gamma0 = 0 so the residual dwell cannot repopulate |down>
-        ev = window_events(TunnelingParams(alpha=0.0), 200, seed=0,
-                           rates=DecoherenceRates(0.0, RATES.gammap))
-        assert not ev.spin_up.any()
-        assert ev.flip_prob == pytest.approx(np.ones(200))
-        assert not ev.passed.any()
-
-    def test_off_resonant_state_transmits(self):
-        ev = window_events(TunnelingParams(alpha=0.0), 2000, seed=0,
-                           state=OUTER_DOWN)
-        cap = outer_pulse().omega0 ** 2 / (outer_pulse().omega0 ** 2 + 150 ** 2)
-        assert np.all(ev.flip_prob <= cap + 1e-12)
-        assert ev.passed.sum() >= 0.999 * ev.passed.size
-
     def test_matrix_path_agreement(self):
         # the array bookkeeping must reproduce rabi_pulse followed by
         # analytic_free_evolution
-        pulse = outer_pulse()
+        pulse = PulseSpec()
         params = TunnelingParams(alpha=0.2)
         down = np.diag([0.0, 1.0]).astype(complex)
         dwell, m1 = (a.ravel() for a in np.meshgrid(
@@ -208,7 +152,7 @@ class TestElectronCycle:
         # the config's rule and message, kept for callers without a config
         with pytest.raises(ValueError, match="^pulse.duration: exceeds "
                            "tunneling.cycle_period$"):
-            run_window(OUTER_UP, replace(outer_pulse(), duration=200.0), SYS,
+            run_window(OUTER_UP, replace(PulseSpec(), duration=200.0), SYS,
                        TunnelingParams(), RATES, 0)
 
 
@@ -277,38 +221,39 @@ class TestExactDistribution:
 
 class TestRunWindow:
     def test_cycle_count_default_window(self):
-        trace = run_window(OUTER_UP, outer_pulse(), SYS, TunnelingParams(),
+        trace = run_window(OUTER_UP, PulseSpec(), SYS, TunnelingParams(),
                            RATES, seed=0)
         assert trace.n_cycles == 66_666
 
     def test_blocked_window(self):
-        trace = run_window(OUTER_UP, outer_pulse(), SYS, MS_WINDOW,
-                           DecoherenceRates(0.0, RATES.gammap), seed=0)
+        # gamma0 = 0 so the residual dwell cannot repopulate |down>
+        rates = DecoherenceRates(0.0, RATES.gammap)
+        trace, ev = collect_events(run_window, OUTER_UP, PulseSpec(), SYS,
+                                   MS_WINDOW, rates, 0)
+        assert not ev.spin_up.any() and not ev.passed.any()
+        assert ev.flip_prob == pytest.approx(np.ones(trace.n_cycles))
         assert trace.n_passed == 0
 
-    def test_nearly_blocked_with_relaxation(self):
-        # residual-dwell relaxation leaks ~ gamma0 * 10 ns per cycle
-        trace = run_window(OUTER_UP, outer_pulse(), SYS, MS_WINDOW, RATES,
-                           seed=0)
-        assert trace.n_passed < 0.01 * trace.n_cycles
-
     def test_transmitting_window(self):
-        trace = run_window(OUTER_DOWN, outer_pulse(), SYS, MS_WINDOW, RATES,
-                           seed=0)
+        trace, ev = collect_events(run_window, OUTER_DOWN, PulseSpec(), SYS,
+                                   MS_WINDOW, RATES, 0)
+        omega0 = PulseSpec().omega0
+        assert np.all(ev.flip_prob <= omega0 ** 2 / (omega0 ** 2 + 150 ** 2)
+                      + 1e-12)
         assert trace.n_passed >= 0.999 * trace.n_cycles
 
     def test_determinism(self):
         params = replace(MS_WINDOW, alpha=0.1, p_leak_source=0.02,
                          p_leak_drain=0.02)
-        a = collect_events(run_window, OUTER_UP, outer_pulse(), SYS, params,
+        a = collect_events(run_window, OUTER_UP, PulseSpec(), SYS, params,
                            RATES, 3)
-        b = collect_events(run_window, OUTER_UP, outer_pulse(), SYS, params,
+        b = collect_events(run_window, OUTER_UP, PulseSpec(), SYS, params,
                            RATES, 3)
         assert a[0] == b[0]
         for name in TunnelEvents._fields:
             x, y = getattr(a[1], name), getattr(b[1], name)
             assert x.dtype == y.dtype and np.array_equal(x, y), name
-        c = collect_events(run_window, OUTER_UP, outer_pulse(), SYS, params,
+        c = collect_events(run_window, OUTER_UP, PulseSpec(), SYS, params,
                            RATES, 4)
         for name in ("dwell", "passed"):
             assert not np.array_equal(getattr(c[1], name),
@@ -316,44 +261,13 @@ class TestRunWindow:
 
     def test_blockade_audit(self):
         params = replace(MS_WINDOW, alpha=0.15, window=1e5)
-        trace, ev = collect_events(run_window, OUTER_UP, outer_pulse(), SYS,
+        trace, ev = collect_events(run_window, OUTER_UP, PulseSpec(), SYS,
                                    params, RATES, 1)
         assert all(len(col) == trace.n_cycles for col in (
             ev.dwell, ev.spin_up, ev.flip_prob, ev.passed))
         assert np.array_equal(ev.cycle, np.arange(trace.n_cycles))
         assert np.all((0 < ev.dwell) & (ev.dwell <= params.cycle_period))
         assert ev.passed.sum() == trace.n_passed
-
-    def test_on_resonance_transmission_small_alpha(self):
-        # E[sin^2(pi (tau - t0) / (2 t0))] ~ pi^2 alpha^2 / 4
-        params = replace(TunnelingParams(alpha=0.1), window=2e7)
-        trace = run_window(OUTER_UP, outer_pulse(), SYS, params, RATES,
-                           seed=0)
-        assert trace.n_cycles >= 100_000
-        expected = math.pi ** 2 * 0.01 / 4
-        assert trace.n_passed / trace.n_cycles == pytest.approx(
-            expected, rel=0.15)
-
-    def test_events_csv(self, tmp_path):
-        params = replace(MS_WINDOW, window=1e4, alpha=0.1)
-        path = tmp_path / "events.csv"
-        with RecordWriter(path, EVENT_COLUMNS) as log:
-            trace = run_window(OUTER_UP, outer_pulse(), SYS, params, RATES, 2,
-                               partial(write_events_csv, log))
-        _, ev = collect_events(run_window, OUTER_UP, outer_pulse(), SYS,
-                               params, RATES, 2)
-        assert log.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
-        lines = path.read_text().splitlines()
-        assert lines[0] == "cycle,dwell_ns,spin_in,flip_prob,passed"
-        assert len(lines) == trace.n_cycles + 1
-        rows = [line.split(",") for line in lines[1:]]
-        assert [int(r[0]) for r in rows] == list(range(trace.n_cycles))
-        assert [float(r[1]) for r in rows] == pytest.approx(ev.dwell,
-                                                            rel=1e-11)
-        assert [r[2] == "up" for r in rows] == ev.spin_up.tolist()
-        assert [float(r[3]) for r in rows] == pytest.approx(ev.flip_prob,
-                                                            rel=1e-11)
-        assert [r[4] for r in rows] == [str(int(p)) for p in ev.passed]
 
 
 class TestStreamGuard:
@@ -563,46 +477,11 @@ class TestFidelitySweep:
         results = {}
         for leak in (0.0, 0.05):
             params = replace(tun, p_leak_source=leak, p_leak_drain=leak)
-            trace = run_window(OUTER_UP, outer_pulse(), SYS, params, RATES,
+            trace = run_window(OUTER_UP, PulseSpec(), SYS, params, RATES,
                                seed=0)
             results[leak] = classify(trace, params, OUTER_UP)
         assert results[0.05].contrast < results[0.0].contrast
         assert results[0.05].classified.m1 == results[0.0].classified.m1 == 1.5
-
-    @pytest.mark.parametrize("alphas, leaks, option", [
-        ([0.1, 0.1], [0.0], "alphas"), ([0.1], [0, 0.0], "leaks")],
-        ids=["alphas", "leaks"])
-    def test_repeated_value_rejected(self, alphas, leaks, option,
-                                     monkeypatch):
-        def never(*args, **kwargs):
-            raise AssertionError("run_window reached")
-
-        monkeypatch.setattr("fullerene_readout.protocol.run_window", never)
-        with pytest.raises(ValueError,
-                           match=f"^sweep.{option}: must not repeat"):
-            fidelity_sweep("both", SYS, RATES, alphas, leaks, 1, 0)
-
-    def test_signed_zero_is_zero(self):
-        # a 10-electron window at alpha 0.5 misclassifies often, so a grid
-        # value drawn from another seed would show in the counts
-        tun = TunnelingParams(window=1500.0)
-        # a tuple, not a dict keyed by leak: 0.0 and -0.0 are one dict key
-        zero, negative_zero = (
-            fidelity_sweep("outer", SYS, RATES, [0.5], [leak], trials=200,
-                           seed=0, tunneling=tun) for leak in (0.0, -0.0))
-        assert negative_zero["misclassified"] == zero["misclassified"]
-        assert any(zero["misclassified"])
-        assert all(math.copysign(1.0, p) == 1.0
-                   for p in negative_zero["p_leak"])
-        alpha = fidelity_sweep("outer", SYS, RATES, [-0.0], [0.0], 1, 0,
-                               tunneling=tun)["alpha"][0]
-        assert math.copysign(1.0, alpha) == 1.0
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            fidelity_sweep("both", SYS, RATES, [], [0.0], 1, 0)
-        with pytest.raises(ValueError):
-            fidelity_sweep("both", SYS, RATES, [0.0], [0.0], 0, 0)
 
     def test_unknown_encoding_names_the_field(self):
         with pytest.raises(ValueError, match="^encoding: "):
