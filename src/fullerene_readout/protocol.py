@@ -35,9 +35,10 @@ most 1, so its pass probability (1 - p_up) + p_leak_drain * p_up is at
 least fl(1 - a), and the drain leak only adds. Off resonance a is 5.7e-4
 (outer) or 5.1e-3 (inner), so a block evaluates its leaked electrons and
 about a fraction a of the rest; on resonance a = 1, and it evaluates all.
-A window whose interrogated line's phase at cycle_period, the longest
-dwell, overflows is evaluated in full, so the overflow failure fires
-exactly when some electron's phase overflows.
+A window is refused before any draw if its pulse phase rate * (dwell *
+duration / t0) overflows at the longest dwell (t0 at alpha = 0, else
+cycle_period) on the interrogated line or, if the source leaks, the leak
+line: each float step scales by a positive constant, so no phase exceeds it.
 Every path gives the counts, and where it evaluates the floats, of
 evaluating each electron on its own; the test suite holds the window to
 that per-electron loop, kept in its reference module.
@@ -244,7 +245,8 @@ def _outcomes(spin_up: np.ndarray, dwell: np.ndarray, factors: tuple,
     line = spin_up.view(np.uint8)
     amplitude, rate = (f.take(line) for f in factors)
     # Departure mid-pulse truncates the rotation: on resonance the angle is
-    # pi * dwell / t0. An overflowing phase is left to the caller to report.
+    # pi * dwell / t0. Past `run_window`'s overflow rule, only the alpha = 0
+    # table's leak-line entry, which no electron takes, can overflow.
     with np.errstate(over="ignore", invalid="ignore"):
         flip = rabi_transfer(amplitude, rate,
                              dwell * pulse.duration / params.t0)
@@ -274,18 +276,19 @@ def run_window(inside: InsideSpinState, pulse: PulseSpec, sys: SystemParams,
         carrier - outside_flip_frequency(sys, inside.m1),
         carrier - leak_resonance_frequency(sys)]))
     constant_dwell = params.alpha == 0.0
+    longest = params.t0 if constant_dwell else params.cycle_period
+    tau = float(longest) * pulse.duration / params.t0
+    lines = factors[1].tolist()[:2 if params.p_leak_source > 0.0 else 1]
+    if not np.isfinite([rate * tau for rate in lines]).all():
+        raise NumericFailure("pulse phase overflows: the pulse lasts "
+                             "too long for its Rabi frequency")
     if constant_dwell:
         # Every dwell is t0: one flip and one pass probability per line.
         line_flip, line_pass = _outcomes(np.array([False, True]),
                                          np.full(2, float(params.t0)),
                                          factors, pulse, params, rates)
-    # Spin-down electrons with u below `sure` pass unevaluated, unless the
-    # phase at the longest dwell overflows: it bounds every skipped phase.
     sure = _sure_pass(factors[0][0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        longest = factors[1][0] * (params.cycle_period * pulse.duration
-                                   / params.t0)
-    skip = sink is None and sure > 0.0 and np.isfinite(longest)
+    skip = sink is None and sure > 0.0
     n_passed = 0
     for start in range(0, n_cycles, _BLOCK):
         n = min(_BLOCK, n_cycles - start)
@@ -306,9 +309,6 @@ def run_window(inside: InsideSpinState, pulse: PulseSpec, sys: SystemParams,
                                          for a in (spin_up, dwell, u))
             flip, p_pass = _outcomes(spin_up, dwell, factors, pulse, params,
                                      rates)
-        if not np.isfinite(flip).all():
-            raise NumericFailure("pulse phase overflows: the pulse lasts "
-                                 "too long for its Rabi frequency")
         passed = u < p_pass
         n_passed += int(np.count_nonzero(passed))
         if sink is not None:

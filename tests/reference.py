@@ -3,11 +3,10 @@
 `fullerene_readout` computes level energies, lines and pulse transfer from
 closed forms; the operators here build the same physics as matrices, and
 `driven_evolution` keeps the pulse's damping that production leaves out.
-`flip_probability` is the pulse transfer in one closed form. `chained` is
-`evolve_numeric(..., samples=n)` as n calls, one per sample, and
-`fig2_numeric` reads `sim fig2`'s RK4 columns from it; `sampled_trajectory`
-is the same trajectory as the loop over samples that the factor
-accumulations replaced.
+`flip_probability` is the pulse transfer in one closed form.
+`sampled_trajectory` is `evolve_numeric(..., samples=n)` as the loop over
+samples that the factor accumulations replaced: n chained calls, one per
+sample, each from the last one's state.
 `run_window_reference` is the readout window's per-electron block loop, the
 stream `protocol.run_window` must reproduce bit for bit, and
 `collect_events` collects either one's per-electron columns.
@@ -23,8 +22,7 @@ import math
 import numpy as np
 
 from fullerene_readout.dynamics import (SIGMA_Z, DecoherenceRates, PulseSpec,
-                                        _rk4_map, evolve_numeric,
-                                        lindblad_rhs)
+                                        _rk4_map, lindblad_rhs)
 from fullerene_readout.errors import NumericFailure
 from fullerene_readout.protocol import (_BLOCK, CurrentTrace, InsideSpinState,
                                         TunnelEvents, TunnelingParams,
@@ -144,26 +142,6 @@ def flip_probability(omega0, detuning, effective_duration):
     ratio = omega0 / np.where(omega_r == 0.0, 1.0, omega_r)
     half = np.pi * omega_r * effective_duration / 1000.0
     return ratio ** 2 * np.sin(half) ** 2
-
-
-def chained(rho: np.ndarray, rates: DecoherenceRates, h: float, dt: float,
-            n: int) -> np.ndarray:
-    """n calls of `evolve_numeric` over h, each from the last one's state."""
-    states = []
-    for _ in range(n):
-        rho = evolve_numeric(rho, rates, h, dt)[0]
-        states.append(rho)
-    return np.array(states)
-
-
-def fig2_numeric(rho: np.ndarray, rates: DecoherenceRates,
-                 times: np.ndarray, dt: float) -> np.ndarray:
-    """fig2's numeric columns (rho_uu, |rho_ud|, rho_dd) on the uniform grid
-    `times`, from `chained` calls: the loop that
-    `evolve_numeric(..., samples=n)` replaced in `sim fig2`."""
-    states = chained(rho, rates, times[1] - times[0], dt, len(times) - 1)
-    return np.array([[s[0, 0].real, abs(s[0, 1]), s[1, 1].real]
-                     for s in [rho, *states]])
 
 
 def sampled_trajectory(rho: np.ndarray, rates: DecoherenceRates, t: float,

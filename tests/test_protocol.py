@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fullerene_readout import protocol
 from fullerene_readout.dynamics import (DecoherenceRates, PulseSpec,
                                         analytic_free_evolution,
                                         rabi_factors, rabi_transfer)
@@ -30,6 +31,10 @@ OUTER_UP = InsideSpinState(1.5, "outer")
 OUTER_DOWN = InsideSpinState(-1.5, "outer")
 INNER_UP = InsideSpinState(0.5, "inner")
 MS_WINDOW = TunnelingParams(window=1e6)  # 6666 cycles
+
+
+def never(*args):
+    raise AssertionError("reached past the overflow rule")
 
 
 class TestSampleDwell:
@@ -259,16 +264,6 @@ class TestRunWindow:
             assert not np.array_equal(getattr(c[1], name),
                                       getattr(a[1], name)), name
 
-    def test_blockade_audit(self):
-        params = replace(MS_WINDOW, alpha=0.15, window=1e5)
-        trace, ev = collect_events(run_window, OUTER_UP, PulseSpec(), SYS,
-                                   params, RATES, 1)
-        assert all(len(col) == trace.n_cycles for col in (
-            ev.dwell, ev.spin_up, ev.flip_prob, ev.passed))
-        assert np.array_equal(ev.cycle, np.arange(trace.n_cycles))
-        assert np.all((0 < ev.dwell) & (ev.dwell <= params.cycle_period))
-        assert ev.passed.sum() == trace.n_passed
-
 
 class TestStreamGuard:
     """run_window draws the same numbers in the same order, and computes the
@@ -303,17 +298,6 @@ class TestStreamGuard:
             pulse = PulseSpec(omega0=omega0)
             self.assert_same_window(state, pulse, params, seed=17)
 
-    def test_overflow_on_a_line_no_electron_takes(self):
-        # tau = 4e305 ns: the interrogated line's phase stays finite, the
-        # leak line's overflows. Only a leaked electron may fail the window.
-        params = TunnelingParams(t0=1.0, cycle_period=4e305, window=4e307)
-        pulse = PulseSpec(duration=4e305)
-        self.assert_same_window(OUTER_UP, pulse, params, seed=0)
-        leaky = replace(params, p_leak_source=0.5)
-        for run in (run_window, run_window_reference):
-            with pytest.raises(NumericFailure, match="pulse phase overflows"):
-                run(OUTER_UP, pulse, SYS, leaky, RATES, 0)
-
     def test_overflowing_relaxation(self):
         # gamma0 * residual dwell overflows to inf; exp(-inf) = 0 is exact,
         # so every electron relaxes to |down> and passes, without a warning
@@ -344,17 +328,55 @@ class TestStreamGuard:
             assert run(state, pulse, SYS, params, RATES,
                        seed).n_passed == n_passed
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.1])
-    def test_phase_overflow_is_numeric_failure(self, alpha):
-        # dwell * duration overflows on both lines, with constant dwell and
-        # with jitter alike; no RuntimeWarning may escape first
-        params = TunnelingParams(t0=1e300, cycle_period=1e300, window=1e300,
-                                 alpha=alpha)
-        pulse = PulseSpec(duration=1e300)
+    # The pulse-phase overflow rule, checked before a window's first draw: a
+    # refused row reaches neither a dwell draw nor `_outcomes`, and an
+    # accepted one matches the reference, whose per-block check must not
+    # fire, at every seed. tau = 4e305 ns at t0 = 1 ns keeps the +3/2
+    # interrogated line's phase finite and overflows the leak line's; the
+    # rule checks the leak line only where the source leaks.
+    @pytest.mark.parametrize("state, tunneling, duration, seeds, refused", [
+        pytest.param(OUTER_UP, dict(t0=1.0, cycle_period=4e305,
+                                    window=4e307), 4e305, [0], False,
+                     id="leak-line-untaken"),
+        pytest.param(OUTER_UP, dict(t0=1.0, cycle_period=4e305, window=4e307,
+                                    p_leak_source=0.5), 4e305, [0], True,
+                     id="leak-line-taken"),
+        # at alpha 0 the longest dwell is t0, not cycle_period
+        pytest.param(OUTER_DOWN, dict(t0=1.0, cycle_period=4e305,
+                                      window=4e307), 1.0, [0], False,
+                     id="constant-dwell"),
+        # every drawn dwell, ~1 ns, keeps a finite phase; cycle_period's
+        # would not, and no draw decides the outcome
+        pytest.param(OUTER_DOWN, dict(t0=1.0, alpha=0.01,
+                                      cycle_period=3.5e305, window=4e307),
+                     3.5e305, [0], True, id="jittered-longest-dwell"),
+        # dwell * duration itself overflows, on both lines
+        *(pytest.param(OUTER_DOWN, dict(t0=1e300, cycle_period=1e300,
+                                        window=1e300, alpha=alpha),
+                       1e300, [0], True, id=f"dwell-times-duration-{alpha}")
+          for alpha in (0.0, 0.1)),
+        # 114 electrons at leak 0.005: whether one leaks depends on the
+        # seed, whether the window is refused does not
+        pytest.param(OUTER_UP, dict(t0=1.0, cycle_period=4e305,
+                                    window=4.6e307, p_leak_source=0.005),
+                     4e305, range(8), True, id="rare-leak")])
+    def test_pulse_phase_overflow_rule(self, state, tunneling, duration,
+                                       seeds, refused, monkeypatch):
+        params = TunnelingParams(**tunneling)
+        pulse = PulseSpec(duration=duration)
+        if refused:
+            monkeypatch.setattr(protocol, "_draw_dwell", never)
+            monkeypatch.setattr(protocol, "_outcomes", never)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericFailure, match="pulse phase overflows"):
-                run_window(OUTER_DOWN, pulse, SYS, params, RATES, 0)
+            for seed in seeds:
+                if refused:
+                    with pytest.raises(NumericFailure, match=(
+                            "^pulse phase overflows: the pulse lasts too "
+                            "long for its Rabi frequency$")):
+                        run_window(state, pulse, SYS, params, RATES, seed)
+                else:
+                    self.assert_same_window(state, pulse, params, seed)
 
 
 class TestSurePass:
@@ -388,21 +410,6 @@ class TestSurePass:
                 lowest = min(lowest, p_pass.min())
         # the grid reaches the bound's argument itself
         assert lowest == 1.0 - amplitude
-
-    def test_jittered_overflow_on_a_line_no_electron_takes(self):
-        # dwell ~ 1 +/- 0.05 ns: the off state's interrogated line keeps a
-        # finite phase at every drawn dwell, the leak line's overflows. At
-        # the longest possible dwell, cycle_period, the interrogated line's
-        # phase overflows too, so the no-sink window evaluates every
-        # electron and must still count as the per-electron loop does
-        params = TunnelingParams(t0=1.0, alpha=0.01, cycle_period=3.5e305,
-                                 window=4e307)
-        pulse = PulseSpec(duration=3.5e305)
-        TestStreamGuard.assert_same_window(OUTER_DOWN, pulse, params, seed=0)
-        leaky = replace(params, p_leak_source=0.5)
-        for run in (run_window, run_window_reference):
-            with pytest.raises(NumericFailure, match="pulse phase overflows"):
-                run(OUTER_DOWN, pulse, SYS, leaky, RATES, 0)
 
 
 class TestClassify:
